@@ -1,6 +1,7 @@
 // Package serverless simulates the shared FaaS platform (the paper's
 // modified Apache OpenWhisk, §V): a memory-bounded pool of per-function
-// containers fed by a FIFO activation queue.
+// containers fed by a FIFO activation queue. The queue is kept per
+// function and served in global arrival order (DESIGN.md §17).
 //
 // Lifecycle per the paper's Fig. 7: an arriving query is enqueued; a ready
 // (warm) container picks it up, otherwise the platform cold-starts a new
@@ -59,9 +60,9 @@ type Config struct {
 	// itself; containers may use the rest.
 	MemReserve units.Fraction
 
-	// MaxQueue bounds the shared activation queue (0 = unbounded). Public
-	// platforms impose such a cap — the §I "concurrent request
-	// threshold"; arrivals beyond it are rejected and counted.
+	// MaxQueue bounds the activations waiting across all functions (0 =
+	// unbounded). Public platforms impose such a cap — the §I "concurrent
+	// request threshold"; arrivals beyond it are rejected and counted.
 	MaxQueue int
 }
 
@@ -138,6 +139,7 @@ type container struct {
 
 type activation struct {
 	fn      *function
+	seq     uint64 // platform-wide arrival order, stamped at Invoke
 	arrived sim.Time
 	qt      obs.QueryTrace // trace context opened at Invoke
 	queueH  obs.SpanHandle // open queue-wait phase span
@@ -145,6 +147,7 @@ type activation struct {
 
 type function struct {
 	profile workload.Profile
+	order   int // registration index
 	// execMu and execSigma are the lognormal parameters of the body's
 	// execution time, precomputed once at Register so the per-activation
 	// hot path draws without re-deriving them.
@@ -160,6 +163,10 @@ type function struct {
 	usage      *resources.Usage
 	inflight   int
 	rejected   int
+
+	queue      actRing // waiting activations, oldest first
+	waiting    bool    // listed in Platform.waiting
+	blockedGen uint64  // pump generation in which the head failed to place
 }
 
 // Platform is the simulated serverless computing platform.
@@ -171,15 +178,26 @@ type Platform struct {
 	bus    *obs.Bus
 	tracer *obs.Tracer
 	fns    map[string]*function
+	// registered lists the functions in registration order, the order
+	// every iteration over functions uses.
+	registered []*function
 	// coldMu and coldSigma are the lognormal parameters of the cold-start
 	// delay, precomputed once at New from the validated config.
 	coldMu    float64
 	coldSigma float64
-	queue     []*activation
 	actFree   []*activation    // recycled activations (steady state allocates none)
 	demand    resources.Vector // aggregate demand of running bodies
 	memMB     float64          // memory allocated by live containers
 	nextID    int
+	// waiting lists the functions with a non-empty queue in registration
+	// order; queued counts their activations and seq stamps arrivals.
+	waiting []*function
+	queued  int
+	seq     uint64
+	pumpGen uint64
+	// pumpProbe, when set, observes every pump's place attempts,
+	// placements, and waiting functions at its start (tests).
+	pumpProbe func(attempts, placed, waiting int)
 	// sharedMode freezes the pressure seen by executing bodies at the
 	// externally supplied sharedPressure instead of deriving it from the
 	// platform's own aggregate demand. The sharded runtime (core.RunSharded)
@@ -289,7 +307,9 @@ func (p *Platform) Register(profile workload.Profile, onComplete func(metrics.Qu
 	for _, opt := range opts {
 		opt(f)
 	}
+	f.order = len(p.registered)
 	p.fns[profile.Name] = f
+	p.registered = append(p.registered, f)
 	if f.minWarm > 0 {
 		p.sim.After(0, func() { p.replenish(f) })
 	}
@@ -313,7 +333,7 @@ func (p *Platform) mustFn(name string) *function {
 // activation queue is bounded and full, the invocation is rejected.
 func (p *Platform) Invoke(name string) {
 	f := p.mustFn(name)
-	if p.cfg.MaxQueue > 0 && len(p.queue) >= p.cfg.MaxQueue {
+	if p.cfg.MaxQueue > 0 && p.queued >= p.cfg.MaxQueue {
 		f.rejected++
 		if f.onReject != nil {
 			f.onReject()
@@ -322,10 +342,19 @@ func (p *Platform) Invoke(name string) {
 	}
 	f.inflight++
 	act := p.takeActivation(f)
+	p.seq++
+	act.seq = p.seq
 	act.qt = p.tracer.StartQuery(name)
 	act.queueH = p.tracer.Begin(units.Seconds(act.arrived), act.qt.Trace, act.qt.Span, 0,
 		obs.PhaseQueueWait, name, metrics.BackendServerless.String())
-	p.queue = append(p.queue, act)
+	if p.queued == 0 {
+		// Nothing waits: a pump would try only this activation.
+		if !p.place(act) {
+			p.enqueue(act)
+		}
+		return
+	}
+	p.enqueue(act)
 	p.pump()
 }
 
@@ -348,18 +377,6 @@ func (p *Platform) putActivation(act *activation) {
 	act.qt = obs.QueryTrace{}
 	act.queueH = obs.SpanHandle{}
 	p.actFree = append(p.actFree, act)
-}
-
-// pump scans the FIFO queue in arrival order, placing every activation
-// that can be placed right now.
-func (p *Platform) pump() {
-	remaining := p.queue[:0]
-	for _, act := range p.queue {
-		if !p.place(act) {
-			remaining = append(remaining, act)
-		}
-	}
-	p.queue = remaining
 }
 
 // place tries to run or bind the activation; reports success.
@@ -428,16 +445,18 @@ func (p *Platform) memAvailable() bool {
 }
 
 // evictIdle destroys the longest-idle warm container belonging to any
-// *other* function; reports whether one was found. Functions holding a
-// warm-pool floor keep it: eviction never digs below minWarm.
+// *other* function, the lowest container id breaking ties; reports
+// whether one was found. Functions holding a warm-pool floor keep it:
+// eviction never digs below minWarm.
 func (p *Platform) evictIdle(requester *function) bool {
 	var victim *container
-	for _, f := range p.fns {
+	for _, f := range p.registered {
 		if f == requester || len(f.idle) <= f.minWarm {
 			continue
 		}
 		for _, c := range f.idle {
-			if victim == nil || c.idleAt < victim.idleAt {
+			if victim == nil || c.idleAt < victim.idleAt ||
+				(c.idleAt == victim.idleAt && c.id < victim.id) {
 				victim = c
 			}
 		}
@@ -473,9 +492,11 @@ func (p *Platform) destroy(c *container) {
 		return
 	}
 	if c.state == stateIdle {
+		// Search from the most recently idled end: ReleaseIdle destroys
+		// the tail, which then costs O(1).
 		f := c.fn
-		for i, ic := range f.idle {
-			if ic == c {
+		for i := len(f.idle) - 1; i >= 0; i-- {
+			if f.idle[i] == c {
 				f.idle = append(f.idle[:i], f.idle[i+1:]...)
 				break
 			}
@@ -691,7 +712,7 @@ func (p *Platform) ReleaseIdle(name string) int {
 	f := p.mustFn(name)
 	n := len(f.idle)
 	for len(f.idle) > 0 {
-		p.destroy(f.idle[0])
+		p.destroy(f.idle[len(f.idle)-1])
 	}
 	return n
 }
@@ -752,7 +773,7 @@ func (p *Platform) Pressure() contention.Pressure {
 func (p *Platform) DemandNow() resources.Vector { return p.demand }
 
 // QueueLength returns the number of waiting activations.
-func (p *Platform) QueueLength() int { return len(p.queue) }
+func (p *Platform) QueueLength() int { return p.queued }
 
 // Containers returns the live container count for the named function.
 func (p *Platform) Containers(name string) int { return p.mustFn(name).containers }

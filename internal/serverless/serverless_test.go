@@ -406,3 +406,38 @@ func TestZeroAllocSampleColdStart(t *testing.T) {
 		t.Errorf("sampleColdStart allocates %.2f objects per call, want 0", allocs)
 	}
 }
+
+// TestEvictionVictimDeterministic pins the victim when two functions'
+// idle containers tie on idleAt: deterministic cold starts warmed at the
+// same instant go idle together, and the lowest container id must lose
+// whichever function holds it. Run with -count=20 to catch an iteration
+// order that leaks into the choice.
+func TestEvictionVictimDeterministic(t *testing.T) {
+	for _, order := range [][2]string{{"a", "b"}, {"b", "a"}} {
+		first, second := order[0], order[1]
+		s := sim.New(18)
+		cfg := DefaultConfig()
+		cfg.ColdStartCV = 0
+		cfg.Node.MemMB = 512 // exactly two containers
+		cfg.MemReserve = 0
+		p := New(s, cfg)
+		for _, name := range []string{"a", "b", "c"} {
+			prof := workload.Float()
+			prof.Name = name
+			p.Register(prof, nil)
+		}
+		s.At(1, func() {
+			p.Prewarm(first, 1, nil)  // container 1
+			p.Prewarm(second, 1, nil) // container 2, idle at the same instant
+		})
+		s.At(10, func() { p.Invoke("c") })
+		s.Run(20)
+		if p.Evictions() != 1 {
+			t.Fatalf("evictions = %d, want 1", p.Evictions())
+		}
+		if p.Containers(first) != 0 || p.Containers(second) != 1 {
+			t.Errorf("prewarmed %s first: containers %s=%d %s=%d, want the lowest id (%s's) evicted",
+				first, first, p.Containers(first), second, p.Containers(second), first)
+		}
+	}
+}
