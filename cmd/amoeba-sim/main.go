@@ -129,7 +129,9 @@ func main() {
 	t.AddRow("CPU usage (core-s)", sr.TotalUsage().CPU)
 	t.AddRow("memory usage (MB-s)", sr.TotalUsage().MemMB)
 	t.AddRow("meter overhead (core-s)", res.MeterCPUSeconds)
-	t.AddRow("simulated events", res.Events)
+	// Rejected arrival candidates are decided inside the generator and
+	// never fire as kernel events (DESIGN.md §18).
+	t.AddRow("simulated events (excl. rejected arrivals)", res.Events)
 	fmt.Print(t.String())
 
 	if *timeline {

@@ -123,25 +123,148 @@ func TestNilCallbackPanics(t *testing.T) {
 }
 
 // TestZeroAllocFire asserts the steady-state thinning loop — accept
-// test, arrival callback, self-reschedule through the one bound fire
-// method — allocates nothing once the kernel's slab is warm.
+// test, arrival callback, lookahead and reschedule through the one bound
+// fire method — allocates nothing once the kernel's slab is warm, on the
+// plain path (a constant trace) and on the envelope path (a diurnal one).
 //
-//amoeba:alloctest arrival.Generator.fire
+//amoeba:alloctest arrival.Generator.fire arrival.Generator.lookahead arrival.Generator.accept
 func TestZeroAllocFire(t *testing.T) {
-	s := sim.New(6)
-	g := New(s, trace.Constant{QPS: 200}, func(sim.Time) {})
-	g.Start()
-	s.Run(50) // warm: slab, free list and heap at steady-state capacity
+	for _, tr := range []trace.Trace{
+		trace.Constant{QPS: 200},
+		trace.NewDiurnal(400, 40, 120, 6),
+	} {
+		s := sim.New(6)
+		g := New(s, tr, func(sim.Time) {})
+		g.Start()
+		s.Run(50) // warm: slab, free list and heap at steady-state capacity
 
-	horizon := s.Now()
-	allocs := testing.AllocsPerRun(100, func() {
-		horizon += 5
-		s.Run(horizon)
-	})
-	if allocs != 0 {
-		t.Errorf("arrival candidates allocate %.3f objects per 5s batch, want 0", allocs)
+		horizon := s.Now()
+		allocs := testing.AllocsPerRun(100, func() {
+			horizon += 5
+			s.Run(horizon)
+		})
+		if allocs != 0 {
+			t.Errorf("%T: arrival candidates allocate %.3f objects per 5s batch, want 0", tr, allocs)
+		}
+		if g.Count() == 0 {
+			t.Fatalf("%T: generator produced no arrivals", tr)
+		}
 	}
-	if g.Count() == 0 {
-		t.Fatal("generator produced no arrivals")
+}
+
+// TestEnvelopeBracketsRate checks the envelope's one obligation densely:
+// lo <= Rate(t)/peak <= hi for the bin of every t, at a million random
+// times and at every bin edge, over diurnal curves with default, strong
+// and no noise, a noise amplitude big enough to clip the rate at zero,
+// and periods from a millisecond to a day.
+func TestEnvelopeBracketsRate(t *testing.T) {
+	curve := func(peak, trough, day float64, seed uint64, noise float64) *trace.Diurnal {
+		d := trace.NewDiurnal(peak, trough, day, seed)
+		if noise >= 0 {
+			d.NoiseAmp = noise
+		}
+		return d
+	}
+	curves := []*trace.Diurnal{
+		curve(55, 11, 86400, 1, -1),
+		curve(60, 6, 150, 5, 0.3),
+		curve(40, 1, 900, 6, 0),
+		curve(80, 20, 3600, 7, 2.5),
+		curve(40, 1, 1e-3, 9, -1),
+	}
+	rng := sim.NewRNG(13)
+	const draws = 1 << 20
+	for i, d := range curves {
+		peak := d.Peak()
+		env, period := envelope(d, peak)
+		if env == nil {
+			t.Fatalf("curve %d: no envelope for a diurnal trace", i)
+		}
+		check := func(tt float64) {
+			y := tt / period
+			b := env[int((y-math.Floor(y))*envelopeBins)&(envelopeBins-1)]
+			if r := d.Rate(tt) / peak; r < b.lo || r > b.hi {
+				t.Fatalf("curve %d: Rate(%v)/peak = %v outside [%v, %v]", i, tt, r, b.lo, b.hi)
+			}
+		}
+		for k := 0; k < draws/len(curves); k++ {
+			check(rng.Uniform(0, 40*period))
+		}
+		for k := 0; k <= 3*envelopeBins; k++ {
+			edge := float64(k) * period / envelopeBins
+			check(edge)
+			check(math.Nextafter(edge, math.Inf(1)))
+			if edge > 0 {
+				check(math.Nextafter(edge, 0))
+			}
+		}
+	}
+}
+
+// TestEnvelopeOnlyForPeriodicTraces pins which traces take the fast
+// path: a diurnal curve does; constant, sampled and wrapped traces, and
+// a diurnal curve behind an embedding wrapper, keep calling Rate.
+func TestEnvelopeOnlyForPeriodicTraces(t *testing.T) {
+	d := trace.NewDiurnal(10, 2, 100, 1)
+	if env, _ := envelope(d, d.Peak()); env == nil {
+		t.Error("diurnal trace built no envelope")
+	}
+	sampled, err := trace.NewSampled([]float64{0, 1}, []float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []trace.Trace{
+		trace.Constant{QPS: 3}, sampled, trace.Scaled{Inner: d, Factor: 2}, &rateCalls{Trace: d},
+	} {
+		if env, _ := envelope(tr, tr.Peak()); env != nil {
+			t.Errorf("%T built an envelope", tr)
+		}
+	}
+	broken := trace.NewDiurnal(10, 2, 100, 1)
+	broken.DayLength = 0
+	if env, _ := envelope(broken, 12); env != nil {
+		t.Error("zero period built an envelope")
+	}
+}
+
+// TestStartTwiceIsNoop pins that a second Start does not open a second
+// candidate stream.
+func TestStartTwiceIsNoop(t *testing.T) {
+	s := sim.New(8)
+	var n int
+	g := New(s, trace.Constant{QPS: 10}, func(sim.Time) { n++ })
+	g.Start()
+	g.Start()
+	s.Run(1000)
+	if n < 9000 || n > 11000 {
+		t.Fatalf("%d arrivals over 1000s at 10 QPS after two Starts, want ~10000", n)
+	}
+}
+
+// BenchmarkArrivalDiurnal measures thinning throughput on a diurnal
+// trace: one op is one simulated second at a 1000 QPS peak, and
+// candidates/s is the peak candidate rate per host second. The plain
+// sub-benchmark hides the envelope behind a wrapper, so it calls Rate for
+// every candidate.
+func BenchmarkArrivalDiurnal(b *testing.B) {
+	for _, mode := range []string{"envelope", "plain"} {
+		b.Run(mode, func(b *testing.B) {
+			var tr trace.Trace = trace.NewDiurnal(1000, 200, 3600, 1)
+			if mode == "plain" {
+				tr = struct{ trace.Trace }{tr}
+			}
+			s := sim.New(1)
+			g := New(s, tr, func(sim.Time) {})
+			g.Start()
+			s.Run(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			horizon := s.Now()
+			for i := 0; i < b.N; i++ {
+				horizon++
+				s.Run(horizon)
+			}
+			b.ReportMetric(g.peak*float64(b.N)/b.Elapsed().Seconds(), "candidates/s")
+		})
 	}
 }

@@ -194,6 +194,24 @@ func qNorm(xs []float64, q float64) float64 {
 		}
 		return s
 	}
+	if q == 2 {
+		// The shipped Euclidean norm, bit-identical to the Pow path below:
+		// Pow(s, 0.5) is Sqrt(s) by Pow's own special case, and Pow(x, 2)
+		// rounds x² once, as x*x does, unless the square is subnormal or
+		// near it, where Pow's final Ldexp rounds a second time.
+		s := 0.0
+		for _, x := range xs {
+			if x < 0 {
+				panic(fmt.Sprintf("contention: negative degradation %v", x))
+			}
+			sq := x * x
+			if sq < 0x1p-1021 && x != 0 {
+				sq = math.Pow(x, 2)
+			}
+			s += sq
+		}
+		return math.Sqrt(s)
+	}
 	s := 0.0
 	for _, x := range xs {
 		if x < 0 {

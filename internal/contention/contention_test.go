@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"amoeba/internal/resources"
+	"amoeba/internal/sim"
 )
 
 func testModel() *Model {
@@ -160,5 +161,54 @@ func TestDegradationsOrderingMatchesPressureGet(t *testing.T) {
 	e := m.Degradations(p, s)
 	if e[0] == 0 || e[1] != 0 || e[2] != 0 {
 		t.Errorf("degradations %v: CPU pressure must hit index 0 only", e)
+	}
+}
+
+// qNormPow is qNorm's general path, which the q=2 fast path must match
+// bit for bit.
+func qNormPow(xs []float64, q float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += math.Pow(x, q)
+	}
+	return math.Pow(s, 1/q)
+}
+
+// TestQNormEuclideanFastPathExact compares the q=2 fast path with the
+// Pow path bit for bit on random terms of every magnitude, zeros, the
+// subnormal boundary where x*x and Pow(x, 2) round differently, and
+// terms whose squares overflow.
+func TestQNormEuclideanFastPathExact(t *testing.T) {
+	rng := sim.NewRNG(21)
+	edge := math.Sqrt(0x1p-1022) // squares near the smallest normal
+	special := []float64{0, math.SmallestNonzeroFloat64, 0x1p-1022, edge,
+		math.Nextafter(edge, 0), math.Nextafter(edge, 1), edge * 1.5, edge * 0.75,
+		1e-160, 1e-154, 1e-150, 1, 0.5, 1e150, 1e154, 1.4e154, math.MaxFloat64, math.Inf(1)}
+	sample := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return special[rng.Intn(len(special))]
+		case 1:
+			return rng.Float64() // the model's working range
+		case 2:
+			return edge * rng.Uniform(0.25, 4) // the subnormal-square boundary
+		default:
+			return math.Ldexp(rng.Uniform(0.5, 1), rng.Intn(2100)-1075) // any exponent
+		}
+	}
+	for i := 0; i < 2_000_000; i++ {
+		xs := []float64{sample(), sample(), sample()}
+		got, want := qNorm(xs, 2), qNormPow(xs, 2)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("qNorm(%v, 2) = %v, Pow path %v", xs, got, want)
+		}
+	}
+	for _, a := range special {
+		for _, b := range special {
+			xs := []float64{a, b, edge}
+			if got, want := qNorm(xs, 2), qNormPow(xs, 2); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("qNorm(%v, 2) = %v, Pow path %v", xs, got, want)
+			}
+		}
 	}
 }

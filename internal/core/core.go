@@ -177,7 +177,11 @@ type Result struct {
 	Background map[string]*metrics.Collector
 	// MeterCPUSeconds is the monitor probes' CPU cost (§VII-E).
 	MeterCPUSeconds float64
-	Events          uint64
+	// Events is the number of kernel events fired. Arrival generators
+	// decide thinning candidates ahead of the clock (DESIGN.md §18), so
+	// a rejected candidate fires no event unless it was queued undecided:
+	// past a Run horizon, or after a long run of rejections.
+	Events uint64
 }
 
 // Run executes the scenario to completion. It panics if the scenario

@@ -89,6 +89,11 @@ type service struct {
 	usage      *resources.Usage // allocated (rented) resources
 	busyUsage  *resources.Usage // consumed CPU: demand of executing queries
 	onComplete func(metrics.QueryRecord)
+	// execMu and execSigma are the lognormal parameters of the body's
+	// execution time, precomputed once at deploy so the per-query hot
+	// path draws without re-deriving them.
+	execMu    float64
+	execSigma float64
 }
 
 // Platform hosts per-service VM groups.
@@ -176,6 +181,7 @@ func (p *Platform) DeployWithVMs(profile workload.Profile, vms int, onComplete f
 		busyUsage:  resources.NewUsage(float64(p.sim.Now())),
 		onComplete: onComplete,
 	}
+	svc.execMu, svc.execSigma = lognormalParams(profile.ExecTime, profile.ExecCV)
 	p.services[profile.Name] = svc
 	p.allocate(svc)
 	svc.running = true
@@ -226,8 +232,7 @@ func (p *Platform) startQuery(svc *service, q pending) {
 	svc.busy++
 	prof := svc.profile
 	arrived := q.arrived
-	mu, sigma := lognormalParams(prof.ExecTime, prof.ExecCV)
-	body := p.rng.LogNormal(mu, sigma)
+	body := p.rng.LogNormal(svc.execMu, svc.execSigma)
 	bd := metrics.Breakdown{
 		Queue:      float64(p.sim.Now() - arrived),
 		Processing: p.cfg.RPCOverhead,

@@ -81,6 +81,7 @@ type Simulator struct {
 	cancelled  uint64
 	deadQueued int // cancelled events still occupying heap entries
 	halted     bool
+	horizon    Time // the horizon of the current (or last) Run call
 }
 
 // New returns a simulator with its clock at zero, seeded with seed.
@@ -143,6 +144,13 @@ func (s *Simulator) After(delay float64, fn func()) EventHandle {
 	return s.schedule(s.now+Time(delay), fn, 0)
 }
 
+// Horizon returns the horizon of the current Run call, or of the last
+// one between calls (zero before the first). An event scheduled past it
+// does not fire during the call. Components that look ahead on private
+// state stop there, so they never decide anything about a time the run
+// will not reach.
+func (s *Simulator) Horizon() Time { return s.horizon }
+
 // Halt stops the run loop after the current event returns.
 func (s *Simulator) Halt() { s.halted = true }
 
@@ -156,6 +164,7 @@ func (s *Simulator) Halt() { s.halted = true }
 func (s *Simulator) Run(horizon Time) uint64 {
 	var fired uint64
 	s.halted = false
+	s.horizon = horizon
 	for len(s.heap) > 0 && !s.halted {
 		top := s.heap[0]
 		ev := &s.slab[top]

@@ -279,3 +279,23 @@ func BenchmarkSimulatorSchedule(b *testing.B) {
 	}
 	s.Run(Time(b.N + 1))
 }
+
+// TestHorizon pins what Horizon reports: zero before the first Run, the
+// current call's horizon while events fire, and the last one after.
+func TestHorizon(t *testing.T) {
+	s := New(1)
+	if h := s.Horizon(); h != 0 {
+		t.Fatalf("Horizon before Run = %v, want 0", h)
+	}
+	var seen []Time
+	s.At(3, func() { seen = append(seen, s.Horizon()) })
+	s.At(12, func() { seen = append(seen, s.Horizon()) })
+	s.Run(10)
+	s.Run(20)
+	if len(seen) != 2 || seen[0] != 10 || seen[1] != 20 {
+		t.Fatalf("horizons seen by events = %v, want [10 20]", seen)
+	}
+	if h := s.Horizon(); h != 20 {
+		t.Fatalf("Horizon after Run = %v, want 20", h)
+	}
+}

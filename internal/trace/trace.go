@@ -89,6 +89,17 @@ func NewDiurnal(peakQPS, troughQPS, dayLength float64, seed uint64) *Diurnal {
 	return d
 }
 
+// The Diurnal curve's fixed parameters, shared by Rate and the slope
+// bound in Lipschitz.
+const (
+	baseWeight    = 0.55 // weight of the cosine base in the shape
+	bumpWeight    = 0.45 // weight of the rush-hour bumps
+	morningWidth  = 0.06 // Gaussian width of the morning bump, in days
+	eveningWidth  = 0.07 // Gaussian width of the evening bump, in days
+	noiseTerms    = 6    // sine terms in the noise series
+	noiseHarmonic = 3    // term i oscillates noiseHarmonic·i times a day
+)
+
 // Rate evaluates the diurnal curve at time t.
 func (d *Diurnal) Rate(t float64) float64 {
 	x := math.Mod(t/d.DayLength, 1)
@@ -108,13 +119,13 @@ func (d *Diurnal) Rate(t float64) float64 {
 		}
 		return math.Exp(-dx * dx / (2 * width * width))
 	}
-	shape := 0.55*base + 0.45*math.Max(bump(d.MorningPeak, 0.06), bump(d.EveningPeak, 0.07))
+	shape := baseWeight*base + bumpWeight*math.Max(bump(d.MorningPeak, morningWidth), bump(d.EveningPeak, eveningWidth))
 
 	// Deterministic multiplicative noise from a small Fourier series.
 	noise := 0.0
 	if d.NoiseAmp > 0 && len(d.noise) > 0 {
-		for i := 1; i <= 6; i++ {
-			noise += math.Sin(2*math.Pi*float64(i*3)*x+d.noise[i]) / float64(i)
+		for i := 1; i <= noiseTerms; i++ {
+			noise += math.Sin(2*math.Pi*float64(i*noiseHarmonic)*x+d.noise[i]) / float64(i)
 		}
 		noise *= d.NoiseAmp / 2
 	}
@@ -127,10 +138,17 @@ func (d *Diurnal) Rate(t float64) float64 {
 	return rate
 }
 
-// Peak returns a safe upper bound on the rate.
+// Peak returns an upper bound on the rate for thinning: the maximum of
+// a 2000-point scan of one day, plus 2% headroom for the points between
+// samples. The headroom is what makes it a bound: it exceeds the
+// largest rise the Lipschitz slope allows within half a scan step,
+// which TestDiurnalPeakCoversScanGap checks. The comparison value
+// PeakQPS·(1+NoiseAmp) is not itself a bound, because the noise series
+// reaches NoiseAmp/2·H₆ ≈ 1.225·NoiseAmp (H₆ = 1 + 1/2 + ... + 1/6);
+// when the scan exceeds it, the scanned maximum is returned unpadded.
+// The formula stays as it is because every arrival stream depends on
+// its value.
 func (d *Diurnal) Peak() float64 {
-	// Shape <= 1 and noise <= NoiseAmp, so this bound holds; also scan a
-	// day to tighten it.
 	bound := d.PeakQPS * (1 + d.NoiseAmp)
 	mx := 0.0
 	for i := 0; i < 2000; i++ {
@@ -142,6 +160,44 @@ func (d *Diurnal) Peak() float64 {
 		return mx
 	}
 	return mx * 1.02 // small headroom for points between scan samples
+}
+
+// Period returns the day length: Rate depends on t only through the
+// phase math.Mod(t/DayLength, 1). With Lipschitz it lets the arrival
+// generator bracket Rate from a small per-run table instead of calling
+// it for every thinning candidate.
+func (d *Diurnal) Period() float64 { return d.DayLength }
+
+// Lipschitz bounds the slope of Rate from the curve's own parameters:
+// |Rate(a) - Rate(b)| <= Lipschitz()·|a - b| for all a and b, in QPS per
+// second.
+// With x the phase, Rate = max(0, A·N) where A = Trough + (Peak -
+// Trough)·shape and N = 1 + noise, so |dRate/dx| <= |A'|·|N| + |A|·|N'|:
+//
+//   - shape = 0.55·base + 0.45·max(bump_m, bump_e) lies in [0, 1], so
+//     |A| <= max(|Trough|, |Peak|); |base'| <= π, and a Gaussian bump of
+//     width w has |bump'| <= 1/(w·√e), largest for the narrower 0.06;
+//   - the noise series has |noise| <= NoiseAmp/2·H₆ and, since term i
+//     has frequency 2π·3i and weight 1/i, |noise'| <= NoiseAmp/2·6·6π.
+//
+// The max with 0 and the wrap-around of the bumps and of the phase keep
+// the curve continuous, so the bound holds across them. Dividing by the
+// day length converts it from per-phase to per-second.
+func (d *Diurnal) Lipschitz() float64 {
+	shapeSlope := baseWeight*math.Pi + bumpWeight/(math.Min(morningWidth, eveningWidth)*math.Sqrt(math.E))
+	aMax := math.Max(math.Abs(d.TroughQPS), math.Abs(d.PeakQPS))
+	aSlope := math.Abs(d.PeakQPS-d.TroughQPS) * shapeSlope
+	nMax, nSlope := 1.0, 0.0
+	if d.NoiseAmp > 0 && len(d.noise) > 0 {
+		harmonic, freq := 0.0, 0.0
+		for i := 1; i <= noiseTerms; i++ {
+			harmonic += 1 / float64(i)
+			freq += 2 * math.Pi * noiseHarmonic // term i: frequency 2π·3i, weight 1/i
+		}
+		nMax += d.NoiseAmp / 2 * harmonic
+		nSlope = d.NoiseAmp / 2 * freq
+	}
+	return (aSlope*nMax + aMax*nSlope) / d.DayLength
 }
 
 // Scaled wraps a trace, multiplying its rate by Factor.

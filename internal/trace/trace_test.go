@@ -121,3 +121,56 @@ func TestBurst(t *testing.T) {
 		t.Errorf("burst peak = %v, want 10", b.Peak())
 	}
 }
+
+// TestDiurnalPeakCoversScanGap checks that Peak is a true bound for the
+// repository's curves: the rate between two scan points can rise above
+// the scanned maximum by at most L·Δ/2 (Δ the scan step, L the Lipschitz
+// bound), and Peak's headroom covers that, so thinning never caps the
+// accept probability.
+func TestDiurnalPeakCoversScanGap(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		for _, day := range []float64{600, 900, 3600, 86400} {
+			d := NewDiurnal(100, 20, day, seed)
+			mx := 0.0
+			for i := 0; i < 2000; i++ {
+				mx = math.Max(mx, d.Rate(float64(i)/2000*day))
+			}
+			if need := mx + d.Lipschitz()*(day/2000)/2; d.Peak() < need {
+				t.Fatalf("seed %d day %v: Peak %v below scanned max %v + L·Δ/2 = %v",
+					seed, day, d.Peak(), mx, need)
+			}
+		}
+	}
+}
+
+// TestDiurnalLipschitzBoundsSlope checks the slope bound against finite
+// differences over whole days, including the phase wrap, for default,
+// strong and disabled noise and a clipping noise amplitude.
+func TestDiurnalLipschitzBoundsSlope(t *testing.T) {
+	for _, noise := range []float64{-1, 0, 0.3, 2.5} {
+		d := NewDiurnal(80, 10, 1000, 3)
+		if noise >= 0 {
+			d.NoiseAmp = noise
+		}
+		if d.Period() != d.DayLength {
+			t.Fatalf("Period %v, want the day length %v", d.Period(), d.DayLength)
+		}
+		L := d.Lipschitz()
+		if !(L > 0) || math.IsInf(L, 0) {
+			t.Fatalf("noise %v: Lipschitz %v", noise, L)
+		}
+		const h = 1e-3
+		steepest, prev := 0.0, d.Rate(0)
+		for i := 1; i <= 1_100_000; i++ { // one day and the wrap into the next
+			next := d.Rate(float64(i) * h)
+			steepest = math.Max(steepest, math.Abs(next-prev)/h)
+			prev = next
+		}
+		if steepest > L {
+			t.Fatalf("noise %v: finite-difference slope %v exceeds Lipschitz %v", noise, steepest, L)
+		}
+		if steepest < L/20 {
+			t.Errorf("noise %v: bound %v is over 20x the steepest slope %v", noise, L, steepest)
+		}
+	}
+}
