@@ -11,6 +11,7 @@ package amoeba_test
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"testing"
 
@@ -487,8 +488,8 @@ func BenchmarkQuantileWindow(b *testing.B) {
 
 // BenchmarkEventEmit measures the per-event cost of the obs bus: the
 // guarded no-sink path (which must stay allocation-free — the event
-// literal is never constructed), a ring sink, and the metrics-folding
-// sink. Results are recorded in BENCH_obs.json.
+// literal is never constructed), a ring sink, the metrics-folding sink,
+// and the JSONL writer. Results are recorded in BENCH_obs.json.
 //
 //amoeba:alloctest obs.Bus.Active obs.Bus.Emit
 func BenchmarkEventEmit(b *testing.B) {
@@ -526,6 +527,39 @@ func BenchmarkEventEmit(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			mkEvent(bus, i)
+		}
+	})
+	b.Run("jsonl", func(b *testing.B) {
+		// The JSONL writer replaying a recorded stream: every event of a
+		// 300 s Amoeba day on dd, all seven kinds in their real mix and
+		// with their real values. Recording happens before the timer, so
+		// this prices the encoder and the write into io.Discard, not
+		// event construction.
+		cfg := benchCfg()
+		cfg.DayLength = 300
+		sc := benchScenario(cfg, workload.DD(), core.VariantAmoeba)
+		rec := obs.NewBuffer()
+		sc.Bus = obs.NewBus()
+		sc.Bus.Attach(rec)
+		core.Run(sc)
+		events := rec.Events()
+		kinds := map[obs.Kind]bool{}
+		for _, ev := range events {
+			kinds[ev.EventKind()] = true
+		}
+		if len(kinds) != 7 {
+			b.Fatalf("recorded stream has %d of the 7 kinds", len(kinds))
+		}
+		bus := obs.NewBus()
+		w := obs.NewJSONLWriter(io.Discard)
+		bus.Attach(w)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bus.Emit(events[i%len(events)])
+		}
+		if w.Err() != nil {
+			b.Fatal(w.Err())
 		}
 	})
 	b.Run("span-no-sink", func(b *testing.B) {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -47,46 +48,52 @@ func TestEmitStampsKindAndFansOut(t *testing.T) {
 	}
 }
 
+// TestEventKindsRoundTrip writes every kind through the JSONL writer and
+// decodes each line back strictly, as amoeba-events -validate does: no
+// unknown fields, the serialized kind equal to the method's, and every
+// field restored exactly.
 func TestEventKindsRoundTrip(t *testing.T) {
-	events := []Event{
-		&QueryComplete{},
-		&ColdStart{},
-		&DecisionEvent{},
-		&SwitchSpan{},
-		&HeartbeatSample{},
-		&MeterSample{},
-		&PhaseSpan{},
-	}
-	b := NewBus()
-	ring := NewRing(len(events))
-	b.Attach(ring)
-	seen := map[Kind]bool{}
-	for _, ev := range events {
-		b.Emit(ev)
-	}
-	for _, ev := range ring.Events() {
-		k := ev.EventKind()
-		if seen[k] {
-			t.Fatalf("duplicate kind %q", k)
+	strs := validUTF8()
+	for off := range floatCorpus {
+		events := newEvents()
+		for _, ev := range events {
+			src := corpusSource(off)
+			src.str = cycle(strs, off)
+			fillEvent(t, ev, src)
 		}
-		seen[k] = true
-		// The stamped field must match the method for every type.
-		raw, err := json.Marshal(ev)
-		if err != nil {
-			t.Fatal(err)
+		var buf bytes.Buffer
+		b := NewBus()
+		b.Attach(NewJSONLWriter(&buf))
+		for _, ev := range events {
+			b.Emit(ev)
 		}
-		var probe struct {
-			Kind Kind `json:"kind"`
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		if len(lines) != len(events) {
+			t.Fatalf("%d lines for %d events", len(lines), len(events))
 		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			t.Fatal(err)
+		seen := map[Kind]bool{}
+		for i, ev := range events {
+			k := ev.EventKind()
+			if seen[k] {
+				t.Fatalf("duplicate kind %q", k)
+			}
+			seen[k] = true
+			back := reflect.New(reflect.TypeOf(ev).Elem()).Interface()
+			dec := json.NewDecoder(strings.NewReader(lines[i]))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(back); err != nil {
+				t.Fatalf("%s: %v\n%s", k, err, lines[i])
+			}
+			if got := Kind(reflect.ValueOf(back).Elem().FieldByName("Kind").String()); got != k {
+				t.Fatalf("serialized kind %q != method kind %q", got, k)
+			}
+			if !reflect.DeepEqual(back, ev) {
+				t.Fatalf("%s does not round-trip:\n%s\n%+v\n%+v", k, lines[i], back, ev)
+			}
 		}
-		if probe.Kind != k {
-			t.Fatalf("serialized kind %q != method kind %q", probe.Kind, k)
+		if len(seen) != 7 {
+			t.Fatalf("expected 7 distinct kinds, saw %d", len(seen))
 		}
-	}
-	if len(seen) != 7 {
-		t.Fatalf("expected 7 distinct kinds, saw %d", len(seen))
 	}
 }
 

@@ -1,21 +1,23 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-)
+import "io"
 
 // JSONLWriter serializes every event as one JSON object per line, in
-// emission order. Because events are structs (encoding/json emits
-// struct fields in declaration order) and all timestamps come from the
-// sim clock, the byte stream of a run is deterministic: identical
+// emission order, through a typed encoder (DESIGN.md §19) that writes
+// exactly the bytes encoding/json.Marshal would: each kind's fields in
+// declaration order under their tag names. The encoder's output is a
+// pure function of the event, and every timestamp comes from the sim
+// clock, so the byte stream of a run is deterministic: identical
 // scenario + seed ⇒ identical bytes.
 //
-// Write errors are sticky: the first one is retained, later events are
-// dropped, and Err reports it. A sink must not panic mid-simulation —
-// losing telemetry is better than losing the run.
+// Errors are sticky: the first one is retained, that event and every
+// later one are dropped, and Err reports it. An error is a failed
+// write, a NaN or infinite float (JSON has no literal for either), or
+// an event outside the closed taxonomy. A sink must not panic
+// mid-simulation — losing telemetry is better than losing the run.
 type JSONLWriter struct {
 	w   io.Writer
+	enc encoder
 	err error
 	n   int
 }
@@ -23,18 +25,20 @@ type JSONLWriter struct {
 // NewJSONLWriter wraps w. The caller owns buffering and closing.
 func NewJSONLWriter(w io.Writer) *JSONLWriter { return &JSONLWriter{w: w} }
 
-// Consume implements Sink.
+// Consume implements Sink. Each event is encoded into a line buffer the
+// writer reuses and handed to the underlying writer in one Write call.
+//
+//amoeba:noalloc
 func (j *JSONLWriter) Consume(ev Event) {
 	if j.err != nil {
 		return
 	}
-	b, err := json.Marshal(ev)
+	line, err := j.enc.encode(ev)
 	if err != nil {
 		j.err = err
 		return
 	}
-	b = append(b, '\n')
-	if _, err := j.w.Write(b); err != nil {
+	if _, err := j.w.Write(line); err != nil {
 		j.err = err
 		return
 	}
@@ -44,7 +48,7 @@ func (j *JSONLWriter) Consume(ev Event) {
 // Count returns the number of events written so far.
 func (j *JSONLWriter) Count() int { return j.n }
 
-// Err returns the first write or marshal error, if any.
+// Err returns the first write or encoding error, if any.
 func (j *JSONLWriter) Err() error { return j.err }
 
 // Buffer is an unbounded in-memory sink retaining events in emission
