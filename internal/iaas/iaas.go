@@ -70,6 +70,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// backendName labels the platform's spans and events.
+var backendName = metrics.BackendIaaS.String()
+
 // pending is one waiting query: its arrival instant plus the trace
 // context and open queue-wait span carried to dispatch.
 type pending struct {
@@ -78,10 +81,25 @@ type pending struct {
 	queueH  obs.SpanHandle
 }
 
+// execution is one running query: everything its completion needs.
+// Records are pooled on an intrusive free list, and each carries a
+// completion callback built once, so dispatching and completing a query
+// allocate nothing in steady state.
+type execution struct {
+	svc     *service
+	arrived sim.Time
+	bd      metrics.Breakdown
+	qt      obs.QueryTrace
+	execH   obs.SpanHandle // open exec phase span
+	done    func()         // completes this query
+	next    *execution     // free-list link
+}
+
 type service struct {
 	profile    workload.Profile
-	vms        int // VM count in the group
-	slots      int // total worker slots (vms × VMCores)
+	consumed   resources.Vector // CPU a running query burns
+	vms        int              // VM count in the group
+	slots      int              // total worker slots (vms × VMCores)
 	busy       int
 	queue      []pending // waiting queries in arrival order
 	running    bool      // VMs up and taking traffic
@@ -104,6 +122,7 @@ type Platform struct {
 	bus      *obs.Bus
 	tracer   *obs.Tracer
 	services map[string]*service
+	free     *execution // recycled execution records
 }
 
 // New creates an IaaS platform on the simulator. It panics if the
@@ -175,6 +194,7 @@ func (p *Platform) DeployWithVMs(profile workload.Profile, vms int, onComplete f
 	}
 	svc := &service{
 		profile:    profile,
+		consumed:   resources.Vector{CPU: profile.Demand.CPU},
 		vms:        vms,
 		slots:      vms * profile.VMCores,
 		usage:      resources.NewUsage(float64(p.sim.Now())),
@@ -220,7 +240,7 @@ func (p *Platform) Invoke(name string) {
 	now := p.sim.Now()
 	q := pending{arrived: now, qt: p.tracer.StartQuery(name)}
 	q.queueH = p.tracer.Begin(units.Seconds(now), q.qt.Trace, q.qt.Span, 0,
-		obs.PhaseQueueWait, name, metrics.BackendIaaS.String())
+		obs.PhaseQueueWait, name, backendName)
 	if svc.busy < svc.slots {
 		p.startQuery(svc, q)
 	} else {
@@ -228,59 +248,92 @@ func (p *Platform) Invoke(name string) {
 	}
 }
 
+// startQuery dispatches q onto a free worker slot.
+//
+//amoeba:noalloc
 func (p *Platform) startQuery(svc *service, q pending) {
 	svc.busy++
-	prof := svc.profile
-	arrived := q.arrived
+	//amoeba:allowalloc(pool miss: a record and its callback are built once per concurrent-query high-water mark)
+	r := p.takeExecution(svc)
+	r.arrived = q.arrived
 	body := p.rng.LogNormal(svc.execMu, svc.execSigma)
-	bd := metrics.Breakdown{
-		Queue:      float64(p.sim.Now() - arrived),
+	r.bd = metrics.Breakdown{
+		Queue:      float64(p.sim.Now() - q.arrived),
 		Processing: p.cfg.RPCOverhead,
 		Exec:       body,
 	}
 	nowS := units.Seconds(p.sim.Now())
 	p.tracer.End(nowS, q.queueH)
-	qt := q.qt
-	execH := p.tracer.Begin(nowS, qt.Trace, qt.Span, 0,
-		obs.PhaseExec, prof.Name, metrics.BackendIaaS.String())
-	consumed := resources.Vector{CPU: prof.Demand.CPU}
-	svc.busyUsage.Adjust(float64(p.sim.Now()), consumed)
-	p.sim.After(bd.Processing+bd.Exec, func() {
-		svc.busy--
-		svc.inflight--
-		svc.busyUsage.Adjust(float64(p.sim.Now()), consumed.Scale(-1))
-		p.tracer.End(units.Seconds(p.sim.Now()), execH)
-		if p.bus.Active() {
-			p.bus.Emit(&obs.QueryComplete{
-				At:         units.Seconds(p.sim.Now()),
-				Service:    prof.Name,
-				Backend:    metrics.BackendIaaS.String(),
-				Arrived:    units.Seconds(arrived),
-				Latency:    units.Seconds(p.sim.Now() - arrived),
-				Queue:      units.Seconds(bd.Queue),
-				Processing: units.Seconds(bd.Processing),
-				Exec:       units.Seconds(bd.Exec),
-				Trace:      qt.Trace,
-				Span:       qt.Span,
-				Cause:      qt.Cause,
-			})
-		}
-		if svc.onComplete != nil {
-			svc.onComplete(metrics.QueryRecord{
-				Service:   prof.Name,
-				Backend:   metrics.BackendIaaS,
-				ArrivedAt: float64(arrived),
-				Breakdown: bd,
-			})
-		}
-		// After a scale-in, busy can exceed slots until the excess
-		// drains; only then does the queue resume.
-		if len(svc.queue) > 0 && svc.busy < svc.slots {
-			next := svc.queue[0]
-			svc.queue = svc.queue[1:]
-			p.startQuery(svc, next)
-		}
-	})
+	r.qt = q.qt
+	r.execH = p.tracer.Begin(nowS, r.qt.Trace, r.qt.Span, 0,
+		obs.PhaseExec, svc.profile.Name, backendName)
+	svc.busyUsage.Adjust(float64(p.sim.Now()), svc.consumed)
+	p.sim.After(r.bd.Processing+r.bd.Exec, r.done)
+}
+
+// takeExecution reuses a recycled execution record or builds a fresh
+// one with its completion callback.
+func (p *Platform) takeExecution(svc *service) *execution {
+	r := p.free
+	if r == nil {
+		r = &execution{}
+		r.done = func() { p.finishQuery(r) }
+	} else {
+		p.free = r.next
+		r.next = nil
+	}
+	r.svc = svc
+	return r
+}
+
+// finishQuery completes a running query: its worker slot and CPU are
+// released, the completion is reported, and the record is recycled
+// before the next waiting query, if any, takes the slot.
+//
+//amoeba:noalloc
+func (p *Platform) finishQuery(r *execution) {
+	svc := r.svc
+	name := svc.profile.Name
+	svc.busy--
+	svc.inflight--
+	svc.busyUsage.Adjust(float64(p.sim.Now()), svc.consumed.Scale(-1))
+	p.tracer.End(units.Seconds(p.sim.Now()), r.execH)
+	if p.bus.Active() {
+		//amoeba:allowalloc(telemetry path: the event is built only while a sink is attached)
+		p.bus.Emit(&obs.QueryComplete{
+			At:         units.Seconds(p.sim.Now()),
+			Service:    name,
+			Backend:    backendName,
+			Arrived:    units.Seconds(r.arrived),
+			Latency:    units.Seconds(p.sim.Now() - r.arrived),
+			Queue:      units.Seconds(r.bd.Queue),
+			Processing: units.Seconds(r.bd.Processing),
+			Exec:       units.Seconds(r.bd.Exec),
+			Trace:      r.qt.Trace,
+			Span:       r.qt.Span,
+			Cause:      r.qt.Cause,
+		})
+	}
+	if svc.onComplete != nil {
+		svc.onComplete(metrics.QueryRecord{
+			Service:   name,
+			Backend:   metrics.BackendIaaS,
+			ArrivedAt: float64(r.arrived),
+			Breakdown: r.bd,
+		})
+	}
+	r.svc = nil
+	r.qt = obs.QueryTrace{}
+	r.execH = obs.SpanHandle{}
+	r.next = p.free
+	p.free = r
+	// After a scale-in, busy can exceed slots until the excess
+	// drains; only then does the queue resume.
+	if len(svc.queue) > 0 && svc.busy < svc.slots {
+		next := svc.queue[0]
+		svc.queue = svc.queue[1:]
+		p.startQuery(svc, next)
+	}
 }
 
 // Scale resizes a running service's VM group to the given count (an

@@ -247,3 +247,27 @@ func TestVMGroupGeometry(t *testing.T) {
 		t.Errorf("mem alloc %v, want %v", alloc.MemMB, float64(vms)*prof.VMMemMB)
 	}
 }
+
+// TestZeroAllocQueryCycle asserts an Invoke→completion cycle on a free
+// worker allocates nothing in steady state: the running-query record and
+// its completion callback are recycled.
+//
+//amoeba:alloctest iaas.Platform.startQuery iaas.Platform.finishQuery
+func TestZeroAllocQueryCycle(t *testing.T) {
+	s, p := newPlatform(7)
+	done := 0
+	p.DeployWithVMs(workload.Float(), 1, func(metrics.QueryRecord) { done++ })
+	cycle := func() {
+		p.Invoke("float")
+		s.Run(s.Now() + 1)
+	}
+	for i := 0; i < 16; i++ { // warm the slab and the record pool
+		cycle()
+	}
+	if done != 16 {
+		t.Fatalf("warm-up completed %d queries, want 16", done)
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("Invoke→completion allocates %.2f objects per query, want 0", allocs)
+	}
+}

@@ -69,10 +69,9 @@ type Collector struct {
 	QoSTarget float64
 
 	latencies  *stats.Sample
-	normalized *stats.Sample // latency / QoSTarget, Fig. 10's x-axis
 	streamP95  *stats.P2Quantile
 	violations int
-	byBackend  map[Backend]int
+	byBackend  [2]int    // indexed by Backend
 	breakdown  Breakdown // summed, for Fig. 4 means
 }
 
@@ -83,12 +82,10 @@ func NewCollector(service string, qosTarget float64) *Collector {
 		panic(fmt.Sprintf("metrics: non-positive QoS target %v", qosTarget))
 	}
 	return &Collector{
-		Service:    service,
-		QoSTarget:  qosTarget,
-		latencies:  stats.NewSample(4096),
-		normalized: stats.NewSample(4096),
-		streamP95:  stats.NewP2Quantile(0.95),
-		byBackend:  make(map[Backend]int),
+		Service:   service,
+		QoSTarget: qosTarget,
+		latencies: stats.NewSample(4096),
+		streamP95: stats.NewP2Quantile(0.95),
 	}
 }
 
@@ -96,12 +93,13 @@ func NewCollector(service string, qosTarget float64) *Collector {
 func (c *Collector) Observe(r QueryRecord) {
 	l := r.Latency()
 	c.latencies.Add(l)
-	c.normalized.Add(l / c.QoSTarget)
 	c.streamP95.Add(l)
 	if l > c.QoSTarget {
 		c.violations++
 	}
-	c.byBackend[r.Backend]++
+	if inRange(r.Backend) {
+		c.byBackend[r.Backend]++
+	}
 	b := r.Breakdown
 	c.breakdown.Queue += b.Queue
 	c.breakdown.ColdStart += b.ColdStart
@@ -141,10 +139,21 @@ func (c *Collector) Latencies() *stats.Sample { return c.latencies }
 
 // NormalizedCDF returns the CDF of latency/QoSTarget at n points
 // (Fig. 10).
-func (c *Collector) NormalizedCDF(n int) (xs, fs []float64) { return c.normalized.CDF(n) }
+func (c *Collector) NormalizedCDF(n int) (xs, fs []float64) {
+	return c.latencies.ScaledCDF(n, c.QoSTarget)
+}
 
-// BackendCount returns how many queries the given backend served.
-func (c *Collector) BackendCount(b Backend) int { return c.byBackend[b] }
+// BackendCount returns how many queries the given backend served; 0 for
+// a value outside the closed set.
+func (c *Collector) BackendCount(b Backend) int {
+	if !inRange(b) {
+		return 0
+	}
+	return c.byBackend[b]
+}
+
+// inRange reports whether b names one of the two backends.
+func inRange(b Backend) bool { return b == BackendIaaS || b == BackendServerless }
 
 // MeanBreakdown returns the average per-query latency anatomy (Fig. 4).
 func (c *Collector) MeanBreakdown() Breakdown {

@@ -3,6 +3,8 @@ package metrics
 import (
 	"math"
 	"testing"
+
+	"amoeba/internal/stats"
 )
 
 func rec(service string, b Backend, bd Breakdown) QueryRecord {
@@ -31,6 +33,11 @@ func TestCollectorQoSAccounting(t *testing.T) {
 	}
 	if c.BackendCount(BackendIaaS) != 19 || c.BackendCount(BackendServerless) != 1 {
 		t.Error("backend counts wrong")
+	}
+	for _, b := range []Backend{-1, 2, 7} {
+		if got := c.BackendCount(b); got != 0 {
+			t.Errorf("BackendCount(%v) = %d, want 0 outside the closed set", b, got)
+		}
 	}
 }
 
@@ -75,6 +82,39 @@ func TestCollectorNormalizedCDF(t *testing.T) {
 	}
 	if fs[len(fs)-1] != 1 {
 		t.Errorf("CDF endpoint %v", fs[len(fs)-1])
+	}
+}
+
+// TestNormalizedCDFMatchesQuotientSample checks NormalizedCDF bit for
+// bit against an oracle sample holding latency/QoSTarget for every
+// query, the second sample the collector used to keep. The latencies
+// repeat values (ties at CDF breakpoints) and the target is not a power
+// of two, so the quotients are rounded.
+func TestNormalizedCDFMatchesQuotientSample(t *testing.T) {
+	const target = 0.3
+	c := NewCollector("svc", target)
+	oracle := stats.NewSample(0)
+	for i := 0; i < 500; i++ {
+		l := 0.05 + 0.01*float64((i*37)%61) // 61 distinct values, each repeated
+		if i%7 == 0 {
+			l = target // ties exactly at the target
+		}
+		c.Observe(rec("svc", BackendIaaS, Breakdown{Exec: l}))
+		oracle.Add(l / target)
+	}
+	for _, n := range []int{2, 40} {
+		xs, fs := c.NormalizedCDF(n)
+		wantXs, wantFs := oracle.CDF(n)
+		if len(xs) != n || len(fs) != n {
+			t.Fatalf("n=%d: lengths %d/%d", n, len(xs), len(fs))
+		}
+		for i := range wantXs {
+			if math.Float64bits(xs[i]) != math.Float64bits(wantXs[i]) ||
+				math.Float64bits(fs[i]) != math.Float64bits(wantFs[i]) {
+				t.Errorf("n=%d point %d: (%v, %v), oracle (%v, %v)",
+					n, i, xs[i], fs[i], wantXs[i], wantFs[i])
+			}
+		}
 	}
 }
 

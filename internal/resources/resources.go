@@ -89,11 +89,12 @@ func (v Vector) Scale(f float64) Vector {
 	return Vector{v.CPU * f, v.MemMB * f, v.DiskMBs * f, v.NetMbs * f}
 }
 
-// Max returns the component-wise maximum of v and o.
+// Max returns the component-wise maximum of v and o. Like math.Max, +0
+// beats -0 and a NaN operand gives NaN; unlike it, NaN also beats +Inf.
 func (v Vector) Max(o Vector) Vector {
 	return Vector{
-		math.Max(v.CPU, o.CPU), math.Max(v.MemMB, o.MemMB),
-		math.Max(v.DiskMBs, o.DiskMBs), math.Max(v.NetMbs, o.NetMbs),
+		max(v.CPU, o.CPU), max(v.MemMB, o.MemMB),
+		max(v.DiskMBs, o.DiskMBs), max(v.NetMbs, o.NetMbs),
 	}
 }
 

@@ -48,6 +48,30 @@ func TestVectorArithmetic(t *testing.T) {
 	}
 }
 
+// TestVectorMaxFollowsMathMax pins Max to math.Max's special cases: +0
+// beats -0 in either order, and NaN in either operand wins — except
+// against +Inf, where math.Max returns +Inf and Max stays NaN. Resource
+// allocations are finite, so the exception never reaches a result.
+func TestVectorMaxFollowsMathMax(t *testing.T) {
+	negZero, nan, inf := math.Copysign(0, -1), math.NaN(), math.Inf(1)
+	vals := []float64{negZero, 0, 1, -1, nan, inf, -inf}
+	for _, x := range vals {
+		for _, y := range vals {
+			got := vec(x, y, x, y).Max(vec(y, x, y, x))
+			want := math.Max(x, y)
+			if math.IsNaN(x) || math.IsNaN(y) {
+				want = nan
+			}
+			for _, g := range []float64{got.CPU, got.MemMB, got.DiskMBs, got.NetMbs} {
+				if math.Float64bits(g) != math.Float64bits(want) &&
+					!(math.IsNaN(g) && math.IsNaN(want)) {
+					t.Errorf("Max(%v, %v) = %v, want %v", x, y, g, want)
+				}
+			}
+		}
+	}
+}
+
 func TestVectorFits(t *testing.T) {
 	cap := vec(40, 256000, 2000, 25000)
 	if !vec(1, 256, 10, 5).Fits(cap) {

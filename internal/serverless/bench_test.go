@@ -38,3 +38,32 @@ func BenchmarkInvokeBacklog(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWarmReuse times a burst of four warm queries, Invoke to
+// finish, on a pool of four warm containers. Every burst reuses every
+// container, so none expires; only the reuse of the oldest touches the
+// function's reclaim deadline. It reports kernel events fired and
+// cancelled per burst beside the allocations.
+func BenchmarkWarmReuse(b *testing.B) {
+	const width = 4
+	s := sim.New(1)
+	p := New(s, DefaultConfig())
+	p.Register(workload.Float(), nil)
+	p.Prewarm("float", width, nil)
+	s.Run(10)
+	fired, cancelled := s.Events(), s.Cancelled()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < width; j++ {
+			p.Invoke("float")
+		}
+		s.Run(s.Now() + 1)
+	}
+	b.StopTimer()
+	if p.ColdStarts() != width || p.Completed() != uint64(width*b.N) {
+		b.Fatalf("%d cold starts, %d completions for %d warm queries", p.ColdStarts(), p.Completed(), width*b.N)
+	}
+	b.ReportMetric(float64(s.Events()-fired)/float64(b.N), "events/op")
+	b.ReportMetric(float64(s.Cancelled()-cancelled)/float64(b.N), "cancels/op")
+}

@@ -49,12 +49,7 @@ func runOverloadReplay(t *testing.T, h hash.Hash, setup func(*Platform)) replayS
 	cfg.Node.MemMB = 2048 // eight 256 MB containers
 	cfg.MemReserve = 0
 	cfg.MaxQueue = 60
-	p := New(s, cfg)
-	bus := obs.NewBus()
-	jw := obs.NewJSONLWriter(h)
-	bus.Attach(jw)
-	p.SetBus(bus)
-	p.SetTracer(obs.NewTracer(bus))
+	p, jw := newReplayPlatform(s, cfg, h)
 	if setup != nil {
 		setup(p)
 	}
@@ -120,6 +115,18 @@ func runOverloadReplay(t *testing.T, h hash.Hash, setup func(*Platform)) replayS
 	return st
 }
 
+// newReplayPlatform builds a golden-family platform with a tracer and a
+// JSONL bus that writes every event into h.
+func newReplayPlatform(s *sim.Simulator, cfg Config, h hash.Hash) (*Platform, *obs.JSONLWriter) {
+	p := New(s, cfg)
+	bus := obs.NewBus()
+	jw := obs.NewJSONLWriter(h)
+	bus.Attach(jw)
+	p.SetBus(bus)
+	p.SetTracer(obs.NewTracer(bus))
+	return p, jw
+}
+
 // TestOverloadReplayGolden pins the platform's exact behaviour through an
 // nMax-blocked backlog with cross-function eviction, MaxQueue rejects, a
 // warm-pool floor, and a Prewarm and ReleaseIdle mid-backlog.
@@ -160,6 +167,110 @@ func TestPumpScanBound(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != overloadReplayDigest {
 		t.Errorf("replay digest with probe = %s, want %s", got, overloadReplayDigest)
+	}
+}
+
+// tieReplayDigest pins runTieReplay the way overloadReplayDigest pins
+// runOverloadReplay. It was captured from the platform that scheduled
+// one reclaim event per idle period, so it proves that one reclaim
+// deadline per function fires the same expiries at the same (time,
+// sequence) keys.
+const tieReplayDigest = "ab5cd73b64d0e71abe3943dc2779f4f91d8138b65b2f19d1eb7aa2b54018fb63"
+
+// tieStats are the tie facts the golden run must exercise.
+type tieStats struct {
+	evictions   int
+	earlyWarm   bool // b's Invoke at 62, scheduled first, reused the expiring container
+	lateCold    int  // a's and d's Invokes at 62, scheduled later, that cold-started behind the expiries
+	floorReused bool // f's Invoke at 100 reused the container kept past its expiry
+	records     int
+}
+
+// runTieReplay drives reclaim through equal-time ties. Cold starts are
+// deterministic (ColdStartCV = 0 and a 1 s mean, so every delay is
+// exactly 1 s) on a six-container node:
+//
+//   - f keeps a warm floor of one: its container idles at 1, is kept past
+//     its expiry at 61, and is reused at 100;
+//   - a (two containers), b (one) and d (two) prewarm at 1, so all five
+//     idle at 2 and their expiries coincide at 62;
+//   - c's cold start at 30 finds the pool full and evicts a's oldest
+//     container, the first to expire;
+//   - at 62, an Invoke of b scheduled before the containers idled reuses
+//     b's container ahead of its expiry, while Invokes of a and d
+//     scheduled after they idled (at 10 and 20, before a's eviction and
+//     d's first expiry moved their next expiries) land behind both of
+//     their function's expiries and cold-start;
+//   - Poisson traffic on a, b and c from 130 to 400 then churns the pool
+//     with evictions and reuse, and everything idles out by 600.
+func runTieReplay(t *testing.T, h hash.Hash) tieStats {
+	t.Helper()
+	s := sim.New(0x71E5)
+	cfg := DefaultConfig()
+	cfg.ColdStartMean = 1
+	cfg.ColdStartCV = 0
+	cfg.Node.MemMB = 1536 // six 256 MB containers
+	cfg.MemReserve = 0
+	p, jw := newReplayPlatform(s, cfg, h)
+
+	var st tieStats
+	record := func(r metrics.QueryRecord) {
+		fmt.Fprintf(h, "%+v\n", r)
+		st.records++
+		switch {
+		case r.Service == "b" && r.ArrivedAt == 62:
+			st.earlyWarm = r.Breakdown.ColdStart == 0
+		case (r.Service == "a" || r.Service == "d") && r.ArrivedAt == 62 && r.Breakdown.ColdStart > 0:
+			st.lateCold++
+		case r.Service == "f" && r.ArrivedAt == 100:
+			st.floorReused = r.Breakdown.ColdStart == 0
+		}
+	}
+	for _, name := range []string{"a", "b", "c", "d"} {
+		prof := workload.Float()
+		prof.Name = name
+		p.Register(prof, record)
+	}
+	fl := workload.Float()
+	fl.Name = "f"
+	p.Register(fl, record, WithMinWarm(1))
+
+	s.At(62, func() { p.Invoke("b") }) // scheduled before b's container idles
+	s.At(1, func() {
+		p.Prewarm("a", 2, nil)
+		p.Prewarm("b", 1, nil)
+		p.Prewarm("d", 2, nil)
+	})
+	s.At(10, func() { s.At(62, func() { p.Invoke("a") }) })
+	s.At(20, func() { s.At(62, func() { p.Invoke("d") }) })
+	s.At(30, func() { p.Invoke("c") })
+	s.At(100, func() { p.Invoke("f") })
+	for i, name := range []string{"a", "b", "c"} {
+		g := arrival.New(s, trace.Constant{QPS: 0.4 + 0.3*float64(i)}, func(sim.Time) { p.Invoke(name) })
+		s.At(130, g.Start)
+		s.At(400, g.Stop)
+	}
+	s.Run(600)
+
+	if err := jw.Err(); err != nil {
+		t.Fatalf("JSONL writer: %v", err)
+	}
+	st.evictions = p.Evictions()
+	return st
+}
+
+// TestTieReplayGolden pins the platform's exact reclaim behaviour when
+// idle deadlines tie with each other and with Invokes, across eviction
+// of the container that expires first and a floor-kept expiry.
+func TestTieReplayGolden(t *testing.T) {
+	h := sha256.New()
+	st := runTieReplay(t, h)
+	t.Logf("%+v", st)
+	if st.evictions < 2 || !st.earlyWarm || st.lateCold != 2 || !st.floorReused || st.records < 100 {
+		t.Errorf("scenario no longer exercises the tie paths: %+v", st)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != tieReplayDigest {
+		t.Errorf("tie replay digest = %s, want %s", got, tieReplayDigest)
 	}
 }
 

@@ -117,16 +117,16 @@ const (
 )
 
 type container struct {
-	id      int
-	fn      *function
-	state   containerState
-	idleAt  sim.Time
-	reclaim sim.EventHandle
-	bound   *activation // query waiting for this cold start
+	id     int
+	fn     *function
+	state  containerState
+	idleAt sim.Time
+	stamp  sim.Stamp   // reserved at idleAt: the tie-break of its reclaim
+	bound  *activation // query waiting for this cold start
 
 	// Per-activation scratch, valid while state == stateBusy. The finish
-	// and expire callbacks are built once per container so the warm
-	// execute path schedules kernel events without allocating closures.
+	// callback is built once per container so the warm execute path
+	// schedules kernel events without allocating closures.
 	arrived sim.Time
 	bd      metrics.Breakdown
 	demand  resources.Vector
@@ -134,7 +134,6 @@ type container struct {
 	execH   obs.SpanHandle // open exec phase span
 	coldH   obs.SpanHandle // open cold-start phase span (cold path only)
 	finish  func()         // completes the running activation
-	expire  func()         // reclaims the container after an idle timeout
 }
 
 type activation struct {
@@ -158,8 +157,14 @@ type function struct {
 	warming    int // containers currently prewarming toward the floor
 	onComplete func(metrics.QueryRecord)
 	onReject   func()
+	// idle holds the warm containers in the order they went idle. Its
+	// first expired entries passed their idle timeout but were kept for
+	// the warm-pool floor; deadline reclaims idle[expired] (DESIGN.md §20).
 	idle       []*container
-	containers int // live containers (any state)
+	expired    int
+	deadline   sim.EventHandle
+	expire     func() // fires the deadline; built once at Register
+	containers int    // live containers (any state)
 	usage      *resources.Usage
 	inflight   int
 	rejected   int
@@ -308,6 +313,7 @@ func (p *Platform) Register(profile workload.Profile, onComplete func(metrics.Qu
 		opt(f)
 	}
 	f.order = len(p.registered)
+	f.expire = func() { p.expire(f) }
 	p.fns[profile.Name] = f
 	p.registered = append(p.registered, f)
 	if f.minWarm > 0 {
@@ -383,11 +389,9 @@ func (p *Platform) putActivation(act *activation) {
 func (p *Platform) place(act *activation) bool {
 	f := act.fn
 	// 1. Reuse a warm container.
-	if len(f.idle) > 0 {
-		c := f.idle[len(f.idle)-1] // most recently used: best cache behaviour
-		f.idle = f.idle[:len(f.idle)-1]
-		c.reclaim.Cancel()
-		c.reclaim = sim.EventHandle{} // drop the stale handle
+	if n := len(f.idle); n > 0 {
+		c := f.idle[n-1] // most recently used: best cache behaviour
+		p.removeIdle(f, n-1)
 		p.tracer.End(units.Seconds(p.sim.Now()), act.queueH)
 		act.queueH = obs.SpanHandle{}
 		p.execute(c, act, 0)
@@ -473,14 +477,6 @@ func (p *Platform) newContainer(f *function, st containerState) *container {
 	p.nextID++
 	c := &container{id: p.nextID, fn: f, state: st}
 	c.finish = func() { p.finishExec(c) }
-	c.expire = func() {
-		// The warm-pool floor survives idle reclaim. Stale fires are
-		// impossible: reuse cancels the reclaim handle, and the state
-		// check guards the destroy.
-		if c.state == stateIdle && len(c.fn.idle) > c.fn.minWarm {
-			p.destroy(c)
-		}
-	}
 	f.containers++
 	p.memMB += p.cfg.ContainerMemMB.Raw()
 	f.usage.Adjust(float64(p.sim.Now()), resources.Vector{MemMB: p.cfg.ContainerMemMB.Raw()})
@@ -497,23 +493,71 @@ func (p *Platform) destroy(c *container) {
 		f := c.fn
 		for i := len(f.idle) - 1; i >= 0; i-- {
 			if f.idle[i] == c {
-				f.idle = append(f.idle[:i], f.idle[i+1:]...)
+				p.removeIdle(f, i)
 				break
 			}
 		}
 	}
-	c.reclaim.Cancel()
 	c.state = stateDead
 	c.fn.containers--
 	p.memMB -= p.cfg.ContainerMemMB.Raw()
 	c.fn.usage.Adjust(float64(p.sim.Now()), resources.Vector{MemMB: -p.cfg.ContainerMemMB.Raw()})
 }
 
+// makeIdle appends c to its function's idle list. The stamp it reserves
+// gives c's reclaim the sequence number an After(IdleTimeout) made now
+// would have had, so the reclaim fires at exactly that (time, sequence)
+// key whenever the deadline reaches c.
 func (p *Platform) makeIdle(c *container) {
+	f := c.fn
 	c.state = stateIdle
 	c.idleAt = p.sim.Now()
-	c.fn.idle = append(c.fn.idle, c)
-	c.reclaim = p.sim.After(p.cfg.IdleTimeout.Raw(), c.expire)
+	c.stamp = p.sim.Reserve()
+	f.idle = append(f.idle, c)
+	if len(f.idle)-1 == f.expired {
+		p.armDeadline(f)
+	}
+}
+
+// removeIdle takes f.idle[i] off the idle list. Removing the container
+// the deadline belongs to moves the deadline to the next one.
+func (p *Platform) removeIdle(f *function, i int) {
+	f.idle = append(f.idle[:i], f.idle[i+1:]...)
+	switch {
+	case i < f.expired:
+		f.expired--
+	case i == f.expired:
+		f.deadline.Cancel()
+		f.deadline = sim.EventHandle{}
+		p.armDeadline(f)
+	}
+}
+
+// armDeadline schedules the reclaim of the first idle container whose
+// timeout has not passed, if there is one. The idle list is ordered by
+// (idleAt, stamp), so no other idle container can expire before it.
+//
+//amoeba:noalloc
+func (p *Platform) armDeadline(f *function) {
+	if f.expired == len(f.idle) {
+		return
+	}
+	c := f.idle[f.expired]
+	f.deadline = p.sim.AtStamp(c.idleAt+sim.Time(p.cfg.IdleTimeout.Raw()), c.stamp, f.expire)
+}
+
+// expire fires the deadline: the container's idle timeout has passed.
+// It is reclaimed unless that would shrink the pool below the warm-pool
+// floor; a container kept for the floor stays idle, expired, and no
+// later deadline applies to it.
+func (p *Platform) expire(f *function) {
+	f.deadline = sim.EventHandle{} // fired: nothing left to cancel
+	if len(f.idle) > f.minWarm {
+		p.destroy(f.idle[f.expired])
+		return
+	}
+	f.expired++
+	p.armDeadline(f)
 }
 
 // replenish keeps the function's warm-pool floor filled.

@@ -407,6 +407,40 @@ func TestZeroAllocSampleColdStart(t *testing.T) {
 	}
 }
 
+// TestZeroAllocWarmCycle asserts a warm Invoke→finish cycle allocates
+// nothing in steady state: the activation is recycled, the container's
+// finish callback is prebuilt, and going idle reserves a stamp and arms
+// the function's reclaim deadline without a closure.
+//
+//amoeba:alloctest serverless.Platform.armDeadline serverless.Platform.currentPressure
+//amoeba:alloctest sim.Simulator.Reserve sim.Simulator.AtStamp sim.EventHandle.Cancel
+func TestZeroAllocWarmCycle(t *testing.T) {
+	// With one container every reuse takes the deadline's container;
+	// with three, two of every three reuses leave the deadline alone.
+	for _, warm := range []int{1, 3} {
+		s, p := newPlatform(21)
+		done := 0
+		p.Register(workload.Float(), func(metrics.QueryRecord) { done++ })
+		p.Prewarm("float", warm, nil)
+		s.Run(10)
+		cycle := func() { // reuses every container once, so none expires
+			for i := 0; i < warm; i++ {
+				p.Invoke("float")
+			}
+			s.Run(s.Now() + 1)
+		}
+		for i := 0; i < 64; i++ { // warm the slab, heap and free lists
+			cycle()
+		}
+		if p.ColdStarts() != warm || done != 64*warm {
+			t.Fatalf("warm=%d: warm-up saw %d cold starts, %d completions", warm, p.ColdStarts(), done)
+		}
+		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+			t.Errorf("warm=%d: %d warm Invoke→finish cycles allocate %.2f objects, want 0", warm, warm, allocs)
+		}
+	}
+}
+
 // TestEvictionVictimDeterministic pins the victim when two functions'
 // idle containers tie on idleAt: deterministic cold starts warmed at the
 // same instant go idle together, and the lowest container id must lose

@@ -2,19 +2,18 @@ package sim
 
 // Event storage and priority queue. Events live in a flat slab indexed by
 // int32 with an explicit free list; the pending queue is an intrusive
-// 4-ary min-heap over slab indices ordered by (at, seq). Nothing here
-// allocates in steady state: slab, free list and heap all reuse their
-// backing arrays, so the per-event cost is a few cache lines of sifting
-// instead of an allocation plus interface-dispatched container/heap
-// calls. See DESIGN.md §10 for the invariants.
+// 4-ary min-heap of entries that carry their (at, seq) key inline beside
+// the slab index, so sifting compares keys without touching the slab.
+// Nothing here allocates in steady state: slab, free list and heap all
+// reuse their backing arrays, so the per-event cost is a few cache lines
+// of sifting instead of an allocation plus interface-dispatched
+// container/heap calls. See DESIGN.md §10 for the invariants.
 
 // event is one slab slot. A slot is exactly one of: free (on the free
 // list), queued (in the heap), or mid-fire (popped, fn running). gen
 // increments every time the slot is released, which is what makes stale
 // EventHandles (the ABA problem of slot reuse) harmless.
 type event struct {
-	at     Time
-	seq    uint64 // tie-break so equal-time events fire in schedule order
 	fn     func()
 	period float64 // seconds; > 0 marks a recurring (Every) event
 	gen    uint32
@@ -23,12 +22,19 @@ type event struct {
 	free   bool // on the free list
 }
 
+// entry is one pending event in the heap: its firing key and its slot.
+type entry struct {
+	at  Time
+	seq uint64 // tie-break so equal-time events fire in schedule order
+	idx int32
+}
+
 // alloc takes a slot from the free list (or grows the slab) and
 // initialises it as a queued event. The slot's generation is preserved:
 // it only advances on release.
 //
 //amoeba:noalloc
-func (s *Simulator) alloc(at Time, fn func(), period float64) int32 {
+func (s *Simulator) alloc(fn func(), period float64) int32 {
 	var idx int32
 	if n := len(s.free); n > 0 {
 		idx = s.free[n-1]
@@ -38,9 +44,6 @@ func (s *Simulator) alloc(at Time, fn func(), period float64) int32 {
 		idx = int32(len(s.slab) - 1)
 	}
 	ev := &s.slab[idx]
-	ev.at = at
-	ev.seq = s.seq
-	s.seq++
 	ev.fn = fn
 	ev.period = period
 	ev.queued = true
@@ -65,40 +68,45 @@ func (s *Simulator) release(idx int32) {
 	s.free = append(s.free, idx) //amoeba:allowalloc(free-list capacity tracks the slab; growth is amortised)
 }
 
-// before reports whether slab[a] fires before slab[b]: earlier time
-// first, schedule order (seq) breaking ties.
+// before reports whether a fires before b: earlier time first, schedule
+// order (seq) breaking ties.
 //
 //amoeba:noalloc
-func (s *Simulator) before(a, b int32) bool {
-	ea, eb := &s.slab[a], &s.slab[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
+func before(a, b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return ea.seq < eb.seq
+	return a.seq < b.seq
 }
 
-// push inserts a slab index into the heap.
+// push queues slot idx at time at with the next sequence number.
 //
 //amoeba:noalloc
-func (s *Simulator) push(idx int32) {
-	s.heap = append(s.heap, idx) //amoeba:allowalloc(heap capacity tracks peak pending events; growth is amortised)
+func (s *Simulator) push(at Time, idx int32) {
+	s.pushSeq(at, s.seq, idx)
+	s.seq++
+}
+
+// pushSeq queues slot idx under the key (at, seq).
+//
+//amoeba:noalloc
+func (s *Simulator) pushSeq(at Time, seq uint64, idx int32) {
+	s.heap = append(s.heap, entry{at: at, seq: seq, idx: idx}) //amoeba:allowalloc(heap capacity tracks peak pending events; growth is amortised)
 	s.siftUp(len(s.heap) - 1)
 }
 
-// popMin removes and returns the heap root. The caller must have checked
-// the heap is non-empty.
+// popMin removes the heap root. The caller must have checked the heap is
+// non-empty.
 //
 //amoeba:noalloc
-func (s *Simulator) popMin() int32 {
+func (s *Simulator) popMin() {
 	h := s.heap
-	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
 	s.heap = h[:n]
 	if n > 0 {
 		s.siftDown(0)
 	}
-	return top
 }
 
 // siftUp restores the heap property upward from position i, moving the
@@ -107,27 +115,26 @@ func (s *Simulator) popMin() int32 {
 //amoeba:noalloc
 func (s *Simulator) siftUp(i int) {
 	h := s.heap
-	idx := h[i]
+	e := h[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !s.before(idx, h[parent]) {
+		if !before(e, h[parent]) {
 			break
 		}
 		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = idx
+	h[i] = e
 }
 
 // siftDown restores the heap property downward from position i. The
-// 4-ary layout halves the tree depth of a binary heap; the extra child
-// comparisons stay within one or two cache lines of int32s.
+// 4-ary layout halves the tree depth of a binary heap.
 //
 //amoeba:noalloc
 func (s *Simulator) siftDown(i int) {
 	h := s.heap
 	n := len(h)
-	idx := h[i]
+	e := h[i]
 	for {
 		first := i<<2 + 1
 		if first >= n {
@@ -139,17 +146,17 @@ func (s *Simulator) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if s.before(h[c], h[best]) {
+			if before(h[c], h[best]) {
 				best = c
 			}
 		}
-		if !s.before(h[best], idx) {
+		if !before(h[best], e) {
 			break
 		}
 		h[i] = h[best]
 		i = best
 	}
-	h[i] = idx
+	h[i] = e
 }
 
 // maybeCompact sweeps cancelled events out of the heap once they exceed
@@ -171,11 +178,11 @@ func (s *Simulator) maybeCompact() {
 //amoeba:noalloc
 func (s *Simulator) compact() {
 	live := s.heap[:0]
-	for _, idx := range s.heap {
-		if s.slab[idx].dead {
-			s.release(idx)
+	for _, e := range s.heap {
+		if s.slab[e.idx].dead {
+			s.release(e.idx)
 		} else {
-			live = append(live, idx) //amoeba:allowalloc(appends into heap[:0]; live set never exceeds existing capacity)
+			live = append(live, e) //amoeba:allowalloc(appends into heap[:0]; live set never exceeds existing capacity)
 		}
 	}
 	s.heap = live

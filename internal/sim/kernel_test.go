@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -99,10 +100,13 @@ func TestPendingBoundedUnderCancelChurn(t *testing.T) {
 // --- Differential test against a reference kernel ---
 
 // kernelAPI is the surface both implementations expose to the random
-// script: scheduling, cancellation, tickers, halting, and running.
+// script: scheduling, reserve-then-schedule, cancellation, tickers,
+// halting, and running.
 type kernelAPI interface {
 	KNow() float64
 	KAt(at float64, fn func()) (cancel func())
+	KReserve() Stamp
+	KAtStamp(at float64, st Stamp, fn func()) (cancel func())
 	KEvery(period float64, fn func()) (stop func())
 	KRun(horizon float64)
 	KHalt()
@@ -114,6 +118,11 @@ type simKernel struct{ s *Simulator }
 func (k simKernel) KNow() float64 { return float64(k.s.Now()) }
 func (k simKernel) KAt(at float64, fn func()) func() {
 	h := k.s.At(Time(at), fn)
+	return h.Cancel
+}
+func (k simKernel) KReserve() Stamp { return k.s.Reserve() }
+func (k simKernel) KAtStamp(at float64, st Stamp, fn func()) func() {
+	h := k.s.AtStamp(Time(at), st, fn)
 	return h.Cancel
 }
 func (k simKernel) KEvery(period float64, fn func()) func() { return k.s.Every(period, fn) }
@@ -144,6 +153,20 @@ func (k *refKernel) KNow() float64 { return k.now }
 func (k *refKernel) KAt(at float64, fn func()) func() {
 	ev := &refEvent{at: at, seq: k.seq, fn: fn}
 	k.seq++
+	k.queue = append(k.queue, ev)
+	return func() { ev.dead = true }
+}
+
+// KReserve hands out the next sequence number; the reference stamp
+// holds it directly.
+func (k *refKernel) KReserve() Stamp {
+	st := Stamp{n: k.seq}
+	k.seq++
+	return st
+}
+
+func (k *refKernel) KAtStamp(at float64, st Stamp, fn func()) func() {
+	ev := &refEvent{at: at, seq: st.n, fn: fn}
 	k.queue = append(k.queue, ev)
 	return func() { ev.dead = true }
 }
@@ -203,11 +226,14 @@ type logEntry struct {
 // the observable trajectory: every firing (id, time) plus the clock after
 // each Run. The script exercises same-time FIFO bursts, mid-flight
 // cancellation (including of already-fired handles, which must no-op),
-// self-stopping Every tickers, Halt, and horizon clamping with resume.
+// reserve-then-schedule (immediately at the current time, or from a later
+// event), self-stopping Every tickers, Halt, and horizon clamping with
+// resume.
 func driveKernel(k kernelAPI, seed uint64) []logEntry {
 	rng := NewRNG(seed)
 	var log []logEntry
 	var cancels []func()
+	var stamps []Stamp // reserved, not yet scheduled
 	nextID := 1000
 	fired := 0
 
@@ -216,7 +242,7 @@ func driveKernel(k kernelAPI, seed uint64) []logEntry {
 		return func() {
 			log = append(log, logEntry{id, k.KNow()})
 			fired++
-			switch rng.Intn(10) {
+			switch rng.Intn(12) {
 			case 0, 1, 2: // spawn future events
 				n := 1 + rng.Intn(2)
 				for j := 0; j < n; j++ {
@@ -238,6 +264,27 @@ func driveKernel(k kernelAPI, seed uint64) []logEntry {
 				if fired > 40 {
 					k.KHalt()
 				}
+			case 7: // reserve a stamp; use half of them at once, tying the burst
+				st := k.KReserve()
+				if rng.Intn(2) == 0 {
+					stamps = append(stamps, st)
+					break
+				}
+				id := nextID
+				nextID++
+				cancels = append(cancels, k.KAtStamp(k.KNow(), st, body(id)))
+			case 8: // schedule a stamp reserved by an earlier event at a whole second
+				if len(stamps) > 0 {
+					st := stamps[0]
+					stamps = stamps[1:]
+					id := nextID
+					nextID++
+					cancels = append(cancels, k.KAtStamp(wholeSecondAfter(k.KNow(), rng), st, body(id)))
+				}
+			case 9: // an ordinary event at a whole second: ties with the stamped ones
+				id := nextID
+				nextID++
+				cancels = append(cancels, k.KAt(wholeSecondAfter(k.KNow(), rng), body(id)))
 			}
 		}
 	}
@@ -279,6 +326,12 @@ func driveKernel(k kernelAPI, seed uint64) []logEntry {
 	return log
 }
 
+// wholeSecondAfter returns one of the next two whole seconds after now,
+// so events the script places there tie at equal times.
+func wholeSecondAfter(now float64, rng *RNG) float64 {
+	return math.Floor(now) + 1 + float64(rng.Intn(2))
+}
+
 func TestKernelDifferentialRandomized(t *testing.T) {
 	for seed := uint64(1); seed <= 30; seed++ {
 		got := driveKernel(simKernel{New(999)}, seed)
@@ -296,16 +349,124 @@ func TestKernelDifferentialRandomized(t *testing.T) {
 	}
 }
 
+// --- Reserve-then-schedule ---
+
+// TestStampFiresWhereAtWould schedules the same script twice: once with
+// At calls made at the moment of reservation, once with stamps reserved
+// at that moment and queued by a later event. Both runs must fire the
+// same ids at the same times, including ties at the stamped time with
+// events scheduled before the reservation, after it, and after the
+// stamped event itself was queued.
+func TestStampFiresWhereAtWould(t *testing.T) {
+	run := func(stamped bool) []logEntry {
+		s := New(1)
+		var log []logEntry
+		mark := func(id int) func() {
+			return func() { log = append(log, logEntry{id, float64(s.Now())}) }
+		}
+		// reserve stands for "schedule id at t=5 now": an At call in the
+		// plain run, a stamp queued later in the stamped run.
+		reserve := func(id int) Stamp {
+			if stamped {
+				return s.Reserve()
+			}
+			s.At(5, mark(id))
+			return Stamp{}
+		}
+		queue := func(st Stamp, id int) {
+			if stamped {
+				s.AtStamp(5, st, mark(id))
+			}
+		}
+		s.At(5, mark(1)) // scheduled before the reservations
+		s.At(2, func() {
+			st10, st11 := reserve(10), reserve(11)
+			s.At(5, mark(2)) // scheduled after the reservations
+			s.At(3, func() {
+				s.At(5, mark(3)) // scheduled before the stamps are queued
+				queue(st11, 11)  // queued out of reservation order
+				queue(st10, 10)
+				s.At(5, mark(4)) // scheduled after the stamps are queued
+			})
+		})
+		s.At(5, func() {
+			// A stamp reserved while an event fires may be queued at the
+			// current time: it fires later in the same instant.
+			st := reserve(21)
+			s.At(5, mark(20))
+			queue(st, 21)
+		})
+		s.Run(10)
+		return log
+	}
+	want := []logEntry{{1, 5}, {10, 5}, {11, 5}, {2, 5}, {3, 5}, {4, 5}, {21, 5}, {20, 5}}
+	for _, stamped := range []bool{false, true} {
+		got := run(stamped)
+		if len(got) != len(want) {
+			t.Fatalf("stamped=%v fired %v, want %v", stamped, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("stamped=%v fired %v, want %v", stamped, got, want)
+			}
+		}
+	}
+}
+
+// TestAtStampPanics covers the three misuses AtStamp rejects: a time in
+// the past, a stamp Reserve never returned, and a key that sorts before
+// the event now firing.
+func TestAtStampPanics(t *testing.T) {
+	expectPanic := func(t *testing.T, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Error("no panic")
+			}
+		}()
+		f()
+	}
+	t.Run("past", func(t *testing.T) {
+		s := New(1)
+		st := s.Reserve()
+		s.Run(5)
+		expectPanic(t, func() { s.AtStamp(4, st, func() {}) })
+	})
+	t.Run("unreserved", func(t *testing.T) {
+		s := New(1)
+		expectPanic(t, func() { s.AtStamp(1, Stamp{}, func() {}) })
+		other := New(2)
+		other.Reserve()
+		other.Reserve()
+		st := other.Reserve() // beyond any sequence number s has issued
+		s.Reserve()
+		expectPanic(t, func() { s.AtStamp(1, st, func() {}) })
+	})
+	t.Run("before-firing", func(t *testing.T) {
+		s := New(1)
+		early := s.Reserve()
+		s.At(3, func() {
+			expectPanic(t, func() { s.AtStamp(3, early, func() {}) })
+			s.AtStamp(3.5, early, func() {}) // a later time is fine
+		})
+		s.Run(10)
+		if s.Events() != 2 {
+			t.Errorf("Events() = %d, want 2", s.Events())
+		}
+	})
+}
+
 // --- Zero-allocation contracts (DESIGN.md §10) ---
 
 // TestZeroAllocSchedule asserts the steady-state schedule+fire path
 // allocates nothing: slot from the free list, heap in place, callback
-// invoked, slot released.
+// invoked, slot released — for fresh and reserved keys alike.
 //
 //amoeba:alloctest sim.Simulator.At sim.Simulator.After sim.Simulator.schedule
 //amoeba:alloctest sim.Simulator.Run sim.Simulator.alloc sim.Simulator.release
-//amoeba:alloctest sim.Simulator.before sim.Simulator.push sim.Simulator.popMin
-//amoeba:alloctest sim.Simulator.siftUp sim.Simulator.siftDown
+//amoeba:alloctest sim.before sim.Simulator.push sim.Simulator.pushSeq sim.Simulator.popMin
+//amoeba:alloctest sim.Simulator.siftUp sim.Simulator.siftDown sim.Simulator.checkTime
+//amoeba:alloctest sim.Simulator.Reserve sim.Simulator.AtStamp
 func TestZeroAllocSchedule(t *testing.T) {
 	s := New(1)
 	fn := func() {}
@@ -315,8 +476,10 @@ func TestZeroAllocSchedule(t *testing.T) {
 	s.Run(1e6)
 
 	allocs := testing.AllocsPerRun(1000, func() {
+		st := s.Reserve()
 		s.After(1, fn)
 		s.At(s.Now()+2, fn)
+		s.AtStamp(s.Now()+2, st, fn)
 		s.Run(s.Now() + 3)
 	})
 	if allocs != 0 {

@@ -10,11 +10,11 @@
 // sweeps fan out one simulation per goroutine), never inside one.
 //
 // The kernel is allocation-free in steady state: events live in a
-// generation-counted slab behind an intrusive 4-ary index heap
-// (eventheap.go), recurring tickers reuse their slot across ticks, and
-// cancellation is an O(1) dead mark with a lazy compaction sweep. The
-// performance contracts are documented in DESIGN.md §10 and pinned by
-// BENCH_sim.json.
+// generation-counted slab behind an intrusive 4-ary heap whose entries
+// carry their (at, seq) keys inline (eventheap.go), recurring tickers
+// reuse their slot across ticks, and cancellation is an O(1) dead mark
+// with a lazy compaction sweep. The performance contracts are documented
+// in DESIGN.md §10 and pinned by BENCH_sim.json.
 package sim
 
 import (
@@ -68,13 +68,21 @@ func (h EventHandle) Cancel() {
 	}
 }
 
+// Stamp is a sequence number taken by Reserve: the tie-break an event
+// scheduled at that moment would have had. The zero Stamp was reserved by
+// nothing.
+type Stamp struct {
+	n uint64 // reserved sequence number + 1
+}
+
 // Simulator owns the virtual clock and the pending-event queue.
 type Simulator struct {
 	now  Time
 	slab []event // all event slots; indexed by the heap and the free list
 	free []int32 // released slots available for reuse
-	heap []int32 // pending events, 4-ary min-heap by (at, seq)
+	heap []entry // pending events, 4-ary min-heap by (at, seq)
 	seq  uint64
+	cur  entry // the event now firing, or the last one fired
 	rng  *RNG
 
 	fired      uint64
@@ -105,12 +113,11 @@ func (s *Simulator) Events() uint64 { return s.fired }
 // count).
 func (s *Simulator) Cancelled() uint64 { return s.cancelled }
 
-// schedule validates the firing time and enqueues one event. period > 0
-// marks it recurring. It panics if at precedes the clock or is not
-// finite — both always indicate a model bug.
+// checkTime panics if at precedes the clock or is not finite — both
+// always indicate a model bug.
 //
 //amoeba:noalloc
-func (s *Simulator) schedule(at Time, fn func(), period float64) EventHandle {
+func (s *Simulator) checkTime(at Time) {
 	if at < s.now {
 		//amoeba:allowalloc(cold panic path: message boxing fires only on a broken model invariant)
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, s.now))
@@ -119,8 +126,17 @@ func (s *Simulator) schedule(at Time, fn func(), period float64) EventHandle {
 		//amoeba:allowalloc(cold panic path: message boxing fires only on a broken model invariant)
 		panic(fmt.Sprintf("sim: scheduling at non-finite time %v", float64(at)))
 	}
-	idx := s.alloc(at, fn, period)
-	s.push(idx)
+}
+
+// schedule validates the firing time and enqueues one event with the
+// next sequence number. period > 0 marks it recurring. It panics if at
+// precedes the clock or is not finite.
+//
+//amoeba:noalloc
+func (s *Simulator) schedule(at Time, fn func(), period float64) EventHandle {
+	s.checkTime(at)
+	idx := s.alloc(fn, period)
+	s.push(at, idx)
 	return EventHandle{s: s, idx: idx, gen: s.slab[idx].gen}
 }
 
@@ -142,6 +158,40 @@ func (s *Simulator) After(delay float64, fn func()) EventHandle {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
 	return s.schedule(s.now+Time(delay), fn, 0)
+}
+
+// Reserve takes the next sequence number without scheduling anything.
+// An event later queued with AtStamp under the stamp fires exactly where
+// an At call made now would have: after every event scheduled before
+// Reserve and before every event scheduled after it, at equal times.
+//
+//amoeba:noalloc
+func (s *Simulator) Reserve() Stamp {
+	s.seq++
+	return Stamp{n: s.seq}
+}
+
+// AtStamp schedules fn at absolute time at under a stamp taken by
+// Reserve, consuming no sequence number. A stamp serves at most one
+// pending event. It panics if at precedes the clock or is not finite, if
+// st was not returned by Reserve, or if (at, st) sorts before the event
+// now firing, which has already passed it.
+//
+//amoeba:noalloc
+func (s *Simulator) AtStamp(at Time, st Stamp, fn func()) EventHandle {
+	s.checkTime(at)
+	if st.n == 0 || st.n > s.seq {
+		//amoeba:allowalloc(cold panic path: message boxing fires only on a broken model invariant)
+		panic("sim: AtStamp with a stamp Reserve did not return")
+	}
+	seq := st.n - 1
+	if at == s.cur.at && seq < s.cur.seq {
+		//amoeba:allowalloc(cold panic path: message boxing fires only on a broken model invariant)
+		panic(fmt.Sprintf("sim: stamped event at %v sorts before the event now firing", at))
+	}
+	idx := s.alloc(fn, 0)
+	s.pushSeq(at, seq, idx)
+	return EventHandle{s: s, idx: idx, gen: s.slab[idx].gen}
 }
 
 // Horizon returns the horizon of the current Run call, or of the last
@@ -167,25 +217,26 @@ func (s *Simulator) Run(horizon Time) uint64 {
 	s.horizon = horizon
 	for len(s.heap) > 0 && !s.halted {
 		top := s.heap[0]
-		ev := &s.slab[top]
-		if ev.at > horizon {
+		if top.at > horizon {
 			break
 		}
 		s.popMin()
+		ev := &s.slab[top.idx]
 		ev.queued = false
 		if ev.dead {
 			s.deadQueued--
-			s.release(top)
+			s.release(top.idx)
 			continue
 		}
-		s.now = ev.at
+		s.now = top.at
+		s.cur = top
 		fn := ev.fn
 		fn()
 		fired++
 		s.fired++
 		// fn may have scheduled events and grown the slab: re-resolve the
 		// slot before touching it again.
-		ev = &s.slab[top]
+		ev = &s.slab[top.idx]
 		if ev.period > 0 && !ev.dead {
 			// Recurring ticker: reuse the slot, fresh (at, seq). The seq is
 			// assigned after fn ran, so events fn scheduled fire before the
@@ -196,13 +247,10 @@ func (s *Simulator) Run(horizon Time) uint64 {
 				//amoeba:allowalloc(cold panic path: message boxing fires only on a broken model invariant)
 				panic(fmt.Sprintf("sim: scheduling at non-finite time %v", float64(at)))
 			}
-			ev.at = at
-			ev.seq = s.seq
-			s.seq++
 			ev.queued = true
-			s.push(top)
+			s.push(at, top.idx)
 		} else {
-			s.release(top)
+			s.release(top.idx)
 		}
 	}
 	if s.now < horizon && !s.halted {

@@ -131,24 +131,42 @@ func (s *Sample) FractionBelow(x float64) float64 {
 		return 0
 	}
 	s.ensureSorted()
-	idx := sort.SearchFloat64s(s.data, math.Nextafter(x, math.Inf(1)))
+	return s.fractionBelow(x, 1)
+}
+
+// fractionBelow returns the fraction of observations v with v/div <= x.
+// The data must be sorted and div positive: v/div is then non-decreasing
+// along the data, so the first v with v/div >= Nextafter(x) is found by
+// binary search, exactly as in a sorted sample of the quotients.
+func (s *Sample) fractionBelow(x, div float64) float64 {
+	y := math.Nextafter(x, math.Inf(1))
+	idx := sort.Search(len(s.data), func(i int) bool { return s.data[i]/div >= y })
 	return float64(idx) / float64(len(s.data))
 }
 
 // CDF returns (x, F(x)) pairs evaluated at n evenly spaced points between
 // min and max, suitable for plotting Fig. 10-style curves.
-func (s *Sample) CDF(n int) (xs, fs []float64) {
+func (s *Sample) CDF(n int) (xs, fs []float64) { return s.ScaledCDF(n, 1) }
+
+// ScaledCDF returns the CDF of the observations divided by div: bit for
+// bit what CDF returns on a sample holding v/div for every observation
+// v, without keeping that second sample. It panics if div is not
+// positive.
+func (s *Sample) ScaledCDF(n int, div float64) (xs, fs []float64) {
+	if !(div > 0) {
+		panic(fmt.Sprintf("stats: CDF divisor %v is not positive", div))
+	}
 	if len(s.data) == 0 || n < 2 {
 		return nil, nil
 	}
 	s.ensureSorted()
-	lo, hi := s.data[0], s.data[len(s.data)-1]
+	lo, hi := s.data[0]/div, s.data[len(s.data)-1]/div
 	xs = make([]float64, n)
 	fs = make([]float64, n)
 	for i := 0; i < n; i++ {
 		x := lo + (hi-lo)*float64(i)/float64(n-1)
 		xs[i] = x
-		fs[i] = s.FractionBelow(x)
+		fs[i] = s.fractionBelow(x, div)
 	}
 	return xs, fs
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -92,6 +93,52 @@ func TestSampleCDFMonotone(t *testing.T) {
 	}
 	if fs[len(fs)-1] != 1 {
 		t.Errorf("CDF endpoint = %v, want 1", fs[len(fs)-1])
+	}
+}
+
+// TestScaledCDFMatchesQuotientSample checks ScaledCDF bit for bit
+// against CDF on a sample of the quotients, over random divisors and
+// data with repeated values. At n = 2 every breakpoint is a quotient, so
+// the "<= x" boundary is exercised at every endpoint.
+func TestScaledCDFMatchesQuotientSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		div := 0.01 + 10*rng.Float64()
+		s, oracle := NewSample(0), NewSample(0)
+		for i := 0; i < 1+rng.Intn(60); i++ {
+			v := float64(rng.Intn(20)) * (0.001 + rng.Float64()) // ties at 0 and repeats
+			if rng.Intn(3) == 0 && s.Len() > 0 {
+				v = s.data[rng.Intn(s.Len())]
+			}
+			s.Add(v)
+			oracle.Add(v / div)
+		}
+		for _, n := range []int{2, 3, 40} {
+			xs, fs := s.ScaledCDF(n, div)
+			wantXs, wantFs := oracle.CDF(n)
+			for i := range wantXs {
+				if math.Float64bits(xs[i]) != math.Float64bits(wantXs[i]) ||
+					math.Float64bits(fs[i]) != math.Float64bits(wantFs[i]) {
+					t.Fatalf("trial %d, div %v, n=%d point %d: (%v, %v), quotient sample (%v, %v)",
+						trial, div, n, i, xs[i], fs[i], wantXs[i], wantFs[i])
+				}
+			}
+		}
+	}
+}
+
+func TestScaledCDFRejectsNonPositiveDivisor(t *testing.T) {
+	s := NewSample(0)
+	s.Add(1)
+	for _, div := range []float64{0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ScaledCDF divisor %v did not panic", div)
+				}
+			}()
+			s.ScaledCDF(4, div)
+		}()
 	}
 }
 
