@@ -13,16 +13,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 
-	"amoeba/internal/arrival"
-	"amoeba/internal/autoscale"
 	"amoeba/internal/controller"
-	"amoeba/internal/engine"
 	"amoeba/internal/iaas"
 	"amoeba/internal/metrics"
 	"amoeba/internal/monitor"
 	"amoeba/internal/obs"
-	"amoeba/internal/queueing"
 	"amoeba/internal/resources"
 	"amoeba/internal/serverless"
 	"amoeba/internal/sim"
@@ -81,7 +78,8 @@ type Scenario struct {
 	Serverless *serverless.Config
 	// IaaS overrides the VM platform config (nil = DefaultConfig).
 	IaaS *iaas.Config
-	// AllowedError is Eq. 8's e, deciding the sample period.
+	// AllowedError is Eq. 8's e in [0, 1), deciding the sample period
+	// (0 = 0.10).
 	AllowedError units.Fraction
 	// SnapshotPeriod densifies the timeline for Fig. 12/13 (0 = engine
 	// sample period only).
@@ -93,13 +91,34 @@ type Scenario struct {
 	Bus *obs.Bus
 }
 
-// Validate reports scenario errors.
+// Validate reports scenario errors. A zero AllowedError or
+// SnapshotPeriod keeps its default; NaN, infinite and out-of-range
+// values are errors.
 func (sc *Scenario) Validate() error {
+	if _, ok := variantNames[sc.Variant]; !ok {
+		return fmt.Errorf("core: unknown variant %v", sc.Variant)
+	}
 	if len(sc.Services) == 0 {
 		return fmt.Errorf("core: scenario with no services")
 	}
-	if sc.Duration <= 0 {
-		return fmt.Errorf("core: non-positive duration")
+	if d := sc.Duration.Raw(); !(d > 0) || math.IsInf(d, 1) {
+		return fmt.Errorf("core: duration %v is not positive and finite", sc.Duration)
+	}
+	if p := sc.SnapshotPeriod.Raw(); !(p >= 0) || math.IsInf(p, 1) {
+		return fmt.Errorf("core: snapshot period %v is not non-negative and finite", sc.SnapshotPeriod)
+	}
+	if e := sc.AllowedError.Raw(); !(e >= 0 && e < 1) {
+		return fmt.Errorf("core: allowed error %v is outside [0, 1)", sc.AllowedError)
+	}
+	if sc.Serverless != nil {
+		if err := sc.Serverless.Validate(); err != nil {
+			return err
+		}
+	}
+	if sc.IaaS != nil {
+		if err := sc.IaaS.Validate(); err != nil {
+			return err
+		}
 	}
 	seen := map[string]bool{}
 	for _, group := range [2][]ServiceSpec{sc.Services, sc.Background} {
@@ -192,177 +211,37 @@ func Run(sc Scenario) *Result {
 	if err := sc.Validate(); err != nil {
 		panic(err)
 	}
-	s := sim.New(sc.Seed ^ 0x5eed)
-	slCfg := sc.serverlessConfig()
-	pool := serverless.New(s, slCfg)
-	vms := iaas.New(s, sc.iaasConfig())
+	c := newCell(&sc, sc.Seed^0x5eed)
 	// One tracer per run: trace/span IDs are dense counters, so two runs
 	// of the same seed produce byte-identical trace streams even when a
 	// sweep executes runs in parallel.
-	var tracer *obs.Tracer
 	if sc.Bus != nil {
-		tracer = obs.NewTracer(sc.Bus)
-		pool.SetBus(sc.Bus)
-		pool.SetTracer(tracer)
-		vms.SetBus(sc.Bus)
-		vms.SetTracer(tracer)
+		c.attach(sc.Bus, obs.NewTracer(sc.Bus))
 	}
+	c.addIaaS()
+	for _, bg := range sc.Background {
+		c.addTenant(bg)
+	}
+	if sc.Variant.hybrid() {
+		c.startMonitor()
+	}
+	for _, svc := range sc.Services {
+		c.addService(svc)
+	}
+	c.sim.Run(sim.Time(sc.Duration.Raw()))
+	res := newResult(sc)
+	c.harvest(res)
+	return res
+}
 
-	res := &Result{
+// newResult returns an empty Result for sc, ready for harvest.
+func newResult(sc Scenario) *Result {
+	return &Result{
 		Variant:    sc.Variant,
 		Duration:   sc.Duration,
 		Services:   make(map[string]*ServiceResult),
 		Background: make(map[string]*metrics.Collector),
 	}
-
-	// Background tenants always run serverless (the paper's §VII-A
-	// setup). They are not Amoeba-managed, so the per-tenant share bound
-	// does not apply to them — give them room to breathe.
-	for _, bg := range sc.Background {
-		coll := metrics.NewCollector(bg.Profile.Name, bg.Profile.QoSTarget)
-		res.Background[bg.Profile.Name] = coll
-		pool.Register(bg.Profile, coll.Observe, serverless.WithNMax(64))
-		gen := arrival.New(s, bg.Trace, invoker(pool, bg.Profile.Name))
-		gen.Start()
-	}
-
-	var mon *monitor.Monitor
-	amoebaLike := sc.Variant == VariantAmoeba || sc.Variant == VariantAmoebaNoM || sc.Variant == VariantAmoebaNoP
-	if amoebaLike {
-		monCfg := monitor.DefaultConfig()
-		monCfg.UsePCA = sc.Variant != VariantAmoebaNoM
-		mon = monitor.New(s, pool, MeterCurves(slCfg), monCfg)
-		if sc.Bus != nil {
-			mon.SetBus(sc.Bus)
-			mon.SetTracer(tracer)
-		}
-		mon.Start()
-	}
-
-	type wiring struct {
-		eng  *engine.Engine
-		coll *metrics.Collector
-	}
-	wired := map[string]*wiring{}
-
-	for _, svc := range sc.Services {
-		prof := svc.Profile
-		switch sc.Variant {
-		case VariantNameko:
-			coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
-			wired[prof.Name] = &wiring{coll: coll}
-			vms.Deploy(prof, coll.Observe)
-			gen := arrival.New(s, svc.Trace, invoker(vms, prof.Name))
-			gen.Start()
-
-		case VariantOpenWhisk:
-			coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
-			wired[prof.Name] = &wiring{coll: coll}
-			pool.Register(prof, coll.Observe)
-			gen := arrival.New(s, svc.Trace, invoker(pool, prof.Name))
-			gen.Start()
-
-		case VariantAutoscale:
-			coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
-			wired[prof.Name] = &wiring{coll: coll}
-			asCfg := autoscale.DefaultConfig()
-			vms.DeployWithVMs(prof, asCfg.MinVMs, coll.Observe)
-			scaler := autoscale.New(s, vms, prof, asCfg)
-			scaler.Start()
-			gen := arrival.New(s, svc.Trace, invoker(vms, prof.Name))
-			gen.Start()
-
-		default: // the Amoeba variants
-			w := &wiring{}
-			wired[prof.Name] = w
-			// Register the primary function; the engine exists a moment
-			// later, so indirect through the wiring struct.
-			pool.Register(prof, func(r metrics.QueryRecord) {
-				w.eng.OnServerlessComplete(r)
-			})
-			vms.Deploy(prof, func(r metrics.QueryRecord) {
-				w.eng.OnIaaSComplete(r)
-			})
-
-			set := SurfaceSet(prof, slCfg)
-			pred, err := controller.NewPredictor(prof, set, pool.NMax(prof.Name), units.Fraction(0.95))
-			if err != nil {
-				panic(err) // scenario validation already vouched for these inputs
-			}
-			ctrl, err := controller.New(controller.DefaultConfig(), pred)
-			if err != nil {
-				panic(err) // DefaultConfig is always valid
-			}
-
-			engCfg := engine.DefaultConfig(slCfg.Node.Capacity())
-			engCfg.SamplePeriod, err = queueing.SamplePeriod(
-				slCfg.ColdStartMean, units.Seconds(prof.QoSTarget),
-				units.Seconds(prof.ExecTime), sc.allowedError(), units.Seconds(10))
-			if err != nil {
-				panic(err) // scenario validation bounds the QoS target and error
-			}
-			engCfg.Prewarm = sc.Variant != VariantAmoebaNoP
-			w.eng = engine.New(s, pool, vms, prof, ctrl, mon, engCfg)
-			if sc.Bus != nil {
-				w.eng.SetBus(sc.Bus)
-				w.eng.SetTracer(tracer)
-				ctrl.SetTracer(tracer)
-			}
-			w.coll = w.eng.Collector
-			w.eng.Start()
-
-			gen := arrival.New(s, svc.Trace, func(sim.Time) { w.eng.HandleQuery() })
-			gen.Start()
-
-			if sc.SnapshotPeriod > 0 {
-				eng := w.eng
-				s.Every(sc.SnapshotPeriod.Raw(), func() {
-					eng.Timeline.RecordSnapshot(metrics.Snapshot{
-						At:   float64(s.Now()),
-						Mode: eng.Mode(),
-					})
-				})
-			}
-		}
-	}
-
-	s.Run(sim.Time(sc.Duration.Raw()))
-
-	for _, svc := range sc.Services {
-		prof := svc.Profile
-		w := wired[prof.Name]
-		sr := &ServiceResult{Profile: prof, Collector: w.coll, FinalWeights: monitor.InitialWeights()}
-		switch sc.Variant {
-		case VariantNameko, VariantAutoscale:
-			sr.IaaSUsage = vms.UsageFor(prof.Name)
-			sr.ConsumedCPUSeconds = vms.ConsumedCPUSeconds(prof.Name)
-			sr.Timeline = &metrics.Timeline{}
-		case VariantOpenWhisk:
-			sr.ServerlessUsage = pool.UsageFor(prof.Name)
-			sr.Timeline = &metrics.Timeline{}
-		default:
-			sr.IaaSUsage = vms.UsageFor(prof.Name)
-			sr.ConsumedCPUSeconds = vms.ConsumedCPUSeconds(prof.Name)
-			sr.ServerlessUsage = pool.UsageFor(prof.Name)
-			sr.ServerlessUsage = sr.ServerlessUsage.Add(pool.UsageFor(prof.Name + engine.ShadowSuffix))
-			sr.Timeline = w.eng.Timeline
-			sr.Decisions = w.eng.Controller().Decisions()
-			sr.BlockedSwitches = w.eng.BlockedSwitches()
-			sr.FinalWeights = mon.WeightsFor(prof.Name)
-			sr.ViolationWindows = w.eng.Windowed.Windows(float64(s.Now()))
-		}
-		res.Services[prof.Name] = sr
-	}
-	if mon != nil {
-		res.MeterCPUSeconds = mon.MeterCPUSeconds()
-	}
-	res.Events = s.Events()
-	return res
-}
-
-// invoker adapts a platform Invoke method to an arrival callback.
-func invoker(p interface{ Invoke(string) }, name string) func(sim.Time) {
-	return func(sim.Time) { p.Invoke(name) }
 }
 
 // BackgroundTenants returns the paper's §VII-A co-tenant setup: float, dd

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"amoeba/internal/iaas"
 	"amoeba/internal/metrics"
+	"amoeba/internal/serverless"
 	"amoeba/internal/trace"
+	"amoeba/internal/units"
 	"amoeba/internal/workload"
 )
 
@@ -136,32 +140,60 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestScenarioValidation pins the inputs Validate rejects, each of
+// which Run would otherwise panic or hang on, and checks Run refuses
+// them with a panic before simulating anything.
 func TestScenarioValidation(t *testing.T) {
-	bad := []Scenario{
-		{Duration: 100}, // no services
-		{Services: scenarioFor(workload.Float(), VariantAmoeba, 1).Services}, // no duration
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*Scenario)
+	}{
+		{"no services", func(sc *Scenario) { sc.Services = nil }},
+		{"no duration", func(sc *Scenario) { sc.Duration = 0 }},
+		{"duplicate name", func(sc *Scenario) { sc.Services = append(sc.Services, sc.Services[0]) }},
+		{"unknown variant", func(sc *Scenario) { sc.Variant = VariantAutoscale + 1 }},
+		{"NaN duration", func(sc *Scenario) { sc.Duration = units.Seconds(nan) }},
+		{"infinite duration", func(sc *Scenario) { sc.Duration = units.Seconds(inf) }},
+		{"infinite snapshot period", func(sc *Scenario) { sc.SnapshotPeriod = units.Seconds(inf) }},
+		{"NaN snapshot period", func(sc *Scenario) { sc.SnapshotPeriod = units.Seconds(nan) }},
+		{"NaN allowed error", func(sc *Scenario) { sc.AllowedError = units.Fraction(nan) }},
+		{"allowed error 1", func(sc *Scenario) { sc.AllowedError = 1 }},
+		{"allowed error 2", func(sc *Scenario) { sc.AllowedError = 2 }},
+		{"infinite allowed error", func(sc *Scenario) { sc.AllowedError = units.Fraction(inf) }},
+		{"negative allowed error", func(sc *Scenario) { sc.AllowedError = -0.1 }},
+		{"invalid serverless config", func(sc *Scenario) {
+			cfg := serverless.DefaultConfig()
+			cfg.IdleTimeout = 0
+			sc.Serverless = &cfg
+		}},
+		{"invalid IaaS config", func(sc *Scenario) {
+			cfg := iaas.DefaultConfig()
+			cfg.Headroom = 0.5
+			sc.IaaS = &cfg
+		}},
 	}
-	for i, sc := range bad {
+	base := scenarioFor(workload.Float(), VariantAmoeba, 1)
+	if err := base.Validate(); err != nil {
+		t.Fatalf("base scenario: %v", err)
+	}
+	for _, tc := range cases {
+		sc := base
+		sc.Services = append([]ServiceSpec(nil), base.Services...)
+		tc.edit(&sc)
+		if err := sc.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the scenario", tc.name)
+			continue
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("scenario %d did not panic", i)
+					t.Errorf("%s: Run did not panic", tc.name)
 				}
 			}()
 			Run(sc)
 		}()
 	}
-	// Duplicate names.
-	sc := scenarioFor(workload.Float(), VariantAmoeba, 1)
-	sc.Services = append(sc.Services, sc.Services[0])
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("duplicate service name did not panic")
-			}
-		}()
-		Run(sc)
-	}()
 }
 
 func TestVariantString(t *testing.T) {

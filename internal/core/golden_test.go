@@ -10,6 +10,7 @@ import (
 	"amoeba/internal/metrics"
 	"amoeba/internal/obs"
 	"amoeba/internal/trace"
+	"amoeba/internal/units"
 	"amoeba/internal/workload"
 )
 
@@ -43,6 +44,27 @@ var goldenDigests = map[string]string{
 	"nameko/seed=3/shards=2":      "60746cebb9a8e7b1f4535983c3c6c8fdee37f3a760495467549cddd92db44d68",
 	"nameko/seed=17/shards=0":     "d7f8bd0270798cf82c0c5c8ef352f9a10ad8b78b380ec7699f1ebcced83e47db",
 	"nameko/seed=17/shards=2":     "4feef581ac6387a381a89d9b994dc6f53eee62841f6d1ac91a8560478185212d",
+
+	"amoeba-nom/seed=3/snapshot=25/shards=0": "7066b61e9087c6c62f2b90451ffcf4a7286c298f5629b0c4005b34ed28301f06",
+	"amoeba-nom/seed=3/snapshot=25/shards=2": "4aa2ea1cedc0e042187d694c19969de288bba81213d5377046ba926b8481d0d4",
+	"autoscale/seed=3/shards=0":              "2fb36df7cf2743424df2f32b38486888a3ab0147235b143734e3d3b3bee073bd",
+	"autoscale/seed=3/shards=2":              "d760a8e59d35c6a0c4c68bbb10d1bc4417af995a1e15f66c5f0683766ce8e0eb",
+}
+
+// goldenCase is one golden scenario: a variant at a seed, with the
+// Fig. 12 snapshot timer on when snapshot is positive.
+type goldenCase struct {
+	v        Variant
+	seed     uint64
+	snapshot units.Seconds
+}
+
+func (c goldenCase) key(shards int) string {
+	k := fmt.Sprintf("%v/seed=%d/", c.v, c.seed)
+	if c.snapshot > 0 {
+		k += fmt.Sprintf("snapshot=%v/", c.snapshot)
+	}
+	return k + fmt.Sprintf("shards=%d", shards)
 }
 
 func goldenScenario(v Variant, seed uint64, bus *obs.Bus) Scenario {
@@ -62,13 +84,14 @@ func goldenScenario(v Variant, seed uint64, bus *obs.Bus) Scenario {
 
 // digestRun runs one golden scenario on the plain kernel (shards == 0)
 // or the sharded one and returns the SHA-256 of its stream and tables.
-func digestRun(t *testing.T, v Variant, seed uint64, shards int) string {
+func digestRun(t *testing.T, c goldenCase, shards int) string {
 	t.Helper()
 	h := sha256.New()
 	bus := obs.NewBus()
 	w := obs.NewJSONLWriter(h)
 	bus.Attach(w)
-	sc := goldenScenario(v, seed, bus)
+	sc := goldenScenario(c.v, c.seed, bus)
+	sc.SnapshotPeriod = c.snapshot
 	var res *Result
 	if shards == 0 {
 		res = Run(sc)
@@ -123,18 +146,27 @@ func hashCollector(h hash.Hash, c *metrics.Collector) {
 
 // TestScenarioGolden pins short Amoeba, Amoeba-NoP, OpenWhisk and
 // Nameko days at two seeds, on Run and on RunSharded with two workers,
-// against digests captured before the thinning fast path existed.
+// against digests captured before the thinning fast path existed. One
+// Amoeba-NoM day with the snapshot timer and one autoscale day pin the
+// PCA-off monitor, the snapshot timer and the autoscaler wiring; their
+// digests were captured before both kernels shared one wiring path.
 func TestScenarioGolden(t *testing.T) {
 	skipIfRace(t)
-	variants := []Variant{VariantAmoeba, VariantAmoebaNoP, VariantOpenWhisk, VariantNameko}
-	for _, v := range variants {
+	var cases []goldenCase
+	for _, v := range []Variant{VariantAmoeba, VariantAmoebaNoP, VariantOpenWhisk, VariantNameko} {
 		for _, seed := range []uint64{3, 17} {
-			for _, shards := range []int{0, 2} {
-				key := fmt.Sprintf("%v/seed=%d/shards=%d", v, seed, shards)
-				got := digestRun(t, v, seed, shards)
-				if want := goldenDigests[key]; got != want {
-					t.Errorf("%s: digest %s, want %s", key, got, want)
-				}
+			cases = append(cases, goldenCase{v: v, seed: seed})
+		}
+	}
+	cases = append(cases,
+		goldenCase{v: VariantAmoebaNoM, seed: 3, snapshot: 25},
+		goldenCase{v: VariantAutoscale, seed: 3})
+	for _, c := range cases {
+		for _, shards := range []int{0, 2} {
+			key := c.key(shards)
+			got := digestRun(t, c, shards)
+			if want := goldenDigests[key]; got != want {
+				t.Errorf("%s: digest %s, want %s", key, got, want)
 			}
 		}
 	}

@@ -27,20 +27,11 @@ import (
 	"sort"
 	"sync"
 
-	"amoeba/internal/arrival"
-	"amoeba/internal/autoscale"
 	"amoeba/internal/contention"
-	"amoeba/internal/controller"
-	"amoeba/internal/engine"
-	"amoeba/internal/iaas"
-	"amoeba/internal/metrics"
 	"amoeba/internal/monitor"
 	"amoeba/internal/obs"
-	"amoeba/internal/queueing"
 	"amoeba/internal/resources"
-	"amoeba/internal/serverless"
 	"amoeba/internal/sim"
-	"amoeba/internal/units"
 )
 
 const (
@@ -53,27 +44,10 @@ const (
 	MaxShards = shardJobCap
 )
 
-// shardCell is one isolated simulation cell: a service, a background
-// tenant, or the monitor daemon, with its own event heap, platforms,
-// and telemetry namespace.
-type shardCell struct {
-	ns   int // telemetry namespace; also the canonical merge rank
-	sim  *sim.Simulator
-	pool *serverless.Platform
-	vms  *iaas.Platform
-	bus  *obs.Bus    // cell-local bus (nil when the run is unobserved)
-	buf  *obs.Buffer // drained at every epoch barrier
-	mon  *monitor.Monitor
-
-	// Result wiring for service cells (nil/zero elsewhere).
-	eng  *engine.Engine
-	coll *metrics.Collector
-}
-
 // shardJob asks a worker to advance one group of cells to the epoch
 // horizon.
 type shardJob struct {
-	cells   []*shardCell
+	cells   []*cell
 	horizon sim.Time
 }
 
@@ -86,8 +60,8 @@ type mergedEvent struct {
 
 // shardRun is the barrier-loop state of one sharded execution.
 type shardRun struct {
-	cells  []*shardCell
-	daemon *shardCell // the ns-0 monitor cell; nil for non-Amoeba variants
+	cells  []*cell
+	daemon *cell // the ns-0 monitor cell; nil for non-Amoeba variants
 	model  *contention.Model
 	merge  []mergedEvent // scratch, reused across epochs
 }
@@ -104,16 +78,6 @@ func shardSeed(seed uint64, ns int) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// observe equips the cell with a private bus, an epoch buffer, and a
-// namespaced tracer. Unobserved runs (nil scenario bus) skip all three
-// so emission sites stay on their zero-cost path.
-func (c *shardCell) observe(stride int) *obs.Tracer {
-	c.bus = obs.NewBus()
-	c.buf = obs.NewBuffer()
-	c.bus.Attach(c.buf)
-	return obs.NewTracerNS(c.bus, c.ns, stride)
 }
 
 // barrier performs the epoch synchronization: aggregate the per-cell
@@ -215,145 +179,43 @@ func RunSharded(sc Scenario, shards int) *Result {
 		panic(fmt.Sprintf("core: RunSharded needs a positive shard count, got %d", shards))
 	}
 
-	slCfg := sc.serverlessConfig()
-	iaasCfg := sc.iaasConfig()
-	monCfg := monitor.DefaultConfig()
-	monCfg.UsePCA = sc.Variant != VariantAmoebaNoM
+	monCfg := monitorConfig(sc.Variant)
 	epoch := monCfg.SamplePeriod.Raw() // Eq. 8's T is the natural barrier period
-	amoebaLike := sc.Variant == VariantAmoeba || sc.Variant == VariantAmoebaNoM || sc.Variant == VariantAmoebaNoP
-	observed := sc.Bus != nil
 	// Namespace layout: 0 is the monitor daemon (reserved even when the
 	// variant runs none), 1..S the managed services in scenario order,
 	// S+1..S+B the background tenants.
 	stride := 1 + len(sc.Services) + len(sc.Background)
+	r := &shardRun{model: contention.NewModel(sc.serverlessConfig().Node.Capacity())}
 
-	res := &Result{
-		Variant:    sc.Variant,
-		Duration:   sc.Duration,
-		Services:   make(map[string]*ServiceResult),
-		Background: make(map[string]*metrics.Collector),
-	}
-	r := &shardRun{model: contention.NewModel(slCfg.Node.Capacity())}
-
-	newCell := func(ns int) *shardCell {
-		c := &shardCell{ns: ns, sim: sim.New(shardSeed(sc.Seed, ns))}
-		c.pool = serverless.New(c.sim, slCfg)
+	// open starts cell ns on its own seed. An observed cell gets a
+	// private bus, an epoch buffer and a tracer in its own namespace.
+	open := func(ns int) *cell {
+		c := newCell(&sc, shardSeed(sc.Seed, ns))
+		c.ns = ns
 		c.pool.SetSharedPressure(contention.Pressure{})
+		if sc.Bus != nil {
+			bus := obs.NewBus()
+			c.buf = obs.NewBuffer()
+			bus.Attach(c.buf)
+			c.attach(bus, obs.NewTracerNS(bus, ns, stride))
+		}
 		r.cells = append(r.cells, c)
 		return c
 	}
-
-	if amoebaLike {
-		c := newCell(0)
-		var tracer *obs.Tracer
-		if observed {
-			tracer = c.observe(stride)
-			c.pool.SetBus(c.bus)
-			c.pool.SetTracer(tracer)
-		}
-		c.mon = monitor.New(c.sim, c.pool, MeterCurves(slCfg), monCfg)
-		if observed {
-			c.mon.SetBus(c.bus)
-			c.mon.SetTracer(tracer)
-		}
-		c.mon.Start()
-		r.daemon = c
+	if sc.Variant.hybrid() {
+		r.daemon = open(0)
+		r.daemon.startMonitor()
 	}
-
-	serviceCells := make([]*shardCell, len(sc.Services))
 	for i, svc := range sc.Services {
-		prof := svc.Profile
-		c := newCell(1 + i)
-		serviceCells[i] = c
-		c.vms = iaas.New(c.sim, iaasCfg)
-		var tracer *obs.Tracer
-		if observed {
-			tracer = c.observe(stride)
-			c.pool.SetBus(c.bus)
-			c.pool.SetTracer(tracer)
-			c.vms.SetBus(c.bus)
-			c.vms.SetTracer(tracer)
-		}
-
-		switch sc.Variant {
-		case VariantNameko:
-			c.coll = metrics.NewCollector(prof.Name, prof.QoSTarget)
-			c.vms.Deploy(prof, c.coll.Observe)
-			arrival.New(c.sim, svc.Trace, invoker(c.vms, prof.Name)).Start()
-
-		case VariantOpenWhisk:
-			c.coll = metrics.NewCollector(prof.Name, prof.QoSTarget)
-			c.pool.Register(prof, c.coll.Observe)
-			arrival.New(c.sim, svc.Trace, invoker(c.pool, prof.Name)).Start()
-
-		case VariantAutoscale:
-			c.coll = metrics.NewCollector(prof.Name, prof.QoSTarget)
-			asCfg := autoscale.DefaultConfig()
-			c.vms.DeployWithVMs(prof, asCfg.MinVMs, c.coll.Observe)
-			autoscale.New(c.sim, c.vms, prof, asCfg).Start()
-			arrival.New(c.sim, svc.Trace, invoker(c.vms, prof.Name)).Start()
-
-		default: // the Amoeba variants
+		c := open(1 + i)
+		c.addIaaS()
+		if sc.Variant.hybrid() {
 			c.mon = monitor.NewReplica(c.sim, monCfg)
-			cc := c // the completion callbacks outlive this iteration
-			c.pool.Register(prof, func(rec metrics.QueryRecord) {
-				cc.eng.OnServerlessComplete(rec)
-			})
-			c.vms.Deploy(prof, func(rec metrics.QueryRecord) {
-				cc.eng.OnIaaSComplete(rec)
-			})
-
-			set := SurfaceSet(prof, slCfg)
-			pred, err := controller.NewPredictor(prof, set, c.pool.NMax(prof.Name), units.Fraction(0.95))
-			if err != nil {
-				panic(err) // scenario validation already vouched for these inputs
-			}
-			ctrl, err := controller.New(controller.DefaultConfig(), pred)
-			if err != nil {
-				panic(err) // DefaultConfig is always valid
-			}
-
-			engCfg := engine.DefaultConfig(slCfg.Node.Capacity())
-			engCfg.SamplePeriod, err = queueing.SamplePeriod(
-				slCfg.ColdStartMean, units.Seconds(prof.QoSTarget),
-				units.Seconds(prof.ExecTime), sc.allowedError(), units.Seconds(10))
-			if err != nil {
-				panic(err) // scenario validation bounds the QoS target and error
-			}
-			engCfg.Prewarm = sc.Variant != VariantAmoebaNoP
-			c.eng = engine.New(c.sim, c.pool, c.vms, prof, ctrl, c.mon, engCfg)
-			if observed {
-				c.eng.SetBus(c.bus)
-				c.eng.SetTracer(tracer)
-				ctrl.SetTracer(tracer)
-			}
-			c.coll = c.eng.Collector
-			c.eng.Start()
-
-			arrival.New(c.sim, svc.Trace, func(sim.Time) { cc.eng.HandleQuery() }).Start()
-
-			if sc.SnapshotPeriod > 0 {
-				c.sim.Every(sc.SnapshotPeriod.Raw(), func() {
-					cc.eng.Timeline.RecordSnapshot(metrics.Snapshot{
-						At:   float64(cc.sim.Now()),
-						Mode: cc.eng.Mode(),
-					})
-				})
-			}
 		}
+		c.addService(svc)
 	}
-
 	for i, bg := range sc.Background {
-		c := newCell(1 + len(sc.Services) + i)
-		if observed {
-			tracer := c.observe(stride)
-			c.pool.SetBus(c.bus)
-			c.pool.SetTracer(tracer)
-		}
-		coll := metrics.NewCollector(bg.Profile.Name, bg.Profile.QoSTarget)
-		res.Background[bg.Profile.Name] = coll
-		c.pool.Register(bg.Profile, coll.Observe, serverless.WithNMax(64))
-		arrival.New(c.sim, bg.Trace, invoker(c.pool, bg.Profile.Name)).Start()
+		open(1 + len(sc.Services) + i).addTenant(bg)
 	}
 
 	if shards > len(r.cells) {
@@ -365,7 +227,7 @@ func RunSharded(sc Scenario, shards int) *Result {
 	// Round-robin the cells into one group per worker. The grouping
 	// balances load but cannot influence output: cells are isolated, so
 	// any assignment yields the same per-cell trajectories.
-	groups := make([][]*shardCell, shards)
+	groups := make([][]*cell, shards)
 	for i, c := range r.cells {
 		groups[i%shards] = append(groups[i%shards], c)
 	}
@@ -404,36 +266,9 @@ func RunSharded(sc Scenario, shards int) *Result {
 	close(jobs)
 	wg.Wait()
 
-	for i, svc := range sc.Services {
-		prof := svc.Profile
-		c := serviceCells[i]
-		sr := &ServiceResult{Profile: prof, Collector: c.coll, FinalWeights: monitor.InitialWeights()}
-		switch sc.Variant {
-		case VariantNameko, VariantAutoscale:
-			sr.IaaSUsage = c.vms.UsageFor(prof.Name)
-			sr.ConsumedCPUSeconds = c.vms.ConsumedCPUSeconds(prof.Name)
-			sr.Timeline = &metrics.Timeline{}
-		case VariantOpenWhisk:
-			sr.ServerlessUsage = c.pool.UsageFor(prof.Name)
-			sr.Timeline = &metrics.Timeline{}
-		default:
-			sr.IaaSUsage = c.vms.UsageFor(prof.Name)
-			sr.ConsumedCPUSeconds = c.vms.ConsumedCPUSeconds(prof.Name)
-			sr.ServerlessUsage = c.pool.UsageFor(prof.Name)
-			sr.ServerlessUsage = sr.ServerlessUsage.Add(c.pool.UsageFor(prof.Name + engine.ShadowSuffix))
-			sr.Timeline = c.eng.Timeline
-			sr.Decisions = c.eng.Controller().Decisions()
-			sr.BlockedSwitches = c.eng.BlockedSwitches()
-			sr.FinalWeights = c.mon.WeightsFor(prof.Name)
-			sr.ViolationWindows = c.eng.Windowed.Windows(float64(c.sim.Now()))
-		}
-		res.Services[prof.Name] = sr
-	}
-	if r.daemon != nil {
-		res.MeterCPUSeconds = r.daemon.mon.MeterCPUSeconds()
-	}
+	res := newResult(sc)
 	for _, c := range r.cells {
-		res.Events += c.sim.Events()
+		c.harvest(res)
 	}
 	return res
 }

@@ -137,11 +137,10 @@ func TestRunShardedVariants(t *testing.T) {
 				t.Fatalf("%v: service %s served no queries", v, name)
 			}
 		}
-		amoebaLike := v == VariantAmoebaNoM || v == VariantAmoebaNoP
-		if amoebaLike && res.MeterCPUSeconds == 0 {
+		if v.hybrid() && res.MeterCPUSeconds == 0 {
 			t.Fatalf("%v: no meter overhead recorded", v)
 		}
-		if !amoebaLike && res.MeterCPUSeconds != 0 {
+		if !v.hybrid() && res.MeterCPUSeconds != 0 {
 			t.Fatalf("%v: unexpected meter overhead %v", v, res.MeterCPUSeconds)
 		}
 	}
@@ -156,7 +155,7 @@ func barrierFixture() *shardRun {
 	monCfg := monitor.DefaultConfig()
 	r := &shardRun{model: contention.NewModel(slCfg.Node.Capacity())}
 	for ns := 0; ns < 3; ns++ {
-		c := &shardCell{ns: ns, sim: sim.New(shardSeed(1, ns))}
+		c := &cell{ns: ns, sim: sim.New(shardSeed(1, ns))}
 		c.pool = serverless.New(c.sim, slCfg)
 		c.pool.SetSharedPressure(contention.Pressure{})
 		c.mon = monitor.NewReplica(c.sim, monCfg)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,8 +21,9 @@ type Sampled struct {
 	peak  float64
 }
 
-// NewSampled builds a sampled trace. Times must be strictly increasing
-// and rates non-negative; at least two samples are required.
+// NewSampled builds a sampled trace. Times must be finite and strictly
+// increasing, and rates finite and non-negative; at least two samples
+// are required.
 func NewSampled(times, rates []float64) (*Sampled, error) {
 	if len(times) != len(rates) {
 		return nil, fmt.Errorf("trace: %d times vs %d rates", len(times), len(rates))
@@ -31,11 +33,14 @@ func NewSampled(times, rates []float64) (*Sampled, error) {
 	}
 	peak := 0.0
 	for i := range times {
+		if math.IsNaN(times[i]) || math.IsInf(times[i], 0) {
+			return nil, fmt.Errorf("trace: non-finite time %v at sample %d", times[i], i)
+		}
 		if i > 0 && times[i] <= times[i-1] {
 			return nil, fmt.Errorf("trace: times not strictly increasing at sample %d", i)
 		}
-		if rates[i] < 0 {
-			return nil, fmt.Errorf("trace: negative rate %v at sample %d", rates[i], i)
+		if !(rates[i] >= 0) || math.IsInf(rates[i], 1) {
+			return nil, fmt.Errorf("trace: rate %v at sample %d is not finite and non-negative", rates[i], i)
 		}
 		if rates[i] > peak {
 			peak = rates[i]

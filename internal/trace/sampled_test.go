@@ -92,6 +92,39 @@ func TestLoadCSVErrors(t *testing.T) {
 	}
 }
 
+// FuzzLoadCSV checks that every input either fails to load or yields a
+// trace with finite, strictly increasing times and a finite peak, and
+// never panics. The seeds include the NaN and infinite rows a replay CSV
+// once loaded silently; an infinite rate never finished replaying.
+func FuzzLoadCSV(f *testing.F) {
+	for _, seed := range []string{
+		"time_s,qps\n0,12\n600,48.5\n1200,80\n",
+		"0,nan\n1,1\n",
+		"0,inf\n1,1\n",
+		"0,1\n1,-inf\n",
+		"nan,1\n1,1\n",
+		"0,1\ninf,2\n",
+		"-inf,1\n0,1\n",
+		"# peak\n0,1\n1e308,1.7e308\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, csv string) {
+		s, err := LoadCSV(strings.NewReader(csv))
+		if err != nil {
+			return
+		}
+		if p := s.Peak(); math.IsNaN(p) || math.IsInf(p, 0) {
+			t.Fatalf("loaded a trace with peak %v", p)
+		}
+		for i, x := range s.times {
+			if math.IsNaN(x) || math.IsInf(x, 0) || (i > 0 && !(x > s.times[i-1])) {
+				t.Fatalf("loaded a trace with times %v", s.times)
+			}
+		}
+	})
+}
+
 func TestResampleApproximatesDiurnal(t *testing.T) {
 	d := NewDiurnal(100, 20, 3600, 1)
 	s := Resample(d, 0, 3600, 720)
