@@ -435,55 +435,6 @@ func BenchmarkSuiteParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkQuantileWindow compares the three ways to account a per-window
-// p95 over a latency stream: allocating a fresh exact sample every window
-// (the pre-optimisation pattern), reusing one exact sample via Reset, and
-// the P² streaming estimator the windowed tracker now uses. The stream is
-// the same log-normal latency shape the workloads produce; each iteration
-// processes one 4096-query window and reads its p95.
-func BenchmarkQuantileWindow(b *testing.B) {
-	rng := sim.New(11).RNG()
-	const window = 4096
-	vals := make([]float64, window)
-	for i := range vals {
-		vals[i] = rng.LogNormal(math.Log(0.1), 0.5)
-	}
-	var p95 float64
-	b.Run("sample-per-window", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := stats.NewSample(window)
-			for _, v := range vals {
-				s.Add(v)
-			}
-			p95 = s.P95()
-		}
-	})
-	b.Run("sample-reset", func(b *testing.B) {
-		b.ReportAllocs()
-		s := stats.NewSample(window)
-		for i := 0; i < b.N; i++ {
-			s.Reset()
-			for _, v := range vals {
-				s.Add(v)
-			}
-			p95 = s.P95()
-		}
-	})
-	b.Run("p2-reset", func(b *testing.B) {
-		b.ReportAllocs()
-		q := stats.NewP2Quantile(0.95)
-		for i := 0; i < b.N; i++ {
-			q.Reset()
-			for _, v := range vals {
-				q.Add(v)
-			}
-			p95 = q.Value()
-		}
-	})
-	b.ReportMetric(p95, "last_p95_s")
-}
-
 // --- Telemetry benches (DESIGN.md §9) ---
 
 // BenchmarkEventEmit measures the per-event cost of the obs bus: the

@@ -1,43 +1,22 @@
 package main
 
-import (
-	"testing"
+import "testing"
 
-	"amoeba/internal/analysis"
-)
-
-// BenchmarkAmoebaVetRepo times a full-module amoeba-vet sweep. The
-// devirt sub-bench is the shipping configuration (devirtualization and
-// the field-flow layer both on); fieldflow-off isolates the cost of the
-// field-sensitive func-value index; baseline disables the whole
-// devirtualization layer to measure the pre-index walk on the same
-// hardware, so CI can gate on the ratio (devirt must stay within 2x
-// baseline) instead of a machine-dependent absolute time. Pinned
-// numbers live in BENCH_vet.json. Each iteration also asserts the
-// sweep is clean, doubling as the zero-findings regression check.
+// BenchmarkAmoebaVetRepo times a full-module amoeba-vet sweep in the
+// shipping configuration: devirtualization and the field-flow layer
+// both on. CI fails the sweep above an absolute bound; the pinned
+// number and its host live in BENCH_vet.json. Each iteration also
+// asserts the sweep is clean, doubling as the zero-findings regression
+// check.
 func BenchmarkAmoebaVetRepo(b *testing.B) {
-	sweep := func(b *testing.B) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			diags, _, err := runAmoebaAnalyzers([]string{"./..."})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(diags) != 0 {
-				b.Fatalf("repo sweep must be clean, got %d finding(s), first: %s",
-					len(diags), diags[0])
-			}
+	for i := 0; i < b.N; i++ {
+		diags, _, err := runAmoebaAnalyzers([]string{"./..."})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(diags) != 0 {
+			b.Fatalf("repo sweep must be clean, got %d finding(s), first: %s",
+				len(diags), diags[0])
 		}
 	}
-	b.Run("devirt", sweep)
-	b.Run("fieldflow-off", func(b *testing.B) {
-		analysis.FieldFlowEnabled = false
-		defer func() { analysis.FieldFlowEnabled = true }()
-		sweep(b)
-	})
-	b.Run("baseline", func(b *testing.B) {
-		analysis.DevirtEnabled = false
-		defer func() { analysis.DevirtEnabled = true }()
-		sweep(b)
-	})
 }

@@ -1,7 +1,7 @@
 // Package alloccheck statically screens //amoeba:noalloc functions for
-// allocation-inducing constructs. PR 4's kernel contracts (the event
-// slab, the guarded telemetry emit, the arrival closure, the P² reset)
-// are asserted at runtime by testing.AllocsPerRun — but a refactor that
+// allocation-inducing constructs. The kernel's allocation contracts (the
+// event slab, the guarded telemetry emit, the arrival closure) are
+// asserted at runtime by testing.AllocsPerRun — but a refactor that
 // boxes an interface or captures a fresh closure regresses silently
 // until the bench job happens to run. This analyzer makes the contract a
 // build-time property: every construct the compiler might lower to a

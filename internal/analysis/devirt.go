@@ -48,12 +48,6 @@ import (
 	"sort"
 )
 
-// DevirtEnabled gates the devirtualization layer. It exists so the
-// analyzer-speed benchmark (BenchmarkAmoebaVetRepo) can measure the
-// pre-devirt baseline on the same hardware as the full graph; it is
-// never cleared outside that benchmark.
-var DevirtEnabled = true
-
 // A CalleeEdge is one possible target of a call or of a func-valued
 // expression. Exactly one of Fn and Lit is set: Fn for named functions
 // and methods (always the generic origin, never an instantiation), Lit
@@ -181,9 +175,6 @@ func (r *Resolver) FuncValueEdges(info *types.Info, e ast.Expr) []CalleeEdge {
 		fn := obj.Origin()
 		sig, ok := fn.Type().(*types.Signature)
 		if ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type().Underlying()) {
-			if !DevirtEnabled {
-				return nil
-			}
 			return r.dispatchEdges(fn, "")
 		}
 		if fn.Pkg() == nil {
@@ -191,9 +182,6 @@ func (r *Resolver) FuncValueEdges(info *types.Info, e ast.Expr) []CalleeEdge {
 		}
 		return []CalleeEdge{{Fn: fn}}
 	case *types.Var:
-		if !DevirtEnabled {
-			return nil
-		}
 		if obj.IsField() {
 			return r.fieldEdges(obj)
 		}
@@ -535,7 +523,7 @@ func (idx *devirtIndex) recordBinding(info *types.Info, lhs, rhs ast.Expr) {
 				idx.aliases[v] = append(idx.aliases[v], obj)
 				return
 			}
-			if FieldFlowEnabled && obj.IsField() && fieldKind(obj.Type()) != fieldUntracked {
+			if obj.IsField() && fieldKind(obj.Type()) != fieldUntracked {
 				// f := x.onDrain: resolved through the field-flow layer.
 				idx.fieldSrc[v] = append(idx.fieldSrc[v], obj.Origin())
 				return
@@ -548,7 +536,7 @@ func (idx *devirtIndex) recordBinding(info *types.Info, lhs, rhs ast.Expr) {
 // recordRangeFieldSrc binds a range value variable to the func-container
 // field it iterates, reporting whether the binding was recorded.
 func (idx *devirtIndex) recordRangeFieldSrc(info *types.Info, value, x ast.Expr) bool {
-	if !FieldFlowEnabled || value == nil {
+	if value == nil {
 		return false
 	}
 	v := localFuncVar(info, value)

@@ -57,12 +57,6 @@ import (
 	"go/types"
 )
 
-// FieldFlowEnabled gates the field-sensitive func-value flow layer. It
-// exists so the analyzer-speed benchmark (BenchmarkAmoebaVetRepo) can
-// measure the devirt-only configuration on the same hardware as the full
-// graph; it is never cleared outside that benchmark.
-var FieldFlowEnabled = true
-
 // fieldIndex is the lazily built module-wide field-flow state.
 type fieldIndex struct {
 	bindings  map[*types.Var][]CalleeEdge // field origin -> raw stored values
@@ -102,13 +96,10 @@ func (r *Resolver) fieldIndexOf() *fieldIndex {
 
 // fieldEdges resolves a call or func-value use of a struct field to the
 // func values the module stores in that field, each edge labeled with the
-// field hop. nil when the layer is disabled, the field is tainted, or no
-// write was seen (the value must come from somewhere the tracking cannot
-// follow — same contract as funcVarEdges).
+// field hop. nil when the field is tainted or no write was seen (the
+// value must come from somewhere the tracking cannot follow — same
+// contract as funcVarEdges).
 func (r *Resolver) fieldEdges(f *types.Var) []CalleeEdge {
-	if !DevirtEnabled || !FieldFlowEnabled {
-		return nil
-	}
 	f = f.Origin()
 	if fieldKind(f.Type()) == fieldUntracked {
 		return nil

@@ -246,16 +246,8 @@ func (e *Engine) maybeShadow() {
 // Mode returns the current routing mode.
 func (e *Engine) Mode() metrics.Backend { return e.mode }
 
-// StreamingP95 returns the collector's running P² estimate of the
-// service's 95%-ile latency. Unlike Collector.P95 it is O(1) to
-// maintain and read, so it is safe to poll every sample period.
-func (e *Engine) StreamingP95() float64 { return e.Collector.StreamingP95() }
-
 // Controller exposes the service's deployment controller.
 func (e *Engine) Controller() *controller.Controller { return e.ctrl }
-
-// Switching reports whether a transition is in flight.
-func (e *Engine) Switching() bool { return e.switching }
 
 // BlockedSwitches counts switch-ins vetoed by the co-tenant safety check.
 func (e *Engine) BlockedSwitches() int { return e.switchBlocked }

@@ -462,11 +462,6 @@ func (p *Platform) ConsumedCPUSeconds(name string) float64 {
 	return p.mustSvc(name).busyUsage.TotalAt(float64(p.sim.Now())).CPU
 }
 
-// InstantConsumedCPU returns the cores being burned right now.
-func (p *Platform) InstantConsumedCPU(name string) float64 {
-	return p.mustSvc(name).busyUsage.Current().CPU
-}
-
 // AllocFor returns the service's instantaneous allocation.
 func (p *Platform) AllocFor(name string) resources.Vector {
 	return p.mustSvc(name).usage.Current()

@@ -69,7 +69,6 @@ type Collector struct {
 	QoSTarget float64
 
 	latencies  *stats.Sample
-	streamP95  *stats.P2Quantile
 	violations int
 	byBackend  [2]int    // indexed by Backend
 	breakdown  Breakdown // summed, for Fig. 4 means
@@ -85,7 +84,6 @@ func NewCollector(service string, qosTarget float64) *Collector {
 		Service:   service,
 		QoSTarget: qosTarget,
 		latencies: stats.NewSample(4096),
-		streamP95: stats.NewP2Quantile(0.95),
 	}
 }
 
@@ -93,7 +91,6 @@ func NewCollector(service string, qosTarget float64) *Collector {
 func (c *Collector) Observe(r QueryRecord) {
 	l := r.Latency()
 	c.latencies.Add(l)
-	c.streamP95.Add(l)
 	if l > c.QoSTarget {
 		c.violations++
 	}
@@ -115,12 +112,6 @@ func (c *Collector) Count() int { return c.latencies.Len() }
 // P95 returns the exact 95%-ile latency — the paper's QoS metric. Exact
 // quantiles keep the full sample; figures (Fig. 10 CDFs) depend on that.
 func (c *Collector) P95() float64 { return c.latencies.P95() }
-
-// StreamingP95 returns the P² estimate of the 95%-ile, maintained in
-// O(1) per observation. Monitors that poll the p95 while a simulation is
-// running use this so the hot path never sorts; the divergence from the
-// exact quantile is bounded by TestStreamingP95TracksExact.
-func (c *Collector) StreamingP95() float64 { return c.streamP95.Value() }
 
 // QoSMet reports whether the 95%-ile latency is within the target.
 func (c *Collector) QoSMet() bool { return c.P95() <= c.QoSTarget }

@@ -1,42 +1,23 @@
 package metrics
 
-import (
-	"fmt"
-
-	"amoeba/internal/stats"
-)
+import "fmt"
 
 // WindowedViolations tracks the QoS-violation rate over fixed time
 // windows — the time-resolved view behind Fig. 16's aggregate: it shows
 // *when* violations happen (cold-start storms right after a switch)
 // rather than only how many.
-//
-// Each window also carries a P² estimate of its p95 latency. One
-// estimator is reused across windows (Reset at each boundary), so
-// per-window quantile accounting costs no allocation and never stores
-// the window's latencies.
 type WindowedViolations struct {
 	window  float64
 	target  float64
-	current windowAccum
+	current ViolationWindow // the open window
 	closed  []ViolationWindow
-	p95     *stats.P2Quantile // reused across windows via Reset
 }
 
-type windowAccum struct {
-	start      float64
-	queries    int
-	violations int
-}
-
-// ViolationWindow is one closed window's tally.
+// ViolationWindow is one window's tally.
 type ViolationWindow struct {
 	Start      float64
 	Queries    int
 	Violations int
-	// P95 is the window's streaming (P²) 95%-ile latency estimate;
-	// 0 for a window that saw no queries.
-	P95 float64
 }
 
 // Rate returns the window's violation fraction (0 for an empty window).
@@ -53,34 +34,23 @@ func NewWindowedViolations(window, target float64) *WindowedViolations {
 	if window <= 0 || target <= 0 {
 		panic(fmt.Sprintf("metrics: invalid windowed tracker (window %v, target %v)", window, target))
 	}
-	return &WindowedViolations{window: window, target: target, p95: stats.NewP2Quantile(0.95)}
+	return &WindowedViolations{window: window, target: target}
 }
 
 // Observe records one completed query at virtual time now.
 func (t *WindowedViolations) Observe(now float64, r QueryRecord) {
 	t.advance(now)
-	t.current.queries++
-	l := r.Latency()
-	t.p95.Add(l)
-	if l > t.target {
-		t.current.violations++
+	t.current.Queries++
+	if r.Latency() > t.target {
+		t.current.Violations++
 	}
 }
 
 // advance closes windows up to (not including) the one containing now.
 func (t *WindowedViolations) advance(now float64) {
-	for now >= t.current.start+t.window {
-		w := ViolationWindow{
-			Start:      t.current.start,
-			Queries:    t.current.queries,
-			Violations: t.current.violations,
-		}
-		if w.Queries > 0 {
-			w.P95 = t.p95.Value()
-			t.p95.Reset()
-		}
-		t.closed = append(t.closed, w)
-		t.current = windowAccum{start: t.current.start + t.window}
+	for now >= t.current.Start+t.window {
+		t.closed = append(t.closed, t.current)
+		t.current = ViolationWindow{Start: t.current.Start + t.window}
 	}
 }
 

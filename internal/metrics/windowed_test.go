@@ -35,24 +35,40 @@ func TestWindowedViolationsBuckets(t *testing.T) {
 	}
 }
 
-func TestWindowedViolationsEmptyGaps(t *testing.T) {
+type timedQuery struct{ at, latency float64 }
+
+// checkWindows feeds qs to a tracker with 5 s windows and a 1 s target
+// and asserts every window closed by t=30 exactly.
+func checkWindows(t *testing.T, qs []timedQuery, want []ViolationWindow) {
+	t.Helper()
 	w := NewWindowedViolations(5, 1.0)
-	w.Observe(1, rec("s", BackendIaaS, Breakdown{Exec: 0.1}))
-	w.Observe(22, rec("s", BackendIaaS, Breakdown{Exec: 0.1}))
-	ws := w.Windows(30)
-	if len(ws) != 6 { // [0,5) .. [25,30)
-		t.Fatalf("%d windows, want 6", len(ws))
+	for _, q := range qs {
+		w.Observe(q.at, rec("s", BackendIaaS, Breakdown{Exec: q.latency}))
 	}
-	total := 0
-	for _, win := range ws {
-		total += win.Queries
-		if win.Rate() != 0 {
-			t.Errorf("violation in %+v", win)
+	ws := w.Windows(30)
+	if len(ws) != len(want) {
+		t.Fatalf("%d windows, want %d", len(ws), len(want))
+	}
+	for i := range ws {
+		if ws[i] != want[i] {
+			t.Errorf("window %d = %+v, want %+v", i, ws[i], want[i])
 		}
 	}
-	if total != 2 {
-		t.Errorf("%d queries across windows, want 2", total)
-	}
+}
+
+// TestWindowedViolationsEmptyGaps pins every window around a gap between
+// two fast queries: the query-free windows close empty.
+func TestWindowedViolationsEmptyGaps(t *testing.T) {
+	checkWindows(t, []timedQuery{{1, 0.1}, {22, 0.1}},
+		[]ViolationWindow{{0, 1, 0}, {5, 0, 0}, {10, 0, 0}, {15, 0, 0}, {20, 1, 0}, {25, 0, 0}})
+}
+
+// TestWindowP95EmptyWindow pins every window around a gap between a
+// violating query and a fast one: the query-free windows close with zero
+// tallies, and the violation stays in the first window.
+func TestWindowP95EmptyWindow(t *testing.T) {
+	checkWindows(t, []timedQuery{{1, 3.0}, {26, 0.4}},
+		[]ViolationWindow{{0, 1, 1}, {5, 0, 0}, {10, 0, 0}, {15, 0, 0}, {20, 0, 0}, {25, 1, 0}})
 }
 
 func TestWindowedViolationsValidation(t *testing.T) {

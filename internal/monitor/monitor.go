@@ -294,12 +294,6 @@ func (m *Monitor) refresh() {
 // P = {P_cpu, P_io, P_net} (§IV-B Measurement).
 func (m *Monitor) Pressure() [3]float64 { return m.pressure }
 
-// MeterLatency returns the smoothed latency of meter idx (0 before any
-// probe completed).
-func (m *Monitor) MeterLatency(idx int) units.Seconds {
-	return units.Seconds(m.meterLat[idx].Value())
-}
-
 // MeterCPUSeconds returns the cumulative CPU consumed by the meter probes
 // (§VII-E's overhead metric).
 func (m *Monitor) MeterCPUSeconds() float64 { return m.meterCPUs }

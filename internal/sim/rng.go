@@ -96,8 +96,3 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
-
-// Bernoulli returns true with probability p.
-func (r *RNG) Bernoulli(p float64) bool {
-	return r.Float64() < p
-}

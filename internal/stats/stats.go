@@ -1,7 +1,6 @@
 // Package stats provides the statistical primitives the evaluation needs:
-// exact quantiles and CDFs for latency distributions (Fig. 10), streaming
-// mean/variance (Welford), EWMA load estimation for the controller, and
-// simple histograms for reporting.
+// exact quantiles and CDFs for latency distributions (Fig. 10) and EWMA
+// load estimation for the controller.
 package stats
 
 import (
@@ -45,14 +44,6 @@ func (s *Sample) AddAll(vs []float64) {
 	}
 	s.data = append(s.data, vs...)
 	s.sorted = false
-}
-
-// Reset empties the sample, keeping the backing array for reuse —
-// per-window accounting can recycle one sample instead of reallocating
-// every window.
-func (s *Sample) Reset() {
-	s.data = s.data[:0]
-	s.sorted = true
 }
 
 // Len returns the number of observations.
@@ -179,39 +170,6 @@ func (s *Sample) Values() []float64 {
 	return out
 }
 
-// Welford computes streaming mean and variance in one pass without storing
-// observations.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add records one observation.
-func (w *Welford) Add(v float64) {
-	w.n++
-	d := v - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (v - w.mean)
-}
-
-// Count returns the number of observations.
-func (w *Welford) Count() int { return w.n }
-
-// Mean returns the running mean (0 for an empty stream).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance (0 with <2 observations).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
 // EWMA is an exponentially weighted moving average; the controller uses it
 // to estimate the instantaneous query arrival rate λ.
 type EWMA struct {
@@ -244,49 +202,3 @@ func (e *EWMA) Value() float64 { return e.value }
 
 // Initialized reports whether at least one observation was folded in.
 func (e *EWMA) Initialized() bool { return e.init }
-
-// Histogram counts observations in fixed-width bins over [lo, hi);
-// out-of-range observations land in clamped edge bins.
-type Histogram struct {
-	lo, hi float64
-	bins   []int
-	total  int
-}
-
-// NewHistogram creates a histogram with n bins spanning [lo, hi).
-// It panics on an empty range or non-positive bin count.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	idx := int((v - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.bins) {
-		idx = len(h.bins) - 1
-	}
-	h.bins[idx]++
-	h.total++
-}
-
-// Counts returns a copy of the bin counts.
-func (h *Histogram) Counts() []int {
-	out := make([]int, len(h.bins))
-	copy(out, h.bins)
-	return out
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + w*(float64(i)+0.5)
-}

@@ -183,49 +183,6 @@ func TestSampleValuesSortedCopy(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	data := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, v := range data {
-		w.Add(v)
-	}
-	if w.Count() != len(data) {
-		t.Errorf("Count = %d", w.Count())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", w.Mean())
-	}
-	// Unbiased variance of this classic dataset is 32/7.
-	if math.Abs(w.Variance()-32.0/7.0) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", w.Variance(), 32.0/7.0)
-	}
-}
-
-func TestWelfordMatchesTwoPass(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		var w Welford
-		sum := 0.0
-		for _, v := range raw {
-			w.Add(float64(v))
-			sum += float64(v)
-		}
-		mean := sum / float64(len(raw))
-		ss := 0.0
-		for _, v := range raw {
-			d := float64(v) - mean
-			ss += d * d
-		}
-		wantVar := ss / float64(len(raw)-1)
-		return math.Abs(w.Mean()-mean) < 1e-6 && math.Abs(w.Variance()-wantVar) < 1e-4*(1+wantVar)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEWMA(t *testing.T) {
 	e := NewEWMA(0.5)
 	if e.Initialized() {
@@ -266,34 +223,4 @@ func TestEWMAInvalidAlphaPanics(t *testing.T) {
 			NewEWMA(alpha)
 		}()
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0.5, 1, 3, 5, 7, 9, -1, 100} {
-		h.Add(v)
-	}
-	counts := h.Counts()
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-	// -1 clamps into bin 0, 100 clamps into bin 4.
-	if counts[0] != 3 { // 0.5, 1, -1
-		t.Errorf("bin 0 = %d, want 3", counts[0])
-	}
-	if counts[4] != 2 { // 9, 100
-		t.Errorf("bin 4 = %d, want 2", counts[4])
-	}
-	if c := h.BinCenter(0); c != 1 {
-		t.Errorf("BinCenter(0) = %v, want 1", c)
-	}
-}
-
-func TestHistogramInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid histogram bounds did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
 }

@@ -22,8 +22,9 @@ type Sampled struct {
 }
 
 // NewSampled builds a sampled trace. Times must be finite and strictly
-// increasing, and rates finite and non-negative; at least two samples
-// are required.
+// increasing, with every gap between adjacent times finite too, so that
+// Rate's interpolation span never overflows. Rates must be finite and
+// non-negative; at least two samples are required.
 func NewSampled(times, rates []float64) (*Sampled, error) {
 	if len(times) != len(rates) {
 		return nil, fmt.Errorf("trace: %d times vs %d rates", len(times), len(rates))
@@ -38,6 +39,9 @@ func NewSampled(times, rates []float64) (*Sampled, error) {
 		}
 		if i > 0 && times[i] <= times[i-1] {
 			return nil, fmt.Errorf("trace: times not strictly increasing at sample %d", i)
+		}
+		if i > 0 && math.IsInf(times[i]-times[i-1], 0) {
+			return nil, fmt.Errorf("trace: gap before sample %d overflows float64", i)
 		}
 		if !(rates[i] >= 0) || math.IsInf(rates[i], 1) {
 			return nil, fmt.Errorf("trace: rate %v at sample %d is not finite and non-negative", rates[i], i)

@@ -84,6 +84,7 @@ func TestLoadCSVErrors(t *testing.T) {
 		"three columns": "0,1,2\n1,2,3\n",
 		"bad number":    "0,1\nxx,yy\n",
 		"too short":     "0,5\n",
+		"overflow gap":  "-1.7e308,1\n1.7e308,2\n",
 	}
 	for name, csv := range cases {
 		if _, err := LoadCSV(strings.NewReader(csv)); err == nil {
@@ -93,9 +94,12 @@ func TestLoadCSVErrors(t *testing.T) {
 }
 
 // FuzzLoadCSV checks that every input either fails to load or yields a
-// trace with finite, strictly increasing times and a finite peak, and
-// never panics. The seeds include the NaN and infinite rows a replay CSV
-// once loaded silently; an infinite rate never finished replaying.
+// trace with finite, strictly increasing times, finite gaps between them
+// and a finite peak, whose Rate is finite and non-negative inside every
+// gap, and never panics. The seeds include the NaN and infinite rows a
+// replay CSV once loaded silently (an infinite rate never finished
+// replaying), and two finite times whose gap overflows, which made Rate
+// return NaN.
 func FuzzLoadCSV(f *testing.F) {
 	for _, seed := range []string{
 		"time_s,qps\n0,12\n600,48.5\n1200,80\n",
@@ -106,6 +110,7 @@ func FuzzLoadCSV(f *testing.F) {
 		"0,1\ninf,2\n",
 		"-inf,1\n0,1\n",
 		"# peak\n0,1\n1e308,1.7e308\n",
+		"-1.7e308,1\n1.7e308,2\n",
 	} {
 		f.Add(seed)
 	}
@@ -120,6 +125,16 @@ func FuzzLoadCSV(f *testing.F) {
 		for i, x := range s.times {
 			if math.IsNaN(x) || math.IsInf(x, 0) || (i > 0 && !(x > s.times[i-1])) {
 				t.Fatalf("loaded a trace with times %v", s.times)
+			}
+			if i == 0 {
+				continue
+			}
+			if math.IsInf(x-s.times[i-1], 0) {
+				t.Fatalf("loaded a trace whose gap before sample %d overflows: %v", i, s.times)
+			}
+			at := 0.25*s.times[i-1] + 0.75*x
+			if r := s.Rate(at); !(r >= 0) || math.IsInf(r, 1) {
+				t.Fatalf("Rate(%v) = %v inside the gap before sample %d of %v", at, r, i, s.times)
 			}
 		}
 	})
