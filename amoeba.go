@@ -237,11 +237,15 @@ type (
 	Event = obs.Event
 	// EventKind discriminates event types in the serialized stream.
 	EventKind = obs.Kind
-	// EventSink consumes emitted events.
+	// EventSink consumes emitted events. Consume borrows the event only
+	// until it returns, since emitters reuse their event structs; a sink
+	// that keeps events keeps copies, as EventRing does.
 	EventSink = obs.Sink
-	// EventJSONLWriter streams events as one JSON object per line.
+	// EventJSONLWriter streams events as one JSON object per line,
+	// encoding on a goroutine of its own; Run and RunSharded flush it
+	// before they return.
 	EventJSONLWriter = obs.JSONLWriter
-	// EventRing retains the most recent events in memory.
+	// EventRing keeps copies of the most recent events in memory.
 	EventRing = obs.Ring
 	// MetricsRegistry holds counters, gauges, and bounded histograms with
 	// Prometheus-text and expvar exposition.

@@ -484,8 +484,11 @@ func BenchmarkEventEmit(b *testing.B) {
 		// The JSONL writer replaying a recorded stream: every event of a
 		// 300 s Amoeba day on dd, all seven kinds in their real mix and
 		// with their real values. Recording happens before the timer, so
-		// this prices the encoder and the write into io.Discard, not
-		// event construction.
+		// this prices the writer's pipeline, not event construction: the
+		// copy into a batch on the caller's goroutine, and the encoding
+		// and write into io.Discard on the writer's own, which overlap.
+		// The final Err waits for the last batch, so on two or more cores
+		// ns/op is the slower of the two halves per event.
 		cfg := benchCfg()
 		cfg.DayLength = 300
 		sc := benchScenario(cfg, workload.DD(), core.VariantAmoeba)

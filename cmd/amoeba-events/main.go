@@ -137,13 +137,18 @@ func main() {
 	}
 }
 
+// maxLine is the size of the scanner's largest buffer: the validator
+// reads lines of up to maxLine-1 bytes, newline excluded, and rejects
+// longer ones.
+const maxLine = 1 << 20
+
 // validateStream checks every line of the stream and the whole-stream
 // trace invariants; it returns per-kind counts and the total on
 // success, or the first violation. visit, when non-nil, sees every
 // decoded event in stream order after it validated.
 func validateStream(r io.Reader, visit func(obs.Event)) (map[obs.Kind]int, int, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
 	perKind := map[obs.Kind]int{}
 	total := 0
 	last := units.Seconds(0)
@@ -180,7 +185,9 @@ func validateStream(r io.Reader, visit func(obs.Event)) (map[obs.Kind]int, int, 
 		perKind[probe.Kind]++
 		total++
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		return nil, 0, fmt.Errorf("line %d: longer than %d bytes", lineNo+1, maxLine-1)
+	} else if err != nil {
 		return nil, 0, err
 	}
 	if err := tc.finish(); err != nil {

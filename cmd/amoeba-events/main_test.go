@@ -20,6 +20,7 @@ func jsonl(t *testing.T, events ...obs.Event) string {
 	for _, ev := range events {
 		bus.Emit(ev)
 	}
+	bus.Flush()
 	return b.String()
 }
 

@@ -206,11 +206,13 @@ type Result struct {
 // Run executes the scenario to completion. It panics if the scenario
 // fails validation: experiment drivers construct scenarios from
 // already-validated configs, and a malformed one aborting the run is the
-// correct failure mode mid-suite.
+// correct failure mode mid-suite. When Run returns, or panics, sc.Bus
+// has been flushed: every event has reached its sinks' writers.
 func Run(sc Scenario) *Result {
 	if err := sc.Validate(); err != nil {
 		panic(err)
 	}
+	defer sc.Bus.Flush() // a writer keeps its error for its own Err
 	c := newCell(&sc, sc.Seed^0x5eed)
 	// One tracer per run: trace/span IDs are dense counters, so two runs
 	// of the same seed produce byte-identical trace streams even when a

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"amoeba/internal/controller"
 	"amoeba/internal/metrics"
@@ -433,6 +435,55 @@ func TestMetricsSinkMatchesCollector(t *testing.T) {
 		}
 		if rel > 2.0/32 {
 			t.Errorf("histogram p95 %.4f vs exact %.4f: rel err %.3f", h.P95(), exact, rel)
+		}
+	}
+}
+
+// panicSink panics on the n-th event it consumes.
+type panicSink struct{ n int }
+
+func (p *panicSink) Consume(obs.Event) {
+	if p.n--; p.n == 0 {
+		panic("sink failed")
+	}
+}
+
+// TestRunPanickingSinkLeavesNoGoroutine aborts Run and RunSharded with
+// a sink that panics partway through the stream. The JSONL writer
+// attached before it has taken every event up to the panic: the
+// deferred Bus.Flush must still write them all, and no goroutine the
+// run started — the writer's encoder, a shard worker — may outlive it.
+func TestRunPanickingSinkLeavesNoGoroutine(t *testing.T) {
+	const n = 3000
+	for _, shards := range []int{0, 2} {
+		before := runtime.NumGoroutine()
+		var buf bytes.Buffer
+		w := obs.NewJSONLWriter(&buf)
+		bus := obs.NewBus()
+		bus.Attach(w)
+		bus.Attach(&panicSink{n: n})
+		sc := eventScenario(0xA0EBA, bus)
+		sc.Duration = 120
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("shards=%d: the run ignored a panicking sink", shards)
+				}
+			}()
+			if shards == 0 {
+				Run(sc)
+			} else {
+				RunSharded(sc, shards)
+			}
+		}()
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("shards=%d: %d goroutines after the aborted run, %d before", shards, runtime.NumGoroutine(), before)
+			}
+			runtime.Gosched()
+		}
+		if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines != n || w.Count() != n {
+			t.Fatalf("shards=%d: %d lines written and Count %d, want the %d events before the panic", shards, lines, w.Count(), n)
 		}
 	}
 }

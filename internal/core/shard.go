@@ -170,7 +170,8 @@ func shardWorker(jobs <-chan shardJob, done chan<- struct{}) {
 // the shared pool pressure only at epoch boundaries (period T, the
 // monitor sample period), and each cell owns a private pool and IaaS
 // platform, so per-run byte streams are not comparable between Run and
-// RunSharded — only across shard counts.
+// RunSharded — only across shard counts. As with Run, sc.Bus has been
+// flushed when RunSharded returns or panics.
 func RunSharded(sc Scenario, shards int) *Result {
 	if err := sc.Validate(); err != nil {
 		panic(err)
@@ -178,6 +179,7 @@ func RunSharded(sc Scenario, shards int) *Result {
 	if shards < 1 {
 		panic(fmt.Sprintf("core: RunSharded needs a positive shard count, got %d", shards))
 	}
+	defer sc.Bus.Flush() // a writer keeps its error for its own Err
 
 	monCfg := monitorConfig(sc.Variant)
 	epoch := monCfg.SamplePeriod.Raw() // Eq. 8's T is the natural barrier period
@@ -242,6 +244,12 @@ func RunSharded(sc Scenario, shards int) *Result {
 			shardWorker(jobs, done)
 		}()
 	}
+	// Deferred, so that a sink panicking in flush leaves no idle worker
+	// behind either.
+	defer func() {
+		close(jobs)
+		wg.Wait()
+	}()
 
 	// The barrier loop: advance every cell to the next epoch horizon,
 	// then synchronize. The done-channel receives are the happens-before
@@ -263,8 +271,6 @@ func RunSharded(sc Scenario, shards int) *Result {
 		r.flush(sc.Bus)
 		now = next
 	}
-	close(jobs)
-	wg.Wait()
 
 	res := newResult(sc)
 	for _, c := range r.cells {

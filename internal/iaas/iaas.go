@@ -123,6 +123,9 @@ type Platform struct {
 	tracer   *obs.Tracer
 	services map[string]*service
 	free     *execution // recycled execution records
+	// done is the QueryComplete finishQuery emits, overwritten per
+	// query: sinks borrow events only until Consume returns.
+	done obs.QueryComplete
 }
 
 // New creates an IaaS platform on the simulator. It panics if the
@@ -299,8 +302,7 @@ func (p *Platform) finishQuery(r *execution) {
 	svc.busyUsage.Adjust(float64(p.sim.Now()), svc.consumed.Scale(-1))
 	p.tracer.End(units.Seconds(p.sim.Now()), r.execH)
 	if p.bus.Active() {
-		//amoeba:allowalloc(telemetry path: the event is built only while a sink is attached)
-		p.bus.Emit(&obs.QueryComplete{
+		p.done = obs.QueryComplete{
 			At:         units.Seconds(p.sim.Now()),
 			Service:    name,
 			Backend:    backendName,
@@ -312,7 +314,8 @@ func (p *Platform) finishQuery(r *execution) {
 			Trace:      r.qt.Trace,
 			Span:       r.qt.Span,
 			Cause:      r.qt.Cause,
-		})
+		}
+		p.bus.Emit(&p.done)
 	}
 	if svc.onComplete != nil {
 		svc.onComplete(metrics.QueryRecord{

@@ -1,11 +1,13 @@
 package iaas
 
 import (
+	"io"
 	"math"
 	"testing"
 
 	"amoeba/internal/arrival"
 	"amoeba/internal/metrics"
+	"amoeba/internal/obs"
 	"amoeba/internal/queueing"
 	"amoeba/internal/sim"
 	"amoeba/internal/trace"
@@ -269,5 +271,46 @@ func TestZeroAllocQueryCycle(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Errorf("Invoke→completion allocates %.2f objects per query, want 0", allocs)
+	}
+}
+
+// TestZeroAllocQueryCycleObserved is the query cycle with the telemetry
+// an observed run carries: a tracer, and a bus with a JSONL writer and
+// a metrics sink. The platform lends one reused QueryComplete and the
+// tracer one reused PhaseSpan per query, and the writer copies them
+// into recycled batches, so the cycle still allocates nothing once
+// every batch has grown.
+//
+//amoeba:alloctest iaas.Platform.startQuery iaas.Platform.finishQuery
+//amoeba:alloctest obs.Bus.Emit obs.JSONLWriter.Consume obs.MetricsSink.Consume obs.Tracer.End
+func TestZeroAllocQueryCycleObserved(t *testing.T) {
+	s, p := newPlatform(7)
+	bus := obs.NewBus()
+	w := obs.NewJSONLWriter(io.Discard)
+	bus.Attach(w)
+	bus.Attach(obs.NewMetricsSink(obs.NewRegistry()))
+	p.SetBus(bus)
+	p.SetTracer(obs.NewTracer(bus))
+	done := 0
+	p.DeployWithVMs(workload.Float(), 1, func(metrics.QueryRecord) { done++ })
+	cycle := func() {
+		p.Invoke("float")
+		s.Run(s.Now() + 1)
+	}
+	const warm = 4096 // two events per query: every batch fills several times
+	for i := 0; i < warm; i++ {
+		cycle()
+	}
+	if done != warm {
+		t.Fatalf("warm-up completed %d queries, want %d", done, warm)
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("observed Invoke→completion allocates %.2f objects per query, want 0", allocs)
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Count() != 2*(warm+1001) {
+		t.Fatalf("wrote %d events, want a phase span and a completion for each of %d queries", w.Count(), warm+1001)
 	}
 }

@@ -168,6 +168,7 @@ func TestJSONLMatchesEncodingJSON(t *testing.T) {
 			want = append(want, '\n')
 			buf.Reset()
 			w.Consume(ev)
+			w.Flush()
 			lines++
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Fatalf("%T at offset %d:\n got %s\nwant %s", ev, off, buf.Bytes(), want)
@@ -211,6 +212,7 @@ func FuzzJSONLEncode(f *testing.F) {
 					}
 					continue
 				}
+				w.Flush()
 				if got := buf.String(); got != string(want)+"\n" {
 					t.Fatalf("%T pass %d:\n got %s\nwant %s", ev, pass, got, want)
 				}
@@ -246,12 +248,14 @@ func TestJSONLWriterRejectsNonFinite(t *testing.T) {
 				var buf bytes.Buffer
 				w := NewJSONLWriter(&buf)
 				w.Consume(ok)
+				w.Flush()
 				written := buf.Len()
 				w.Consume(ev)
 				if err := w.Err(); err == nil || !strings.Contains(err.Error(), strconv.Quote(keys[j])) {
 					t.Fatalf("%v in float field %d of %T: Err = %v, want an error naming %q", bad, j, ev, err, keys[j])
 				}
 				w.Consume(ok)
+				w.Flush()
 				if buf.Len() != written || w.Count() != 1 {
 					t.Fatalf("%v in float field %d of %T: %d bytes and Count %d after the error, want %d and 1",
 						bad, j, ev, buf.Len(), w.Count(), written)
@@ -324,6 +328,7 @@ func TestJSONLGoldenLines(t *testing.T) {
 	for _, ev := range events {
 		bus.Emit(ev)
 	}
+	bus.Flush()
 	got, wantLines := strings.Split(buf.String(), "\n"), strings.Split(want, "\n")
 	if len(got) != len(wantLines) {
 		t.Fatalf("%d lines, want %d:\n%s", len(got), len(wantLines), buf.String())

@@ -22,6 +22,16 @@
 // constructing an event, so an unobserved run (nil bus or no sinks)
 // pays one nil check and one branch per site — zero allocations,
 // benchmarked by BenchmarkEventEmit and pinned by a zero-alloc test.
+//
+// Lending contract (DESIGN.md §21): an emitted event is lent to the
+// sinks, not given. Sinks run synchronously inside the simulation event
+// that emitted, and each borrows the event only until its Consume
+// returns, so the per-query emitters reuse one struct for every event
+// they emit. A sink that keeps an event keeps a copy: Buffer and Ring
+// copy what they keep, and JSONLWriter copies each event into a batch
+// that an encoder goroutine of its own serializes. That goroutine is the
+// only concurrency in the package; it reads the writer's copies, never
+// the model, and Bus.Flush waits for it.
 package obs
 
 import "amoeba/internal/units"
@@ -71,8 +81,10 @@ type Event interface {
 
 // Sink consumes emitted events. Sinks run synchronously inside the
 // simulation event that emitted, so they must not re-enter the
-// simulator; they may retain the event (events are never mutated after
-// emission).
+// simulator. Consume borrows ev until it returns: the emitter may
+// overwrite the struct with its next event, so a sink that keeps an
+// event keeps a copy. A sink that buffers work has a Flush() error
+// method, which Bus.Flush calls.
 type Sink interface {
 	Consume(Event)
 }
@@ -104,8 +116,9 @@ func (b *Bus) Attach(s Sink) {
 //amoeba:noalloc
 func (b *Bus) Active() bool { return b != nil && len(b.sinks) > 0 }
 
-// Emit stamps the event's Kind field and hands it to every sink in
-// attach order. Emitting on an inactive bus is a no-op.
+// Emit stamps the event's Kind field and lends it to every sink in
+// attach order; the caller may reuse ev once Emit returns. Emitting on
+// an inactive bus is a no-op.
 //
 //amoeba:noalloc
 func (b *Bus) Emit(ev Event) {
@@ -116,6 +129,25 @@ func (b *Bus) Emit(ev Event) {
 	for _, s := range b.sinks {
 		s.Consume(ev)
 	}
+}
+
+// Flush flushes every attached sink that has a Flush() error method,
+// in attach order, and returns the first error. For a JSONLWriter that
+// means every event emitted so far has been written and its encoder
+// goroutine has exited. A nil bus has nothing to flush.
+func (b *Bus) Flush() error {
+	if b == nil {
+		return nil
+	}
+	var first error
+	for _, s := range b.sinks {
+		if f, ok := s.(interface{ Flush() error }); ok {
+			if err := f.Flush(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
 }
 
 // stamp fills the serialized kind discriminator on the concrete struct.

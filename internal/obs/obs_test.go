@@ -43,8 +43,13 @@ func TestEmitStampsKindAndFansOut(t *testing.T) {
 	if r1.Len() != 1 || r2.Len() != 1 {
 		t.Fatalf("fan-out missed a sink: %d, %d", r1.Len(), r2.Len())
 	}
-	if r1.Events()[0] != Event(ev) {
+	// Sinks borrow events, so a ring keeps a copy: equal, not the same.
+	got, ok := r1.Events()[0].(*DecisionEvent)
+	if !ok || *got != *ev {
 		t.Fatal("sink received a different event")
+	}
+	if got == ev {
+		t.Fatal("ring kept the lent event instead of a copy")
 	}
 }
 
@@ -67,6 +72,7 @@ func TestEventKindsRoundTrip(t *testing.T) {
 		for _, ev := range events {
 			b.Emit(ev)
 		}
+		b.Flush()
 		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
 		if len(lines) != len(events) {
 			t.Fatalf("%d lines for %d events", len(lines), len(events))
@@ -105,6 +111,7 @@ func TestJSONLWriterDeterministicBytes(t *testing.T) {
 		b.Emit(&QueryComplete{At: 1.5, Service: "a", Backend: "iaas", Latency: 0.25})
 		b.Emit(&ColdStart{At: 2, Service: "a", Delay: 0.8, Prewarm: true})
 		b.Emit(&DecisionEvent{At: 10, Service: "a", Verdict: "stay-iaas"})
+		b.Flush()
 		return buf.Bytes()
 	}
 	a, c := run(), run()

@@ -23,9 +23,10 @@ import "amoeba/internal/units"
 //
 // The open-span bookkeeping is pooled (slab + freelist + generation
 // counters, the sim-kernel idiom): Begin/End on an inactive tracer is a
-// guarded no-op costing one branch, and on an active tracer the only
-// steady-state allocation is the emitted PhaseSpan record itself —
-// sinks may retain events, so emitted records are never recycled.
+// guarded no-op costing one branch, and an active tracer allocates
+// nothing in steady state. The emitted PhaseSpan record is one struct
+// the tracer reuses, since sinks borrow events only until Consume
+// returns (DESIGN.md §21).
 
 // TraceID identifies one causal tree in the event stream. IDs count up
 // from 1 per run; 0 means untraced.
@@ -158,6 +159,8 @@ type Tracer struct {
 	// causes maps service name → the switch span currently displacing
 	// that service's queries (set at switch start, cleared at close).
 	causes map[string]SpanID
+	// span is the record End emits, overwritten by every emission.
+	span PhaseSpan
 }
 
 // NewTracer returns a tracer emitting on bus, allocating IDs from the
@@ -309,9 +312,9 @@ func (t *Tracer) End(at units.Seconds, h SpanHandle) {
 }
 
 // endSlow is End's emit-and-recycle half, kept out of the annotated
-// fast path: the emitted record is a fresh heap object by design
-// (sinks may retain events), and the freelist push may grow. It panics
-// on a handle that was already ended or belongs to a recycled slot —
+// fast path because the freelist push may grow. The emitted record is
+// the tracer's one reused PhaseSpan, lent to the sinks. It panics on a
+// handle that was already ended or belongs to a recycled slot —
 // silently observing a stale handle would corrupt another span's
 // bookkeeping.
 func (t *Tracer) endSlow(at units.Seconds, h SpanHandle) {
@@ -320,11 +323,12 @@ func (t *Tracer) endSlow(at units.Seconds, h SpanHandle) {
 		panic("obs: span handle ended twice or stale")
 	}
 	if at > s.start {
-		t.bus.Emit(&PhaseSpan{
+		t.span = PhaseSpan{
 			At: at, Trace: s.trace, Span: s.span, Parent: s.parent, Cause: s.cause,
 			Phase: s.phase, Service: s.service, Backend: s.backend,
 			Start: s.start, End: at,
-		})
+		}
+		t.bus.Emit(&t.span)
 	}
 	s.inUse = false
 	s.gen++

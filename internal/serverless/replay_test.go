@@ -56,6 +56,7 @@ func runOverloadReplay(t *testing.T, h hash.Hash, setup func(*Platform)) replayS
 
 	var st replayStats
 	record := func(r metrics.QueryRecord) {
+		jw.Flush() // the events emitted before this record precede it in h
 		fmt.Fprintf(h, "%+v\n", r)
 		if r.Breakdown.Queue > 0 {
 			switch r.Service {
@@ -116,7 +117,8 @@ func runOverloadReplay(t *testing.T, h hash.Hash, setup func(*Platform)) replayS
 }
 
 // newReplayPlatform builds a golden-family platform with a tracer and a
-// JSONL bus that writes every event into h.
+// JSONL bus that writes every event into h. The writer encodes on its
+// own goroutine, so a caller writing into h too flushes it first.
 func newReplayPlatform(s *sim.Simulator, cfg Config, h hash.Hash) (*Platform, *obs.JSONLWriter) {
 	p := New(s, cfg)
 	bus := obs.NewBus()
@@ -215,6 +217,7 @@ func runTieReplay(t *testing.T, h hash.Hash) tieStats {
 
 	var st tieStats
 	record := func(r metrics.QueryRecord) {
+		jw.Flush() // the events emitted before this record precede it in h
 		fmt.Fprintf(h, "%+v\n", r)
 		st.records++
 		switch {

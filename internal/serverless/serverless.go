@@ -182,7 +182,10 @@ type Platform struct {
 	rng    *sim.RNG
 	bus    *obs.Bus
 	tracer *obs.Tracer
-	fns    map[string]*function
+	// done is the QueryComplete finishExec emits, overwritten per query:
+	// sinks borrow events only until Consume returns.
+	done obs.QueryComplete
+	fns  map[string]*function
 	// registered lists the functions in registration order, the order
 	// every iteration over functions uses.
 	registered []*function
@@ -684,7 +687,7 @@ func (p *Platform) finishExec(c *container) {
 	p.tracer.End(units.Seconds(p.sim.Now()), c.execH)
 	c.execH = obs.SpanHandle{}
 	if p.bus.Active() {
-		p.bus.Emit(&obs.QueryComplete{
+		p.done = obs.QueryComplete{
 			At:         units.Seconds(p.sim.Now()),
 			Service:    prof.Name,
 			Backend:    metrics.BackendServerless.String(),
@@ -699,7 +702,8 @@ func (p *Platform) finishExec(c *container) {
 			Trace:      c.qt.Trace,
 			Span:       c.qt.Span,
 			Cause:      c.qt.Cause,
-		})
+		}
+		p.bus.Emit(&p.done)
 	}
 	c.qt = obs.QueryTrace{}
 	if f.onComplete != nil {

@@ -1,11 +1,13 @@
 package serverless
 
 import (
+	"io"
 	"math"
 	"testing"
 
 	"amoeba/internal/arrival"
 	"amoeba/internal/metrics"
+	"amoeba/internal/obs"
 	"amoeba/internal/sim"
 	"amoeba/internal/trace"
 	"amoeba/internal/workload"
@@ -438,6 +440,50 @@ func TestZeroAllocWarmCycle(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 			t.Errorf("warm=%d: %d warm Invoke→finish cycles allocate %.2f objects, want 0", warm, warm, allocs)
 		}
+	}
+}
+
+// TestZeroAllocWarmCycleObserved is the warm cycle with the telemetry
+// an observed run carries: a tracer, and a bus with a JSONL writer and
+// a metrics sink. The platform lends one reused QueryComplete and the
+// tracer one reused PhaseSpan per query, and the writer copies them
+// into recycled batches, so the cycle still allocates nothing once
+// every batch has grown.
+//
+//amoeba:alloctest obs.Bus.Emit obs.JSONLWriter.Consume obs.MetricsSink.Consume
+//amoeba:alloctest obs.Tracer.StartQuery obs.Tracer.Begin obs.Tracer.End
+func TestZeroAllocWarmCycleObserved(t *testing.T) {
+	s, p := newPlatform(21)
+	bus := obs.NewBus()
+	w := obs.NewJSONLWriter(io.Discard)
+	bus.Attach(w)
+	bus.Attach(obs.NewMetricsSink(obs.NewRegistry()))
+	p.SetBus(bus)
+	p.SetTracer(obs.NewTracer(bus))
+	done := 0
+	p.Register(workload.Float(), func(metrics.QueryRecord) { done++ })
+	p.Prewarm("float", 1, nil)
+	s.Run(10)
+	cycle := func() {
+		p.Invoke("float")
+		s.Run(s.Now() + 1)
+	}
+	const warm = 4096 // two events per query: every batch fills several times
+	for i := 0; i < warm; i++ {
+		cycle()
+	}
+	if p.ColdStarts() != 1 || done != warm {
+		t.Fatalf("warm-up saw %d cold starts, %d completions", p.ColdStarts(), done)
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("observed warm Invoke→finish cycle allocates %.2f objects, want 0", allocs)
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// The prewarm wrote a cold start and its phase span.
+	if w.Count() != 2+2*(warm+1001) {
+		t.Fatalf("wrote %d events, want 2 for the prewarm and 2 for each of %d queries", w.Count(), warm+1001)
 	}
 }
 

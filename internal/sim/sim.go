@@ -6,8 +6,11 @@
 // kernel is single-threaded and deterministic: given the same seed and the
 // same event schedule it produces bit-identical results, which is what
 // makes the paper's experiments reproducible as tests and benchmarks.
-// Parallelism in this repository happens *across* simulations (parameter
-// sweeps fan out one simulation per goroutine), never inside one.
+// The model stays single-threaded: parallelism in this repository
+// happens *across* simulations (parameter sweeps fan out one simulation
+// per goroutine), and within one only the JSONL telemetry sink encodes
+// on a goroutine of its own, from copies of the events, touching no
+// model state.
 //
 // The kernel is allocation-free in steady state: events live in a
 // generation-counted slab behind an intrusive 4-ary heap whose entries
