@@ -122,6 +122,28 @@ func TestNilCallbackPanics(t *testing.T) {
 	New(s, trace.Constant{QPS: 1}, nil)
 }
 
+// TestCandidateStreamMatchesDirectDraws checks a generator's candidate
+// stream against a twin RNG drawing each candidate directly, Exp(peak)
+// then Float64, bit for bit, over several of the stream's batches and
+// several seeds and peaks.
+func TestCandidateStreamMatchesDirectDraws(t *testing.T) {
+	for _, seed := range []uint64{1, 42, 0xA0EBA, 1<<63 + 5} {
+		for _, peak := range []float64{0.2, 50, 1234.5} {
+			s := sim.NewStream(sim.NewRNG(seed), candidates(peak))
+			twin := sim.NewRNG(seed)
+			for i := 0; i < 2000; i++ {
+				gap, u := s.Next(), s.Next()
+				wantGap := twin.Exp(peak)
+				wantU := twin.Float64()
+				if math.Float64bits(gap) != math.Float64bits(wantGap) || math.Float64bits(u) != math.Float64bits(wantU) {
+					t.Fatalf("seed %#x, peak %v, candidate %d: stream gives (%v, %v), direct draws (%v, %v)",
+						seed, peak, i, gap, u, wantGap, wantU)
+				}
+			}
+		}
+	}
+}
+
 // TestZeroAllocFire asserts the steady-state thinning loop — accept
 // test, arrival callback, lookahead and reschedule through the one bound
 // fire method — allocates nothing once the kernel's slab is warm, on the

@@ -93,7 +93,8 @@ type Scenario struct {
 
 // Validate reports scenario errors. A zero AllowedError or
 // SnapshotPeriod keeps its default; NaN, infinite and out-of-range
-// values are errors.
+// values are errors. So is a trace whose peak rate is NaN, infinite or
+// negative; a zero peak is valid and generates no arrivals.
 func (sc *Scenario) Validate() error {
 	if _, ok := variantNames[sc.Variant]; !ok {
 		return fmt.Errorf("core: unknown variant %v", sc.Variant)
@@ -128,6 +129,9 @@ func (sc *Scenario) Validate() error {
 			}
 			if s.Trace == nil {
 				return fmt.Errorf("core: service %s has no trace", s.Profile.Name)
+			}
+			if pk := s.Trace.Peak(); !(pk >= 0) || math.IsInf(pk, 1) {
+				return fmt.Errorf("core: service %s peak rate %v is not non-negative and finite", s.Profile.Name, pk)
 			}
 			if seen[s.Profile.Name] {
 				return fmt.Errorf("core: duplicate service name %q", s.Profile.Name)

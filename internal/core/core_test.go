@@ -162,6 +162,9 @@ func TestScenarioValidation(t *testing.T) {
 		{"allowed error 2", func(sc *Scenario) { sc.AllowedError = 2 }},
 		{"infinite allowed error", func(sc *Scenario) { sc.AllowedError = units.Fraction(inf) }},
 		{"negative allowed error", func(sc *Scenario) { sc.AllowedError = -0.1 }},
+		{"NaN peak", func(sc *Scenario) { sc.Services[0].Trace = trace.Constant{QPS: nan} }},
+		{"infinite peak", func(sc *Scenario) { sc.Services[0].Trace = trace.Constant{QPS: inf} }},
+		{"negative peak", func(sc *Scenario) { sc.Services[0].Trace = trace.Constant{QPS: -1} }},
 		{"invalid serverless config", func(sc *Scenario) {
 			cfg := serverless.DefaultConfig()
 			cfg.IdleTimeout = 0

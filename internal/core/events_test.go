@@ -476,14 +476,39 @@ func TestRunPanickingSinkLeavesNoGoroutine(t *testing.T) {
 				RunSharded(sc, shards)
 			}
 		}()
-		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
-			if time.Now().After(deadline) {
-				t.Fatalf("shards=%d: %d goroutines after the aborted run, %d before", shards, runtime.NumGoroutine(), before)
-			}
-			runtime.Gosched()
-		}
+		awaitGoroutines(t, before, shards, "aborted")
 		if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines != n || w.Count() != n {
 			t.Fatalf("shards=%d: %d lines written and Count %d, want the %d events before the panic", shards, lines, w.Count(), n)
 		}
+	}
+}
+
+// TestRunLeavesNoGoroutine checks that a finished Run and a finished
+// RunSharded leave no goroutine behind: the helpers drawing the
+// platforms' and generators' variates ahead (DESIGN.md §22) exit once
+// their last batch is filled.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		before := runtime.NumGoroutine()
+		sc := eventScenario(0xA0EBA, nil)
+		sc.Duration = 120
+		if shards == 0 {
+			Run(sc)
+		} else {
+			RunSharded(sc, shards)
+		}
+		awaitGoroutines(t, before, shards, "finished")
+	}
+}
+
+// awaitGoroutines waits up to ten seconds for the goroutine count to fall
+// back to before, and fails the test if it does not.
+func awaitGoroutines(t *testing.T, before, shards int, run string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("shards=%d: %d goroutines after the %s run, %d before", shards, runtime.NumGoroutine(), run, before)
+		}
+		runtime.Gosched()
 	}
 }

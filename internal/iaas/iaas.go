@@ -118,7 +118,7 @@ type service struct {
 type Platform struct {
 	sim      *sim.Simulator
 	cfg      Config
-	rng      *sim.RNG
+	normals  *sim.Stream // the body times' standard normals (DESIGN.md §22)
 	bus      *obs.Bus
 	tracer   *obs.Tracer
 	services map[string]*service
@@ -137,7 +137,7 @@ func New(s *sim.Simulator, cfg Config) *Platform {
 	return &Platform{
 		sim:      s,
 		cfg:      cfg,
-		rng:      s.RNG().Split(),
+		normals:  sim.NewStream(s.RNG().Split(), sim.StdNormals),
 		services: make(map[string]*service),
 	}
 }
@@ -259,7 +259,7 @@ func (p *Platform) startQuery(svc *service, q pending) {
 	//amoeba:allowalloc(pool miss: a record and its callback are built once per concurrent-query high-water mark)
 	r := p.takeExecution(svc)
 	r.arrived = q.arrived
-	body := p.rng.LogNormal(svc.execMu, svc.execSigma)
+	body := math.Exp(svc.execMu + svc.execSigma*p.normals.Next())
 	r.bd = metrics.Breakdown{
 		Queue:      float64(p.sim.Now() - q.arrived),
 		Processing: p.cfg.RPCOverhead,

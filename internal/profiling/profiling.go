@@ -6,7 +6,7 @@
 //
 // Every grid cell is an independent simulation with its own seed, so the
 // sweep fans out across a worker pool — one goroutine per core — which is
-// the one place this repository parallelises: across simulations, never
+// how this repository parallelises its models: across simulations, never
 // inside one.
 package profiling
 

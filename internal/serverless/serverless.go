@@ -176,12 +176,14 @@ type function struct {
 
 // Platform is the simulated serverless computing platform.
 type Platform struct {
-	sim    *sim.Simulator
-	cfg    Config
-	model  *contention.Model
-	rng    *sim.RNG
-	bus    *obs.Bus
-	tracer *obs.Tracer
+	sim   *sim.Simulator
+	cfg   Config
+	model *contention.Model
+	// normals holds the standard normals behind every cold-start delay
+	// and body time, in the order the two sites take them (DESIGN.md §22).
+	normals *sim.Stream
+	bus     *obs.Bus
+	tracer  *obs.Tracer
 	// done is the QueryComplete finishExec emits, overwritten per query:
 	// sinks borrow events only until Consume returns.
 	done obs.QueryComplete
@@ -231,7 +233,7 @@ func New(s *sim.Simulator, cfg Config) *Platform {
 		sim:       s,
 		cfg:       cfg,
 		model:     contention.NewModel(cfg.Node.Capacity()),
-		rng:       s.RNG().Split(),
+		normals:   sim.NewStream(s.RNG().Split(), sim.StdNormals),
 		fns:       make(map[string]*function),
 		coldMu:    coldMu,
 		coldSigma: coldSigma,
@@ -618,7 +620,7 @@ func (p *Platform) startPrewarmOne(f *function, onWarm func()) bool {
 //amoeba:noalloc
 func (p *Platform) sampleColdStart() float64 {
 	p.coldStarts++
-	return p.rng.LogNormal(p.coldMu, p.coldSigma)
+	return math.Exp(p.coldMu + p.coldSigma*p.normals.Next())
 }
 
 // execute models the activation's latency anatomy and demand. coldDelay
@@ -651,7 +653,7 @@ func (p *Platform) execute(c *container, act *activation, coldDelay float64) {
 	// Function body: solo-run time scaled by the slowdown under the
 	// pressure at dispatch; the lognormal parameters were fixed at
 	// Register.
-	body := p.rng.LogNormal(f.execMu, f.execSigma)
+	body := math.Exp(f.execMu + f.execSigma*p.normals.Next())
 	body *= p.model.Slowdown(p.currentPressure(), prof.Sensitivity)
 
 	c.bd = metrics.Breakdown{

@@ -74,22 +74,21 @@ func (r *RNG) Exp(rate float64) float64 {
 	return -math.Log(u) / rate
 }
 
-// Normal returns a normally distributed value with the given mean and
-// standard deviation, using the Box-Muller transform.
-func (r *RNG) Normal(mean, stddev float64) float64 {
+// StdNormal returns a standard normal value, using the Box-Muller
+// transform.
+func (r *RNG) StdNormal() float64 {
 	u1 := r.Float64()
 	for u1 == 0 {
 		u1 = r.Float64()
 	}
 	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// LogNormal returns a log-normally distributed value whose underlying
-// normal has the given mu and sigma.
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
+// Normal returns a normally distributed value with the given mean and
+// standard deviation.
+func (r *RNG) Normal(mean, stddev float64) float64 {
+	return mean + stddev*r.StdNormal()
 }
 
 // Uniform returns a uniform value in [lo, hi).

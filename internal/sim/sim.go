@@ -8,9 +8,11 @@
 // makes the paper's experiments reproducible as tests and benchmarks.
 // The model stays single-threaded: parallelism in this repository
 // happens *across* simulations (parameter sweeps fan out one simulation
-// per goroutine), and within one only the JSONL telemetry sink encodes
-// on a goroutine of its own, from copies of the events, touching no
-// model state.
+// per goroutine). Within one, two kinds of goroutine touch no model
+// state: the JSONL telemetry sink encodes copies of the events on a
+// goroutine of its own, and each Stream draws a component's private
+// variates ahead of it on a helper goroutine (stream.go), which the
+// component consumes in the order they were drawn.
 //
 // The kernel is allocation-free in steady state: events live in a
 // generation-counted slab behind an intrusive 4-ary heap whose entries
