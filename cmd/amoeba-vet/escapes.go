@@ -67,34 +67,47 @@ func analyzerJSON(modRoot string, d analysis.Diagnostic) jsonFinding {
 	}
 }
 
+// escapePipeline runs the steps -escapes and -stale share: the
+// toolchain check, `go build -gcflags=-m=2` of the patterns, and the
+// noalloc geometry of the module. ok is false when the running
+// toolchain is not the pinned one: the escape wording belongs to one
+// compiler release, so the pipeline warns that what (the mode's work)
+// is skipped instead of judging diagnostics the parser was never
+// validated against.
+func escapePipeline(modRoot string, patterns []string, what string) (src *escapecheck.Source, diags []escapecheck.Diag, ok bool, err error) {
+	pinned, err := escapecheck.GoModToolchain(modRoot)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if running, match := escapecheck.RunningMatches(pinned); !match {
+		fmt.Fprintf(os.Stderr, "amoeba-vet: %s: running toolchain %s is not the pinned %s\n",
+			what, running, pinned)
+		return nil, nil, false, nil
+	}
+	cmd := exec.Command("go", append([]string{"build", "-gcflags=-m=2"}, patterns...)...)
+	cmd.Dir = modRoot
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("go build -gcflags=-m=2: %v\n%s", err, out)
+	}
+	src, err = escapecheck.LoadSource(modRoot)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return src, escapecheck.ParseDiags(string(out)), true, nil
+}
+
 // escapeAllowsUsed runs the escapecheck pipeline for the -stale audit
 // and returns the //amoeba:allowalloc annotation positions (absolute
 // file -> line) that suppress a live compiler diagnostic. ok is false
 // when the running toolchain is not the pinned one: compiler crediting
 // is then unavailable and allowalloc staleness cannot be judged.
 func escapeAllowsUsed(modRoot string, patterns []string) (used map[string]map[int]bool, ok bool, err error) {
-	pinned, err := escapecheck.GoModToolchain(modRoot)
-	if err != nil {
+	src, diags, ok, err := escapePipeline(modRoot, patterns, "allowalloc staleness not audited")
+	if !ok {
 		return nil, false, err
 	}
-	if running, match := escapecheck.RunningMatches(pinned); !match {
-		fmt.Fprintf(os.Stderr,
-			"amoeba-vet: allowalloc staleness not audited: running toolchain %s is not the pinned %s\n",
-			running, pinned)
-		return nil, false, nil
-	}
-	args := append([]string{"build", "-gcflags=-m=2"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = modRoot
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		return nil, false, fmt.Errorf("go build -gcflags=-m=2: %v\n%s", err, out)
-	}
-	src, err := escapecheck.LoadSource(modRoot)
-	if err != nil {
-		return nil, false, err
-	}
-	relUsed := src.UsedAllows(escapecheck.ParseDiags(string(out)))
+	relUsed := src.UsedAllows(diags)
 	used = make(map[string]map[int]bool, len(relUsed))
 	for rel, lines := range relUsed {
 		used[filepath.Join(modRoot, filepath.FromSlash(rel))] = lines
@@ -121,31 +134,12 @@ func runEscapes(patterns []string, jsonOut bool) int {
 	if err != nil {
 		return fail(err)
 	}
-	pinned, err := escapecheck.GoModToolchain(modRoot)
+	src, diags, ok, err := escapePipeline(modRoot, patterns, "-escapes skipped")
 	if err != nil {
 		return fail(err)
 	}
-	if running, ok := escapecheck.RunningMatches(pinned); !ok {
-		// The escape wording belongs to one compiler release; checking it
-		// with another toolchain would gate on diagnostics the parser was
-		// never validated against.
-		fmt.Fprintf(os.Stderr,
-			"amoeba-vet: -escapes skipped: running toolchain %s is not the pinned %s\n",
-			running, pinned)
+	if !ok {
 		return 0
-	}
-	args := append([]string{"build", "-gcflags=-m=2"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = modRoot
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "amoeba-vet: go build -gcflags=-m=2: %v\n%s", err, out)
-		return 2
-	}
-	diags := escapecheck.ParseDiags(string(out))
-	src, err := escapecheck.LoadSource(modRoot)
-	if err != nil {
-		return fail(err)
 	}
 	findings, suppressed := src.Check(diags)
 	for _, f := range findings {

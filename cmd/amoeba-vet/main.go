@@ -12,8 +12,8 @@
 //	boundscheck    constants must respect //amoeba:range annotations
 //	alloccheck     //amoeba:noalloc functions hold no allocation-inducing
 //	               constructs (//amoeba:allowalloc(reason) escapes audited)
-//	hotpath        forbidden APIs (wall clock, global rand, mutexes, I/O)
-//	               unreachable from kernel roots and simulator callbacks
+//	hotpath        mutexes and file/network I/O unreachable from kernel
+//	               roots and simulator callbacks
 //	exhaustive     switches over //amoeba:enum types name every member
 //	shardsafe      //amoeba:shard workers reach no shared mutable state
 //	               (stops at audited //amoeba:shardsafe boundaries)
@@ -23,11 +23,13 @@
 //	               named-constant capacities at //amoeba:bounded params
 //
 // Two further checks round the count out to fourteen: the field-flow
-// layer (internal/analysis/fieldflow.go) that hotpath, shardsafe, and
-// alloccheck walk through — func values stored in struct fields resolve
-// to their stored callees, reported with "via field owner.field => ..."
-// chains — and escapecheck, the -escapes mode below, which cross-checks
+// layer (internal/analysis/fieldflow.go) that hotpath and shardsafe walk
+// through — func values stored in struct fields resolve to their stored
+// callees, reported with "via field owner.field => ..." chains — and
+// escapecheck, the -escapes mode below, which cross-checks
 // //amoeba:noalloc bodies against the compiler's own escape analysis.
+// Each rule has one owner: wall clocks and global math/rand are
+// nodeterminism's alone (DESIGN.md §7).
 //
 // Usage:
 //
@@ -49,8 +51,10 @@
 // in-process analyzers: it compiles the selected packages with
 // `go build -gcflags=-m=2`, parses the compiler's heap-allocation
 // diagnostics, and reports every allocation the compiler proves inside
-// an //amoeba:noalloc body — the strict superset of what alloccheck's
-// syntactic screen can see. //amoeba:allowalloc(reason) suppresses a
+// an //amoeba:noalloc body, including those behind calls and inlining
+// that alloccheck's syntactic screen cannot see. Neither check subsumes
+// the other: the compiler never reports append growth, which alloccheck
+// flags. //amoeba:allowalloc(reason) suppresses a
 // finding on its line or the next, and the suppressed count is reported
 // for the audit trail. Because the diagnostic wording is tied to one
 // compiler release, -escapes runs only under the toolchain go.mod pins
@@ -224,15 +228,22 @@ func runAmoebaAnalyzers(patterns []string) ([]analysis.Diagnostic, string, error
 	return diags, modRoot, err
 }
 
-// suppression is one inventoried annotation: an //amoeba:allow or
+// An annotation is one inventoried comment: an //amoeba:allow or
 // //amoeba:allowalloc escape (reason mandatory), or a declarative
 // concurrency marker — shard, shardsafe, bounded — whose trailing text
 // is an optional note.
-type suppression struct {
-	pos      token.Position
-	analyzer string
-	reason   string
-	declared bool // declarative marker: an empty reason is not an error
+type annotation struct {
+	pos    token.Position
+	marker string // analysis.AnnotShard, "//amoeba:allow", ...
+	name   string // the analyzer an //amoeba:allow names, else the marker's name
+	reason string // justification, marker note, or bounded parameter list
+}
+
+// declared reports whether the annotation is a declarative marker,
+// whose empty note is not an error.
+func (a annotation) declared() bool {
+	return a.marker == analysis.AnnotBounded || a.marker == analysis.AnnotShardSafe ||
+		a.marker == analysis.AnnotShard
 }
 
 // markerNote parses a declarative marker comment, returning the trailing
@@ -249,64 +260,59 @@ func markerNote(text, marker string) (note string, ok bool) {
 	return strings.TrimSpace(body), true
 }
 
-// reportSuppressions scans every Go file — tests included, since
-// suppressions in tests gate invariants just the same — of the selected
-// packages and prints the suppression inventory. Annotations without a
-// justification fail the audit.
-func reportSuppressions(patterns []string) error {
-	modRoot, modPath, paths, err := modulePackages(patterns)
-	if err != nil {
-		return err
+// parseAnnotation classifies one comment, reporting false for anything
+// that is not an annotation the inventories track.
+func parseAnnotation(pos token.Position, text string) (annotation, bool) {
+	if aname, reason, ok := analysis.ParseAllow(text); ok {
+		return annotation{pos, "//amoeba:allow", aname, reason}, true
 	}
-	resolve := analysis.ModuleResolver(modRoot, modPath)
+	if reason, ok := analysis.ParseAllowAlloc(text); ok {
+		return annotation{pos, "//amoeba:allowalloc", "allowalloc", reason}, true
+	}
+	if params, ok := analysis.ParseBounded(text); ok {
+		return annotation{pos, analysis.AnnotBounded, "bounded", strings.Join(params, " ")}, true
+	}
+	// shardsafe before shard: the boundary rule keeps the shorter marker
+	// from matching the longer one, but the order makes the intent
+	// explicit.
+	if note, ok := markerNote(text, analysis.AnnotShardSafe); ok {
+		return annotation{pos, analysis.AnnotShardSafe, "shardsafe", note}, true
+	}
+	if note, ok := markerNote(text, analysis.AnnotShard); ok {
+		return annotation{pos, analysis.AnnotShard, "shard", note}, true
+	}
+	return annotation{}, false
+}
+
+// scanAnnotations parses the Go files of each package — test files only
+// when tests is set — and returns every annotation, sorted by position.
+func scanAnnotations(resolve func(string) (string, bool), paths []string, tests bool) ([]annotation, error) {
 	fset := token.NewFileSet()
-	var all []suppression
+	var all []annotation
 	for _, path := range paths {
 		dir, ok := resolve(path)
 		if !ok {
-			return fmt.Errorf("cannot resolve package %q", path)
+			return nil, fmt.Errorf("cannot resolve package %q", path)
 		}
 		entries, err := os.ReadDir(dir)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, e := range entries {
 			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
+			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") ||
+				(!tests && strings.HasSuffix(name, "_test.go")) {
 				continue
 			}
 			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil,
 				parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					pos := fset.Position(c.Pos())
-					if aname, reason, ok := analysis.ParseAllow(c.Text); ok {
-						all = append(all, suppression{pos: pos, analyzer: aname, reason: reason})
-						continue
-					}
-					if reason, ok := analysis.ParseAllowAlloc(c.Text); ok {
-						all = append(all, suppression{pos: pos, analyzer: "allowalloc", reason: reason})
-						continue
-					}
-					if params, ok := analysis.ParseBounded(c.Text); ok {
-						all = append(all, suppression{pos: pos, analyzer: "bounded",
-							reason: strings.Join(params, " "), declared: true})
-						continue
-					}
-					// shardsafe before shard: the boundary rule keeps the
-					// shorter marker from matching the longer one, but the
-					// order makes the intent explicit.
-					if note, ok := markerNote(c.Text, analysis.AnnotShardSafe); ok {
-						all = append(all, suppression{pos: pos, analyzer: "shardsafe",
-							reason: note, declared: true})
-						continue
-					}
-					if note, ok := markerNote(c.Text, analysis.AnnotShard); ok {
-						all = append(all, suppression{pos: pos, analyzer: "shard",
-							reason: note, declared: true})
+					if a, ok := parseAnnotation(fset.Position(c.Pos()), c.Text); ok {
+						all = append(all, a)
 					}
 				}
 			}
@@ -319,18 +325,34 @@ func reportSuppressions(patterns []string) error {
 		}
 		return a.Line < b.Line
 	})
+	return all, nil
+}
+
+// reportSuppressions scans every Go file — tests included, since
+// suppressions in tests gate invariants just the same — of the selected
+// packages and prints the suppression inventory. Annotations without a
+// justification fail the audit.
+func reportSuppressions(patterns []string) error {
+	modRoot, modPath, paths, err := modulePackages(patterns)
+	if err != nil {
+		return err
+	}
+	all, err := scanAnnotations(analysis.ModuleResolver(modRoot, modPath), paths, true)
+	if err != nil {
+		return err
+	}
 	missing := 0
 	for _, s := range all {
 		reason := s.reason
 		if reason == "" {
-			if s.declared {
+			if s.declared() {
 				reason = "(declared)"
 			} else {
 				reason = "<MISSING REASON>"
 				missing++
 			}
 		}
-		fmt.Printf("%s:%d: %-15s %s\n", s.pos.Filename, s.pos.Line, s.analyzer, reason)
+		fmt.Printf("%s:%d: %-15s %s\n", s.pos.Filename, s.pos.Line, s.name, reason)
 	}
 	fmt.Printf("%d annotation(s)\n", len(all))
 	if missing > 0 {

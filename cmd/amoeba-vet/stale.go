@@ -2,12 +2,8 @@ package main
 
 import (
 	"fmt"
-	"go/parser"
 	"go/token"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"amoeba/internal/analysis"
 )
@@ -76,55 +72,21 @@ func reportStale(patterns []string) error {
 	return nil
 }
 
-// staleInventory parses the non-test Go files of each package and
-// collects every suppression annotation, sorted by position.
+// staleInventory collects every suppression annotation of the non-test
+// Go files of each package, sorted by position.
 func staleInventory(resolve func(string) (string, bool), paths []string) ([]staleEntry, error) {
-	fset := token.NewFileSet()
+	all, err := scanAnnotations(resolve, paths, false)
+	if err != nil {
+		return nil, err
+	}
 	var inventory []staleEntry
-	for _, path := range paths {
-		dir, ok := resolve(path)
-		if !ok {
-			return nil, fmt.Errorf("cannot resolve package %q", path)
-		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-				strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil,
-				parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				return nil, err
-			}
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					pos := fset.Position(c.Pos())
-					if aname, _, ok := analysis.ParseAllow(c.Text); ok {
-						inventory = append(inventory, staleEntry{pos: pos, kind: "//amoeba:allow " + aname})
-						continue
-					}
-					if _, ok := analysis.ParseAllowAlloc(c.Text); ok {
-						inventory = append(inventory, staleEntry{pos: pos, kind: "//amoeba:allowalloc"})
-						continue
-					}
-					if _, ok := markerNote(c.Text, analysis.AnnotShardSafe); ok {
-						inventory = append(inventory, staleEntry{pos: pos, kind: "//amoeba:shardsafe"})
-					}
-				}
-			}
+	for _, a := range all {
+		switch a.marker {
+		case "//amoeba:allow":
+			inventory = append(inventory, staleEntry{pos: a.pos, kind: a.marker + " " + a.name})
+		case "//amoeba:allowalloc", analysis.AnnotShardSafe:
+			inventory = append(inventory, staleEntry{pos: a.pos, kind: a.marker})
 		}
 	}
-	sort.Slice(inventory, func(i, j int) bool {
-		a, b := inventory[i].pos, inventory[j].pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
 	return inventory, nil
 }

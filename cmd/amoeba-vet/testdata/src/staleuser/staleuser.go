@@ -5,8 +5,8 @@
 package staleuser
 
 import (
+	"fmt"
 	"sync"
-	"time"
 )
 
 var (
@@ -17,9 +17,10 @@ var (
 // Hot is a hot-path root with one deliberately suppressed violation.
 //
 //amoeba:hotpath
-func Hot() int64 {
-	//amoeba:allow hotpath live: deliberate coarse timestamp
-	return time.Now().UnixNano()
+func Hot() int {
+	//amoeba:allow hotpath live: deliberate startup trace line
+	n, _ := fmt.Println("hot")
+	return n
 }
 
 // Cold carries an annotation with nothing to suppress.

@@ -62,7 +62,7 @@ func run(pass *analysis.Pass) error {
 			if fd.Body == nil {
 				continue
 			}
-			c := &checker{pass: pass, fn: funcName(fd), allowed: allowed}
+			c := &checker{pass: pass, fn: analysis.DeclName(fd), allowed: allowed}
 			c.scan(fd.Body)
 		}
 	}
@@ -85,25 +85,6 @@ func allowAllocLines(fset *token.FileSet, f *ast.File) map[int]token.Pos {
 		}
 	}
 	return lines
-}
-
-func funcName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	return recvTypeName(fd.Recv.List[0].Type) + "." + fd.Name.Name
-}
-
-func recvTypeName(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.StarExpr:
-		return recvTypeName(e.X)
-	case *ast.Ident:
-		return e.Name
-	case *ast.IndexExpr: // generic receiver, e.g. Box[T]
-		return recvTypeName(e.X)
-	}
-	return "?"
 }
 
 type checker struct {
@@ -160,7 +141,7 @@ func (c *checker) scan(n ast.Node) {
 func (c *checker) checkCall(call *ast.CallExpr) bool {
 	info := c.pass.TypesInfo
 	// Builtins: make/new/append allocate; panic's arguments are cold.
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "panic":
@@ -329,14 +310,4 @@ func pointerShaped(u types.Type) bool {
 		return true
 	}
 	return false
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestAllocCheck(t *testing.T) {
-	analysistest.Run(t, "testdata", alloccheck.Analyzer, "allocuser")
+	analysistest.Run(t, "testdata", alloccheck.Analyzer, "allocuser", "allocgeneric")
 }

@@ -86,11 +86,7 @@ func TestAllocAnnotationCoverage(t *testing.T) {
 // //amoeba:noalloc functions.
 func collectNoalloc(fset *token.FileSet, file *ast.File, rel string, out map[string][]string) {
 	for _, decl := range MarkedFuncs(fset, file, AnnotNoAlloc) {
-		name := file.Name.Name + "."
-		if decl.Recv != nil && len(decl.Recv.List) == 1 {
-			name += recvTypeName(decl.Recv.List[0].Type) + "."
-		}
-		name += decl.Name.Name
+		name := file.Name.Name + "." + DeclName(decl)
 		pos := rel + ":" + strconv.Itoa(fset.Position(decl.Pos()).Line)
 		out[name] = append(out[name], pos)
 	}
@@ -140,27 +136,6 @@ func callsAllocsPerRun(fd *ast.FuncDecl) bool {
 		return !found
 	})
 	return found
-}
-
-// recvTypeName extracts the receiver's type name, stripping pointers,
-// parens, and generic instantiations.
-func recvTypeName(expr ast.Expr) string {
-	for {
-		switch e := expr.(type) {
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.ParenExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.IndexListExpr:
-			expr = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return "?"
-		}
-	}
 }
 
 // moduleRoot finds the enclosing module's root directory.

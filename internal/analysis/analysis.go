@@ -142,23 +142,7 @@ func (p *Pass) allowedAt(pos token.Position, name string) bool {
 	if p.allows == nil {
 		p.allows = make(map[string]map[int][]allowAt)
 		for _, f := range p.Files {
-			fname := p.Fset.Position(f.Pos()).Filename
-			lines := make(map[int][]allowAt)
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					name, _, ok := ParseAllow(c.Text)
-					if !ok {
-						continue
-					}
-					// The annotation covers its own line (trailing
-					// comment) and the next line (comment-above form).
-					line := p.Fset.Position(c.Pos()).Line
-					at := allowAt{name: name, pos: c.Pos()}
-					lines[line] = append(lines[line], at)
-					lines[line+1] = append(lines[line+1], at)
-				}
-			}
-			p.allows[fname] = lines
+			p.allows[p.Fset.Position(f.Pos()).Filename] = allowLines(p.Fset, f)
 		}
 	}
 	for _, a := range p.allows[pos.Filename][pos.Line] {
@@ -168,6 +152,26 @@ func (p *Pass) allowedAt(pos token.Position, name string) bool {
 		}
 	}
 	return false
+}
+
+// allowLines indexes a file's //amoeba:allow annotations by the lines
+// they cover: their own line (trailing comment) and the next line
+// (comment-above form).
+func allowLines(fset *token.FileSet, f *ast.File) map[int][]allowAt {
+	lines := make(map[int][]allowAt)
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			name, _, ok := ParseAllow(c.Text)
+			if !ok {
+				continue
+			}
+			line := fset.Position(c.Pos()).Line
+			at := allowAt{name: name, pos: c.Pos()}
+			lines[line] = append(lines[line], at)
+			lines[line+1] = append(lines[line+1], at)
+		}
+	}
+	return lines
 }
 
 // UseAnnotation records that the suppression annotation whose comment

@@ -105,8 +105,8 @@ func BoundedParams(fset *token.FileSet, file *ast.File, decl *ast.FuncDecl) ([]s
 }
 
 // commentGroupsFor collects the doc group of a declaration plus any
-// free-standing comment group ending on the line directly above it (the
-// same attachment rule FuncMarked uses).
+// free-standing comment group ending on the line directly above it or
+// on its own line: the attachment rule of every function marker.
 func commentGroupsFor(fset *token.FileSet, file *ast.File, decl *ast.FuncDecl) []*ast.CommentGroup {
 	var out []*ast.CommentGroup
 	if decl.Doc != nil {
@@ -141,19 +141,23 @@ func ParseAllowAlloc(text string) (reason string, ok bool) {
 	return strings.TrimSpace(body[1 : len(body)-1]), true
 }
 
-// commentMarks reports whether any line of the comment group is exactly
-// the marker (trailing text after the marker is tolerated so a
-// justification can follow on the same line).
-func commentMarks(cg *ast.CommentGroup, marker string) bool {
+// markerIn returns the position of the comment line of cg that is the
+// marker (trailing text after the marker is tolerated so a
+// justification can follow on the same line), or token.NoPos.
+func markerIn(cg *ast.CommentGroup, marker string) token.Pos {
 	if cg == nil {
-		return false
+		return token.NoPos
 	}
 	for _, c := range cg.List {
 		if c.Text == marker || strings.HasPrefix(c.Text, marker+" ") {
-			return true
+			return c.Pos()
 		}
 	}
-	return false
+	return token.NoPos
+}
+
+func commentMarks(cg *ast.CommentGroup, marker string) bool {
+	return markerIn(cg, marker) != token.NoPos
 }
 
 // FuncMarked reports whether the function declaration carries the marker
@@ -161,20 +165,7 @@ func commentMarks(cg *ast.CommentGroup, marker string) bool {
 // that ends on the line directly above the declaration (the form that
 // survives between a //go:build constraint block and the func line).
 func FuncMarked(fset *token.FileSet, file *ast.File, decl *ast.FuncDecl, marker string) bool {
-	if commentMarks(decl.Doc, marker) {
-		return true
-	}
-	declLine := fset.Position(decl.Pos()).Line
-	for _, cg := range file.Comments {
-		if !commentMarks(cg, marker) {
-			continue
-		}
-		end := fset.Position(cg.End()).Line
-		if end == declLine-1 || end == declLine {
-			return true
-		}
-	}
-	return false
+	return FuncMarkerPos(fset, file, decl, marker) != token.NoPos
 }
 
 // FuncMarkerPos returns the position of the marker comment attached to
@@ -183,28 +174,8 @@ func FuncMarked(fset *token.FileSet, file *ast.File, decl *ast.FuncDecl, marker 
 // position identifies the annotation itself, so audit drivers can credit
 // it as used.
 func FuncMarkerPos(fset *token.FileSet, file *ast.File, decl *ast.FuncDecl, marker string) token.Pos {
-	markerComment := func(cg *ast.CommentGroup) token.Pos {
-		if cg == nil {
-			return token.NoPos
-		}
-		for _, c := range cg.List {
-			if c.Text == marker || strings.HasPrefix(c.Text, marker+" ") {
-				return c.Pos()
-			}
-		}
-		return token.NoPos
-	}
-	if pos := markerComment(decl.Doc); pos != token.NoPos {
-		return pos
-	}
-	declLine := fset.Position(decl.Pos()).Line
-	for _, cg := range file.Comments {
-		pos := markerComment(cg)
-		if pos == token.NoPos {
-			continue
-		}
-		end := fset.Position(cg.End()).Line
-		if end == declLine-1 || end == declLine {
+	for _, cg := range commentGroupsFor(fset, file, decl) {
+		if pos := markerIn(cg, marker); pos != token.NoPos {
 			return pos
 		}
 	}

@@ -8,10 +8,9 @@ import (
 
 // A Resolver maps type-checked function objects back to their syntax
 // across the analyzed package and its loaded module-local dependencies.
-// It is the mechanical half of a call-graph walk — hotpath and shardsafe
-// both build their reachability analyses on it — indexing each package's
-// declarations once and memoizing nothing else, so analyzers keep their
-// own per-walk state (memo tables, cycle stacks) without sharing it.
+// It is the mechanical half of a call-graph walk, indexing each
+// package's declarations once; the Walker below is the other half and
+// owns the per-walk state (memo table, cycle cut).
 type Resolver struct {
 	pass   *Pass
 	decls  map[*types.Package]map[*types.Func]*ast.FuncDecl
@@ -92,24 +91,10 @@ func (r *Resolver) InfoOf(pkg *types.Package) *types.Info {
 	return info
 }
 
-// FileOf returns the syntax file containing the declaration, so marker
-// annotations attached by free-standing comment groups can be resolved
-// against the right file.
-func (r *Resolver) FileOf(pkg *types.Package, decl *ast.FuncDecl) *ast.File {
-	files, _ := r.syntaxOf(pkg)
-	for _, f := range files {
-		if f.FileStart <= decl.Pos() && decl.Pos() < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
 // FileAt returns the syntax file of pkg containing pos, nil when the
-// package's syntax is unavailable. It generalizes FileOf to arbitrary
-// nodes — fieldflow hands walkers function literals stored in struct
-// fields of dependency packages, and their bodies must be resolved
-// against the defining file for annotation lookup.
+// package's syntax is unavailable. Marker and //amoeba:allow annotations
+// of a reached declaration, or of a function literal stored in a struct
+// field of a dependency package, resolve against that file.
 func (r *Resolver) FileAt(pkg *types.Package, pos token.Pos) *ast.File {
 	files, _ := r.syntaxOf(pkg)
 	for _, f := range files {
@@ -149,4 +134,208 @@ func FuncDisplayName(cur *types.Package, fn *types.Func) string {
 		name = fn.Pkg().Name() + "." + name
 	}
 	return name
+}
+
+// DeclName names a declaration for diagnostics: receiver-qualified for
+// methods ("Box.M" for func (b *Box[K, V]) M()), bare for functions.
+func DeclName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	t := fd.Recv.List[0].Type
+	for {
+		switch e := t.(type) {
+		case *ast.StarExpr:
+			t = e.X
+		case *ast.ParenExpr:
+			t = e.X
+		case *ast.IndexExpr: // generic receiver, e.g. Box[T]
+			t = e.X
+		case *ast.IndexListExpr: // generic receiver, e.g. Box[K, V]
+			t = e.X
+		case *ast.Ident:
+			return e.Name + "." + fd.Name.Name
+		default:
+			return fd.Name.Name
+		}
+	}
+}
+
+// A Reach is one finding behind a walked function: Desc says what its
+// rule flagged, and Chain is the call chain from the walked function to
+// the flagged site, outermost first.
+type Reach struct {
+	Desc  string
+	Chain []string
+}
+
+// A Walker is the reachability walk shared by hotpath and shardsafe. It
+// follows every edge the Resolver can justify (static calls,
+// devirtualized dispatch, func-valued locals and struct fields) and
+// computes, per function, what the analyzer's rule flags in it and in
+// everything it reaches: one Reach per distinct description, memoized
+// across the package walk, with recursion cut at the first visit (which
+// owns the result). Function literals stored in struct fields are walked
+// in their defining package's type-checking context. An //amoeba:allow
+// naming the analyzer at a flagged line or call inside a walked body
+// suppresses that site for every root that reaches it: one annotation
+// at the origin, not one per edge.
+type Walker struct {
+	Resolve *Resolver
+	// Boundary, when set, decides how each reached declaration is
+	// walked: it returns walk's findings, or cuts the walk at a trusted
+	// boundary. shardsafe stops at //amoeba:shardsafe here.
+	Boundary func(decl *ast.FuncDecl, file *ast.File, walk func() []Reach) []Reach
+
+	pass   *Pass
+	flag   func(info *types.Info, scope, n ast.Node) (desc string, ok bool)
+	allows map[*ast.File]map[int][]allowAt
+	memo   map[ast.Node][]Reach
+	busy   map[ast.Node]bool
+}
+
+// NewWalker returns a walker for the pass's analyzer. flag is its rule:
+// it classifies one node of a walked body, where scope is the enclosing
+// declaration or function literal.
+func NewWalker(pass *Pass, flag func(info *types.Info, scope, n ast.Node) (string, bool)) *Walker {
+	return &Walker{
+		Resolve: NewResolver(pass),
+		pass:    pass,
+		flag:    flag,
+		allows:  make(map[*ast.File]map[int][]allowAt),
+		memo:    make(map[ast.Node][]Reach),
+		busy:    make(map[ast.Node]bool),
+	}
+}
+
+// Root walks one root body of the analyzed package. A node the rule
+// flags goes to direct; each finding behind a call goes to reach, its
+// chain starting at the callee. Findings at the root are suppressed by
+// the Pass's own //amoeba:allow filtering at the reported position.
+func (w *Walker) Root(scope ast.Node, body *ast.BlockStmt,
+	direct func(n ast.Node, desc string), reach func(call *ast.CallExpr, r Reach)) {
+	if body == nil {
+		return
+	}
+	info := w.pass.TypesInfo
+	ast.Inspect(body, func(n ast.Node) bool {
+		if desc, ok := w.flag(info, scope, n); ok {
+			direct(n, desc)
+			return true
+		}
+		if call, ok := n.(*ast.CallExpr); ok {
+			for _, edge := range w.Resolve.CalleeEdges(info, call) {
+				for _, r := range w.Reaches(edge) {
+					reach(call, r)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// Reaches returns the findings behind one callee edge. A dynamic edge's
+// label already names the callee a chain starts with, so it replaces the
+// chain's head. Literals bound to a local yield nothing: the enclosing
+// inspection walks their bodies inline.
+func (w *Walker) Reaches(edge CalleeEdge) []Reach {
+	var rs []Reach
+	switch {
+	case edge.Lit != nil && edge.LitPkg == nil:
+		return nil
+	case edge.Lit != nil:
+		rs = w.walk(edge.Lit, edge.Lit.Body, edge.LitPkg, "function literal")
+	default:
+		decl, pkg := w.Resolve.DeclOf(edge.Fn)
+		if decl == nil || decl.Body == nil {
+			return nil // no syntax: the rule screens the stdlib surface at the call
+		}
+		rs = w.walk(decl, decl.Body, pkg, FuncDisplayName(w.pass.Pkg, edge.Fn))
+	}
+	if edge.Via == "" {
+		return rs
+	}
+	out := make([]Reach, len(rs))
+	for i, r := range rs {
+		out[i] = Reach{Desc: r.Desc, Chain: append([]string{edge.Via}, r.Chain[1:]...)}
+	}
+	return out
+}
+
+// walk computes the memoized findings of one declaration or field-stored
+// literal (scope) of pkg, with self as the chain head.
+func (w *Walker) walk(scope ast.Node, body *ast.BlockStmt, pkg *types.Package, self string) []Reach {
+	if rs, ok := w.memo[scope]; ok {
+		return rs
+	}
+	if w.busy[scope] {
+		return nil // cycle: the first visit owns the result
+	}
+	w.busy[scope] = true
+	file := w.Resolve.FileAt(pkg, scope.Pos())
+	scan := func() []Reach { return w.scan(scope, body, w.Resolve.InfoOf(pkg), file, self) }
+	var out []Reach
+	if decl, ok := scope.(*ast.FuncDecl); ok && w.Boundary != nil {
+		out = w.Boundary(decl, file, scan)
+	} else {
+		out = scan()
+	}
+	delete(w.busy, scope)
+	w.memo[scope] = out
+	return out
+}
+
+// scan inspects one walked body, collecting one Reach per distinct
+// description.
+func (w *Walker) scan(scope ast.Node, body *ast.BlockStmt, info *types.Info, file *ast.File, self string) []Reach {
+	var out []Reach
+	seen := make(map[string]bool)
+	add := func(desc string, chain []string) {
+		if !seen[desc] {
+			seen[desc] = true
+			out = append(out, Reach{Desc: desc, Chain: chain})
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		desc, flagged := w.flag(info, scope, n)
+		call, isCall := n.(*ast.CallExpr)
+		if !flagged && !isCall {
+			return true
+		}
+		if pos, ok := w.allowed(file, n.Pos()); ok {
+			w.pass.UseAnnotation(pos)
+			return true
+		}
+		if flagged {
+			add(desc, []string{self})
+			return true
+		}
+		for _, edge := range w.Resolve.CalleeEdges(info, call) {
+			for _, r := range w.Reaches(edge) {
+				add(r.Desc, append([]string{self}, r.Chain...))
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// allowed reports whether an //amoeba:allow naming the analyzer (or
+// "all") covers pos in a walked file, returning the annotation's
+// position for Pass.UseAnnotation.
+func (w *Walker) allowed(file *ast.File, pos token.Pos) (token.Pos, bool) {
+	if file == nil {
+		return token.NoPos, false
+	}
+	lines, ok := w.allows[file]
+	if !ok {
+		lines = allowLines(w.pass.Fset, file)
+		w.allows[file] = lines
+	}
+	for _, a := range lines[w.pass.Fset.Position(pos).Line] {
+		if a.name == w.pass.Analyzer.Name || a.name == "all" {
+			return a.pos, true
+		}
+	}
+	return token.NoPos, false
 }

@@ -14,13 +14,13 @@
 //     (the fan-in coordinator closing after every sender has joined).
 //
 //  2. No double-close and no send-after-close on any syntactic path.
-//     The scan is path-sensitive in the lockcheck style: a per-path
-//     closed set, cloned into branches, so a close in one select arm or
-//     if branch does not poison its siblings or the fall-through path
-//     (conservative: a branch-then-fall-through double close is missed,
-//     a straight-line or same-branch one is caught). A deferred close
-//     counts against every later close of the same channel, but not
-//     against later sends — it only runs at return.
+//     The scan is path-sensitive (analysis.ScanPaths, shared with
+//     lockcheck): a per-path closed set, cloned into branches, so a
+//     close in one select arm or if branch does not poison its siblings
+//     or the fall-through path (conservative: a branch-then-fall-through
+//     double close is missed, a straight-line or same-branch one is
+//     caught). A deferred close counts against every later close of the
+//     same channel, but not against later sends — it only runs at return.
 //
 //  3. Named-constant capacities at //amoeba:bounded parameters. A
 //     function may annotate channel parameters //amoeba:bounded p1 p2;
@@ -181,10 +181,11 @@ func receiverSideClose(info *types.Info, facts *declFacts, ch ast.Expr, pos toke
 // //amoeba:bounded capacity contracts.
 func checkDecl(pass *analysis.Pass, resolve *analysis.Resolver, f *ast.File, decl *ast.FuncDecl) {
 	facts := gatherFacts(pass.TypesInfo, decl)
-	scanStmts(pass, facts, decl.Body.List, &pathState{closed: map[string]token.Pos{}})
+	leaf := func(s ast.Stmt, st *pathState) { step(pass, facts, s, st) }
+	analysis.ScanPaths(decl.Body.List, &pathState{closed: map[string]token.Pos{}}, leaf)
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
-			scanStmts(pass, facts, lit.Body.List, &pathState{closed: map[string]token.Pos{}})
+			analysis.ScanPaths(lit.Body.List, &pathState{closed: map[string]token.Pos{}}, leaf)
 		}
 		return true
 	})
@@ -205,7 +206,8 @@ type pathState struct {
 	deferredClose map[string]token.Pos
 }
 
-func (p *pathState) clone() *pathState {
+// Clone copies the path state for a branch (analysis.ScanPaths).
+func (p *pathState) Clone() *pathState {
 	out := &pathState{closed: make(map[string]token.Pos, len(p.closed)), deferredClose: p.deferredClose}
 	for k, v := range p.closed {
 		out.closed[k] = v
@@ -213,16 +215,13 @@ func (p *pathState) clone() *pathState {
 	return out
 }
 
-// scanStmts walks one statement list in order in the lockcheck style:
-// branch bodies get a clone of the path state and are assumed not to
-// change it for the fall-through path.
-func scanStmts(pass *analysis.Pass, facts *declFacts, stmts []ast.Stmt, st *pathState) {
-	for _, s := range stmts {
-		scanStmt(pass, facts, s, st)
-	}
+func (p *pathState) deferred(key string) (token.Pos, bool) {
+	pos, ok := p.deferredClose[key]
+	return pos, ok
 }
 
-func scanStmt(pass *analysis.Pass, facts *declFacts, s ast.Stmt, st *pathState) {
+// step applies one straight-line statement to the path state.
+func step(pass *analysis.Pass, facts *declFacts, s ast.Stmt, st *pathState) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		if ch, ok := closeArg(s.X); ok {
@@ -260,62 +259,17 @@ func scanStmt(pass *analysis.Pass, facts *declFacts, s ast.Stmt, st *pathState) 
 			}
 		}
 	case *ast.SendStmt:
-		reportSendAfterClose(pass, st, s)
+		key := types.ExprString(s.Chan)
+		if pos, closed := st.closed[key]; closed {
+			pass.Reportf(s.Arrow, "send on %s after close (closed at %s)",
+				key, pass.Fset.Position(pos))
+		}
 	case *ast.AssignStmt:
 		// Reassignment (ch = make(...)) opens a fresh channel under the
 		// same name; drop it from the closed set.
 		for _, lhs := range s.Lhs {
 			delete(st.closed, types.ExprString(lhs))
 		}
-	case *ast.BlockStmt:
-		scanStmts(pass, facts, s.List, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			scanStmt(pass, facts, s.Init, st)
-		}
-		scanStmts(pass, facts, s.Body.List, st.clone())
-		if s.Else != nil {
-			scanStmt(pass, facts, s.Else, st.clone())
-		}
-	case *ast.ForStmt:
-		scanStmts(pass, facts, s.Body.List, st.clone())
-	case *ast.RangeStmt:
-		scanStmts(pass, facts, s.Body.List, st.clone())
-	case *ast.SwitchStmt:
-		scanCases(pass, facts, s.Body, st)
-	case *ast.TypeSwitchStmt:
-		scanCases(pass, facts, s.Body, st)
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			if send, ok := cc.Comm.(*ast.SendStmt); ok {
-				reportSendAfterClose(pass, st, send)
-			}
-			scanStmts(pass, facts, cc.Body, st.clone())
-		}
-	case *ast.LabeledStmt:
-		scanStmt(pass, facts, s.Stmt, st)
-	}
-}
-
-func (p *pathState) deferred(key string) (token.Pos, bool) {
-	pos, ok := p.deferredClose[key]
-	return pos, ok
-}
-
-func scanCases(pass *analysis.Pass, facts *declFacts, body *ast.BlockStmt, st *pathState) {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok {
-			scanStmts(pass, facts, cc.Body, st.clone())
-		}
-	}
-}
-
-func reportSendAfterClose(pass *analysis.Pass, st *pathState, send *ast.SendStmt) {
-	key := types.ExprString(send.Chan)
-	if pos, closed := st.closed[key]; closed {
-		pass.Reportf(send.Arrow, "send on %s after close (closed at %s)",
-			key, pass.Fset.Position(pos))
 	}
 }
 
@@ -345,7 +299,7 @@ func checkBoundedCall(pass *analysis.Pass, resolve *analysis.Resolver, f *ast.Fi
 	if calleeDecl == nil {
 		return
 	}
-	calleeFile := resolve.FileOf(calleePkg, calleeDecl)
+	calleeFile := resolve.FileAt(calleePkg, calleeDecl.Pos())
 	if calleeFile == nil {
 		return
 	}

@@ -4,7 +4,7 @@ package analysis
 // intra-procedural func-value tracking that close the dynamic-dispatch
 // blind spot of the call-graph analyzers (DESIGN.md §13).
 //
-// The per-callee walk in callgraph.go resolves only statically bound
+// Resolver.FuncObj in callgraph.go resolves only statically bound
 // calls: package-level functions and concrete-receiver methods. Until
 // this layer existed, an interface-dispatched call or a call through a
 // func-valued local resolved to nil and the walk silently stopped —
@@ -129,21 +129,6 @@ func (r *Resolver) universe() []*pkgSyntax {
 				seen[imp] = true
 				queue = append(queue, imp)
 			}
-		}
-	}
-	return out
-}
-
-// Callees resolves a call expression to every function it can reach:
-// the statically bound callee, the devirtualized implementations behind
-// an interface dispatch, or the named functions bound to a local func
-// value. Function-literal targets carry no *types.Func and are omitted
-// here; CalleeEdges exposes them.
-func (r *Resolver) Callees(info *types.Info, call *ast.CallExpr) []*types.Func {
-	var out []*types.Func
-	for _, e := range r.CalleeEdges(info, call) {
-		if e.Fn != nil {
-			out = append(out, e.Fn)
 		}
 	}
 	return out
@@ -592,56 +577,4 @@ func unwrapCallee(e ast.Expr) ast.Expr {
 			return e
 		}
 	}
-}
-
-// An AllowSites index resolves //amoeba:allow annotations in walked
-// dependency syntax, so a suppression placed at the line that violates
-// an invariant silences every call chain that reaches it — one
-// annotation at the origin instead of one per reaching root. The
-// position returned by Covering is the annotation comment itself, for
-// Pass.UseAnnotation bookkeeping.
-type AllowSites struct {
-	fset  *token.FileSet
-	files map[*ast.File]map[int][]allowSite
-}
-
-type allowSite struct {
-	name string
-	pos  token.Pos
-}
-
-// NewAllowSites returns an empty index over fset.
-func NewAllowSites(fset *token.FileSet) *AllowSites {
-	return &AllowSites{fset: fset, files: make(map[*ast.File]map[int][]allowSite)}
-}
-
-// Covering reports whether an //amoeba:allow annotation naming name (or
-// "all") covers pos within file, returning the annotation's position.
-func (s *AllowSites) Covering(file *ast.File, pos token.Pos, name string) (token.Pos, bool) {
-	if file == nil {
-		return token.NoPos, false
-	}
-	lines, ok := s.files[file]
-	if !ok {
-		lines = make(map[int][]allowSite)
-		for _, cg := range file.Comments {
-			for _, c := range cg.List {
-				aname, _, ok := ParseAllow(c.Text)
-				if !ok {
-					continue
-				}
-				line := s.fset.Position(c.Pos()).Line
-				site := allowSite{name: aname, pos: c.Pos()}
-				lines[line] = append(lines[line], site)
-				lines[line+1] = append(lines[line+1], site)
-			}
-		}
-		s.files[file] = lines
-	}
-	for _, site := range lines[s.fset.Position(pos).Line] {
-		if site.name == name || site.name == "all" {
-			return site.pos, true
-		}
-	}
-	return token.NoPos, false
 }

@@ -1,9 +1,12 @@
 // Package escapecheck cross-checks //amoeba:noalloc bodies against the
 // Go compiler's own escape analysis. alloccheck (the syntactic half of
 // the contract) screens for allocation-inducing constructs it can see in
-// the AST; the compiler proves a strict superset — interface boxing
-// through generics, map growth, closures capturing by reference, values
-// the optimizer decides must live on the heap. This package parses the
+// the AST; the compiler proves allocations the screen cannot see —
+// interface boxing through generics and behind inlined calls, closures
+// capturing by reference, values the optimizer decides must live on the
+// heap. It is not a superset: the compiler never reports append growth,
+// which only alloccheck flags, so the two checks stay side by side
+// (DESIGN.md §7). This package parses the
 // diagnostics of `go build -gcflags=-m=2`, intersects them with the
 // source ranges of every noalloc function, and reports compiler-proven
 // allocations the syntactic pass missed. //amoeba:allowalloc(reason)
@@ -199,7 +202,7 @@ func (s *Source) loadFile(fset *token.FileSet, path, rel string) error {
 		}
 		s.Ranges = append(s.Ranges, Range{
 			File:      rel,
-			Func:      fd.Name.Name,
+			Func:      analysis.DeclName(fd),
 			StartLine: fset.Position(fd.Pos()).Line,
 			EndLine:   fset.Position(fd.Body.End()).Line,
 		})

@@ -163,6 +163,37 @@ func hotTestOnly(v int) any { return v }
 	}
 }
 
+// TestSourceRangeNames pins how a noalloc range names its function:
+// receiver-qualified for methods, generic receivers without their type
+// parameters.
+func TestSourceRangeNames(t *testing.T) {
+	dir := t.TempDir()
+	src := `package scratch
+
+type Box[K comparable, V any] struct{ m map[K]V }
+
+//amoeba:noalloc
+func (b *Box[K, V]) M() int { return len(b.m) }
+
+//amoeba:noalloc
+func Free() {}
+`
+	if err := os.WriteFile(filepath.Join(dir, "box.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSource(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range loaded.Ranges {
+		got = append(got, r.Func)
+	}
+	if want := []string{"Box.M", "Free"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("range names = %v, want %v", got, want)
+	}
+}
+
 // TestLiveEscapeDiags compiles a scratch module with the pinned
 // toolchain and checks the parser against the compiler's real output.
 // Skips with a warning when the running toolchain is not the pinned one.

@@ -225,7 +225,7 @@ func (fi *fieldIndex) scanAssign(ps *pkgSyntax, n *ast.AssignStmt) {
 	}
 	for i, lhs := range n.Lhs {
 		rhs := n.Rhs[i]
-		lhs = unparen(lhs)
+		lhs = ast.Unparen(lhs)
 		// e.handlers[k] = f / e.byName["k"] = f: an element write.
 		if ix, ok := lhs.(*ast.IndexExpr); ok {
 			if fv, owner := funcBearingField(ps.info, ix.X); fv != nil && fieldKind(fv.Type()) == fieldContainer {
@@ -259,7 +259,7 @@ func (fi *fieldIndex) recordField(ps *pkgSyntax, field *types.Var, owner string,
 // opaque whole-container value (anything but nil or a composite literal
 // of known elements, or append over the field itself) taints the field.
 func (fi *fieldIndex) recordContainer(ps *pkgSyntax, field *types.Var, value ast.Expr) {
-	value = unparen(value)
+	value = ast.Unparen(value)
 	if tv, ok := ps.info.Types[value]; ok && tv.IsNil() {
 		return
 	}
@@ -274,7 +274,7 @@ func (fi *fieldIndex) recordContainer(ps *pkgSyntax, field *types.Var, value ast
 	}
 	// e.handlers = append(e.handlers, f, g): growth of the field itself.
 	if call, ok := value.(*ast.CallExpr); ok && len(call.Args) > 0 {
-		if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 			if b, ok := ps.info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
 				base, _ := funcBearingField(ps.info, call.Args[0])
 				if base != nil && base.Origin() == field && !call.Ellipsis.IsValid() {
@@ -479,7 +479,7 @@ func fieldSelTarget(info *types.Info, e ast.Expr) *types.Var {
 // funcBearingField resolves a selector expression to a tracked struct
 // field and the name of the selected type, (nil, "") otherwise.
 func funcBearingField(info *types.Info, e ast.Expr) (*types.Var, string) {
-	sel, ok := unparen(e).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
 		return nil, ""
 	}
@@ -498,14 +498,4 @@ func funcBearingField(info *types.Info, e ast.Expr) (*types.Var, string) {
 		}
 	}
 	return fv.Origin(), owner
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

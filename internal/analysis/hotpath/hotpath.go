@@ -7,17 +7,12 @@
 //
 //   - functions annotated //amoeba:noalloc or //amoeba:hotpath;
 //   - callback arguments handed to the simulator's scheduling methods
-//     ((*sim.Simulator).At / After / Every): function literals are
-//     walked in place, named functions and methods are walked behind
-//     the argument position.
+//     ((*sim.Simulator).At / AtStamp / After / Every): function literals
+//     are walked in place, named functions and methods are walked
+//     behind the argument position.
 //
 // Forbidden APIs (each with the invariant it would break):
 //
-//   - time.Now/Since/Until/Sleep/After/Tick/NewTimer/NewTicker/AfterFunc
-//     — wall clock and wall-clock timers do not exist in simulated time;
-//   - package-level math/rand and math/rand/v2 functions — the global
-//     source is shared mutable state and breaks seeded determinism
-//     (methods on a locally seeded generator are fine);
 //   - sync.Mutex.Lock, sync.RWMutex.Lock/RLock — the kernel is
 //     single-threaded by design; blocking inside a callback stalls the
 //     event loop;
@@ -25,31 +20,33 @@
 //     methods, net dialers and listeners, fmt print family, log) —
 //     unbounded latency and external state inside the hot loop.
 //
+// Wall clocks and package-level math/rand are nodeterminism's rules, not
+// this table's: nodeterminism flags every such call site in a non-main
+// package, and no root lives in a package main, so a copy here would
+// catch nothing more (DESIGN.md §7).
+//
 // fmt.Sprintf/Sprint/Sprintln/Errorf are deliberately not forbidden:
 // they are pure formatting (no writer), and the engine legitimately
 // builds labels with Sprintf behind a telemetry-bus guard. alloccheck
 // separately flags them inside //amoeba:noalloc bodies.
 //
-// The walk follows every edge the resolver can justify: package-level
-// functions and concrete-receiver methods of the analyzed package and of
-// its module-local dependencies (whose syntax the vet driver has already
-// loaded), interface dispatch devirtualized against the module-wide
+// The walk is the shared analysis.Walker: it follows every edge the
+// resolver can justify — package-level functions and concrete-receiver
+// methods of the analyzed package and of its module-local dependencies,
+// interface dispatch devirtualized against the module-wide
 // class-hierarchy index (narrowed to types actually instantiated or
 // address-taken — DESIGN.md §13), calls through func-valued locals whose
 // binding set the intra-procedural tracking can prove complete, and
 // calls through func-valued struct fields resolved by the module-wide
-// field-flow layer (DESIGN.md §16) — callbacks registered on engines,
-// sinks, and configs are walked wherever their bodies live, including
-// function literals stored in fields by dependency packages. Dynamic
-// edges are named in the diagnostic chain, e.g. "via dynamic dispatch on
-// Sink.Consume => MetricsSink.Consume" or "via field engine.onDrain =>
-// drain". Calls into packages without loaded syntax (the standard
-// library) are still not followed — the forbidden table screens the
-// stdlib surface directly — and bindings either tracker abandons as
-// tainted (values from unseen callers or external writers) are the
-// residual gap that the runtime AllocsPerRun and golden-determinism
-// tests backstop; escapecheck closes the allocation half of it with the
-// compiler's own escape analysis.
+// field-flow layer (DESIGN.md §16), including function literals stored
+// in fields by dependency packages. Dynamic edges are named in the
+// diagnostic chain, e.g. "via dynamic dispatch on Sink.Consume =>
+// MetricsSink.Consume" or "via field engine.onDrain => drain". Calls
+// into packages without loaded syntax (the standard library) are not
+// followed — the forbidden table screens the stdlib surface directly —
+// and bindings either tracker abandons as tainted (values from unseen
+// callers or external writers) are the residual gap that the runtime
+// AllocsPerRun and golden-determinism tests backstop.
 //
 // Transitive findings are reported at the call edge in the analyzed
 // package with the full chain in the message, so an //amoeba:allow
@@ -71,62 +68,38 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
 	Doc: "code reachable from //amoeba:noalloc///amoeba:hotpath functions and simulator " +
-		"callbacks must not touch wall clocks, global math/rand, mutexes, or file/network I/O",
+		"callbacks must not lock mutexes or do file/network I/O",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
-	w := &walker{
-		pass:    pass,
-		resolve: analysis.NewResolver(pass),
-		allows:  analysis.NewAllowSites(pass.Fset),
-		memo:    make(map[*types.Func][]reach),
-		litMemo: make(map[*ast.FuncLit][]reach),
-	}
+	w := analysis.NewWalker(pass, forbidden)
 	for _, f := range pass.Files {
-		for _, fd := range analysis.MarkedFuncs(pass.Fset, f, analysis.AnnotNoAlloc) {
-			w.reportRoot(fd.Body, rootName(fd))
+		for _, marker := range []string{analysis.AnnotNoAlloc, analysis.AnnotHotpath} {
+			for _, fd := range analysis.MarkedFuncs(pass.Fset, f, marker) {
+				reportRoot(pass, w, fd, fd.Body, analysis.DeclName(fd))
+			}
 		}
-		for _, fd := range analysis.MarkedFuncs(pass.Fset, f, analysis.AnnotHotpath) {
-			w.reportRoot(fd.Body, rootName(fd))
-		}
-		w.callbackRoots(f)
+		callbackRoots(pass, w, f)
 	}
 	return nil
 }
 
-// reach is one forbidden API reachable from a function: the API, the
-// invariant it breaks, and the call chain that gets there.
-type reach struct {
-	api   string
-	why   string
-	chain []string
-}
-
-type walker struct {
-	pass     *analysis.Pass
-	resolve  *analysis.Resolver
-	allows   *analysis.AllowSites
-	memo     map[*types.Func][]reach
-	busy     []*types.Func // in-progress stack for cycle cut-off
-	litMemo  map[*ast.FuncLit][]reach
-	busyLits []*ast.FuncLit
-}
-
-// spliceVia rewrites a reach chain for a dynamic edge: the edge label
-// already names the callee the chain starts with, so it replaces the
-// chain's first element.
-func spliceVia(via string, chain []string) []string {
-	if via == "" {
-		return chain
-	}
-	return append([]string{via}, chain[1:]...)
+// reportRoot walks one root body in the analyzed package, reporting
+// direct forbidden calls and transitive reaches at their call edges.
+func reportRoot(pass *analysis.Pass, w *analysis.Walker, scope ast.Node, body *ast.BlockStmt, root string) {
+	w.Root(scope, body, func(n ast.Node, api string) {
+		pass.Reportf(n.Pos(), "hot path %s calls %s", root, api)
+	}, func(call *ast.CallExpr, r analysis.Reach) {
+		pass.ReportfVia(call.Pos(), r.Chain, "hot path %s reaches %s via %s",
+			root, r.Desc, strings.Join(r.Chain, " -> "))
+	})
 }
 
 // callbackRoots treats the function arguments of simulator scheduling
 // calls as hot-path roots.
-func (w *walker) callbackRoots(f *ast.File) {
-	info := w.pass.TypesInfo
+func callbackRoots(pass *analysis.Pass, w *analysis.Walker, f *ast.File) {
+	info := pass.TypesInfo
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
@@ -136,29 +109,28 @@ func (w *walker) callbackRoots(f *ast.File) {
 		if recv != "Simulator" || !simPackage(pkg) {
 			return true
 		}
-		if name != "At" && name != "After" && name != "Every" {
+		if name != "At" && name != "AtStamp" && name != "After" && name != "Every" {
 			return true
 		}
-		arg := call.Args[len(call.Args)-1]
-		switch arg := arg.(type) {
+		root := "sim." + name + " callback"
+		switch arg := call.Args[len(call.Args)-1].(type) {
 		case *ast.FuncLit:
-			w.reportRoot(arg.Body, "sim."+name+" callback")
+			reportRoot(pass, w, arg, arg.Body, root)
 		default:
-			for _, edge := range w.resolve.FuncValueEdges(info, arg) {
+			for _, edge := range w.Resolve.FuncValueEdges(info, arg) {
 				if edge.Lit != nil && edge.LitPkg == nil {
 					// A literal bound to a local and scheduled by name:
 					// the literal's body is the callback.
-					w.reportRoot(edge.Lit.Body, "sim."+name+" callback")
+					reportRoot(pass, w, edge.Lit, edge.Lit.Body, root)
 					continue
 				}
 				callee := edge.Via
 				if callee == "" {
-					callee = analysis.FuncDisplayName(w.pass.Pkg, edge.Fn)
+					callee = analysis.FuncDisplayName(pass.Pkg, edge.Fn)
 				}
-				for _, r := range w.edgeReaches(edge) {
-					chain := spliceVia(edge.Via, r.chain)
-					w.pass.ReportfVia(arg.Pos(), chain, "sim.%s callback %s reaches %s (%s) via %s",
-						name, callee, r.api, r.why, strings.Join(chain, " -> "))
+				for _, r := range w.Reaches(edge) {
+					pass.ReportfVia(arg.Pos(), r.Chain, "%s %s reaches %s via %s",
+						root, callee, r.Desc, strings.Join(r.Chain, " -> "))
 				}
 			}
 		}
@@ -166,204 +138,54 @@ func (w *walker) callbackRoots(f *ast.File) {
 	})
 }
 
-// reportRoot walks one root body in the analyzed package, reporting
-// direct forbidden calls and transitive reaches at their call edges.
-func (w *walker) reportRoot(body *ast.BlockStmt, root string) {
-	if body == nil {
-		return
-	}
-	info := w.pass.TypesInfo
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if api, why, ok := forbiddenAPI(info, call); ok {
-			w.pass.Reportf(call.Pos(), "hot path %s calls %s (%s)", root, api, why)
-			return true
-		}
-		for _, edge := range w.resolve.CalleeEdges(info, call) {
-			for _, r := range w.edgeReaches(edge) {
-				chain := spliceVia(edge.Via, r.chain)
-				w.pass.ReportfVia(call.Pos(), chain, "hot path %s reaches %s (%s) via %s",
-					root, r.api, r.why, strings.Join(chain, " -> "))
-			}
-		}
-		return true
-	})
-}
-
-// edgeReaches dispatches one callee edge: named functions analyze by
-// declaration, field-stored function literals by body in their defining
-// package; locally bound literals yield nothing because their bodies are
-// walked inline by the enclosing inspection.
-func (w *walker) edgeReaches(edge analysis.CalleeEdge) []reach {
-	if edge.Lit != nil {
-		if edge.LitPkg == nil {
-			return nil // literal bound to a local: its body is walked inline
-		}
-		return w.analyzeLit(edge.Lit, edge.LitPkg)
-	}
-	return w.analyze(edge.Fn)
-}
-
-// analyze computes the forbidden APIs reachable from fn, one reach per
-// distinct API, memoized across the package walk.
-func (w *walker) analyze(fn *types.Func) []reach {
-	if rs, ok := w.memo[fn]; ok {
-		return rs
-	}
-	for _, b := range w.busy {
-		if b == fn {
-			return nil // cycle: the first visit owns the result
-		}
-	}
-	decl, pkg := w.resolve.DeclOf(fn)
-	if decl == nil || decl.Body == nil {
-		w.memo[fn] = nil
-		return nil
-	}
-	w.busy = append(w.busy, fn)
-	defer func() { w.busy = w.busy[:len(w.busy)-1] }()
-
-	out := w.reachesIn(decl.Body, w.resolve.InfoOf(pkg), w.resolve.FileOf(pkg, decl),
-		analysis.FuncDisplayName(w.pass.Pkg, fn))
-	w.memo[fn] = out
-	return out
-}
-
-// analyzeLit computes the forbidden APIs reachable from a function
-// literal stored in a struct field, walked in the type-checking context
-// of its defining package. The chain head is "function literal" so that
-// spliceVia replaces it with the edge label naming the field hop.
-func (w *walker) analyzeLit(lit *ast.FuncLit, pkg *types.Package) []reach {
-	if rs, ok := w.litMemo[lit]; ok {
-		return rs
-	}
-	for _, b := range w.busyLits {
-		if b == lit {
-			return nil // cycle: the first visit owns the result
-		}
-	}
-	w.busyLits = append(w.busyLits, lit)
-	defer func() { w.busyLits = w.busyLits[:len(w.busyLits)-1] }()
-
-	out := w.reachesIn(lit.Body, w.resolve.InfoOf(pkg), w.resolve.FileAt(pkg, lit.Pos()),
-		"function literal")
-	w.litMemo[lit] = out
-	return out
-}
-
-// reachesIn scans one walked body, collecting one reach per distinct
-// forbidden API with self as the chain head.
-func (w *walker) reachesIn(body *ast.BlockStmt, info *types.Info, file *ast.File, self string) []reach {
-	var out []reach
-	seen := make(map[string]bool)
-	add := func(r reach) {
-		if !seen[r.api] {
-			seen[r.api] = true
-			out = append(out, r)
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		// An //amoeba:allow hotpath at the violating line inside a
-		// walked body suppresses the finding for every root that
-		// reaches it: one annotation at the origin, not one per edge.
-		if pos, ok := w.allows.Covering(file, call.Pos(), w.pass.Analyzer.Name); ok {
-			w.pass.UseAnnotation(pos)
-			return true
-		}
-		if api, why, ok := forbiddenAPI(info, call); ok {
-			add(reach{api: api, why: why, chain: []string{self}})
-			return true
-		}
-		for _, edge := range w.resolve.CalleeEdges(info, call) {
-			for _, r := range w.edgeReaches(edge) {
-				add(reach{api: r.api, why: r.why,
-					chain: append([]string{self}, spliceVia(edge.Via, r.chain)...)})
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// forbiddenAPI classifies a call against the forbidden-API table.
-func forbiddenAPI(info *types.Info, call *ast.CallExpr) (api, why string, ok bool) {
-	if info == nil {
-		return "", "", false
+// forbidden is hotpath's rule for the walker: it classifies a call
+// against the forbidden-API table, describing the API and the invariant
+// it breaks.
+func forbidden(info *types.Info, _, n ast.Node) (string, bool) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok || info == nil {
+		return "", false
 	}
 	if pkg, name := analysis.PkgFunc(info, call); pkg != "" {
 		switch pkg {
-		case "time":
-			switch name {
-			case "Now", "Since", "Until", "Sleep", "After", "Tick",
-				"NewTimer", "NewTicker", "AfterFunc":
-				return "time." + name, "wall clock in simulated time", true
-			}
-		case "math/rand", "math/rand/v2":
-			return pkg + "." + name, "global rand source breaks seeded determinism", true
 		case "os":
 			switch name {
 			case "Open", "OpenFile", "Create", "ReadFile", "WriteFile",
 				"Remove", "RemoveAll", "Mkdir", "MkdirAll", "Stat", "ReadDir":
-				return "os." + name, "file I/O in the event loop", true
+				return "os." + name + " (file I/O in the event loop)", true
 			}
 		case "net":
 			switch name {
 			case "Dial", "DialTimeout", "DialUDP", "DialTCP", "Listen", "ListenPacket":
-				return "net." + name, "network I/O in the event loop", true
+				return "net." + name + " (network I/O in the event loop)", true
 			}
 		case "fmt":
 			switch name {
 			case "Print", "Printf", "Println", "Fprint", "Fprintf", "Fprintln":
-				return "fmt." + name, "writer I/O in the event loop", true
+				return "fmt." + name + " (writer I/O in the event loop)", true
 			}
 		case "log":
-			return "log." + name, "logging I/O in the event loop", true
+			return "log." + name + " (logging I/O in the event loop)", true
 		}
-		return "", "", false
+		return "", false
 	}
-	if pkg, recv, name := analysis.Method(info, call); pkg != "" {
-		switch {
-		case pkg == "sync" && recv == "Mutex" && name == "Lock":
-			return "sync.Mutex.Lock", "blocking in the single-threaded kernel", true
-		case pkg == "sync" && recv == "RWMutex" && (name == "Lock" || name == "RLock"):
-			return "sync.RWMutex." + name, "blocking in the single-threaded kernel", true
-		case pkg == "os" && recv == "File" &&
-			(name == "Read" || name == "Write" || name == "Seek" || name == "Sync" || name == "Close"):
-			return "os.File." + name, "file I/O in the event loop", true
-		case pkg == "log" && recv == "Logger":
-			return "log.Logger." + name, "logging I/O in the event loop", true
-		}
+	pkg, recv, name := analysis.Method(info, call)
+	switch {
+	case pkg == "sync" && recv == "Mutex" && name == "Lock":
+		return "sync.Mutex.Lock (blocking in the single-threaded kernel)", true
+	case pkg == "sync" && recv == "RWMutex" && (name == "Lock" || name == "RLock"):
+		return "sync.RWMutex." + name + " (blocking in the single-threaded kernel)", true
+	case pkg == "os" && recv == "File" &&
+		(name == "Read" || name == "Write" || name == "Seek" || name == "Sync" || name == "Close"):
+		return "os.File." + name + " (file I/O in the event loop)", true
+	case pkg == "log" && recv == "Logger":
+		return "log.Logger." + name + " (logging I/O in the event loop)", true
 	}
-	return "", "", false
+	return "", false
 }
 
 // simPackage matches the simulator package by module-relative suffix so
 // testdata stubs qualify alongside the real amoeba/internal/sim.
 func simPackage(pkgPath string) bool {
 	return pkgPath == "internal/sim" || strings.HasSuffix(pkgPath, "/internal/sim")
-}
-
-func rootName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		if st, ok := t.(*ast.StarExpr); ok {
-			t = st.X
-			continue
-		}
-		break
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fd.Name.Name
-	}
-	return fd.Name.Name
 }

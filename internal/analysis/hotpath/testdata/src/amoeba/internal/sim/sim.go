@@ -12,6 +12,16 @@ type Simulator struct{ now Time }
 // At schedules fn at an absolute simulated time.
 func (s *Simulator) At(at Time, fn func()) {}
 
+// Stamp is a reserved tie-break sequence number.
+type Stamp struct{ n uint64 }
+
+// Reserve takes a sequence number for a later AtStamp.
+func (s *Simulator) Reserve() Stamp { return Stamp{} }
+
+// AtStamp schedules fn at an absolute simulated time under a reserved
+// stamp.
+func (s *Simulator) AtStamp(at Time, st Stamp, fn func()) {}
+
 // After schedules fn after a simulated delay.
 func (s *Simulator) After(delay float64, fn func()) {}
 

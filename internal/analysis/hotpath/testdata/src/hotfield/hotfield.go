@@ -8,8 +8,9 @@
 package hotfield
 
 import (
+	"fmt"
+	"os"
 	"sync"
-	"time"
 
 	"amoeba/internal/sim"
 	"hotfieldx"
@@ -17,9 +18,9 @@ import (
 
 var mu sync.Mutex
 
-func drain() { _ = time.Now() }
+func drain() { fmt.Println("drain") }
 
-func slept() { time.Sleep(time.Millisecond) }
+func slept() { _ = os.Remove("slept") }
 
 // engine is the canonical case: a callback bound at construction and
 // invoked later through the field. Without the field-flow layer the call
@@ -34,13 +35,13 @@ func newEngine() *engine {
 
 //amoeba:hotpath
 func (e *engine) pump() {
-	e.onDrain() // want `hot path engine\.pump reaches time\.Now \(wall clock in simulated time\) via field engine\.onDrain => drain`
+	e.onDrain() // want `hot path engine\.pump reaches fmt\.Println \(writer I/O in the event loop\) via field engine\.onDrain => drain`
 }
 
 // schedule registers the field-stored callback with the simulator; the
 // callback-root walk resolves the argument through the same field edges.
 func schedule(s *sim.Simulator, e *engine) {
-	s.At(1, e.onDrain) // want `sim\.At callback field engine\.onDrain => drain reaches time\.Now \(wall clock in simulated time\) via field engine\.onDrain => drain`
+	s.At(1, e.onDrain) // want `sim\.At callback field engine\.onDrain => drain reaches fmt\.Println \(writer I/O in the event loop\) via field engine\.onDrain => drain`
 }
 
 // copied reads the field into a local first; the local resolves through
@@ -49,7 +50,7 @@ func schedule(s *sim.Simulator, e *engine) {
 //amoeba:hotpath
 func (e *engine) copied() {
 	f := e.onDrain
-	f() // want `hot path engine\.copied reaches time\.Now \(wall clock in simulated time\) via func value f => field engine\.onDrain => drain`
+	f() // want `hot path engine\.copied reaches fmt\.Println \(writer I/O in the event loop\) via func value f => field engine\.onDrain => drain`
 }
 
 // poller stores a function literal in the field; the literal's body is
@@ -59,12 +60,12 @@ type poller struct {
 }
 
 func newPoller() *poller {
-	return &poller{onTick: func() { time.Sleep(time.Millisecond) }}
+	return &poller{onTick: func() { _ = os.Remove("tick") }}
 }
 
 //amoeba:hotpath
 func (p *poller) tick() {
-	p.onTick() // want `hot path poller\.tick reaches time\.Sleep \(wall clock in simulated time\) via field poller\.onTick => function literal`
+	p.onTick() // want `hot path poller\.tick reaches os\.Remove \(file I/O in the event loop\) via field poller\.onTick => function literal`
 }
 
 // sched stores a method value.
@@ -99,7 +100,7 @@ func arm(s *swapper) {
 
 //amoeba:hotpath
 func (s *swapper) fire() {
-	s.fn() // want `hot path swapper\.fire reaches time\.Now \(wall clock in simulated time\) via field swapper\.fn => drain`
+	s.fn() // want `hot path swapper\.fire reaches fmt\.Println \(writer I/O in the event loop\) via field swapper\.fn => drain`
 }
 
 // duo takes its callbacks positionally.
@@ -112,8 +113,8 @@ func newDuo() duo { return duo{drain, slept} }
 
 //amoeba:hotpath
 func (d duo) both() {
-	d.a() // want `hot path duo\.both reaches time\.Now \(wall clock in simulated time\) via field duo\.a => drain`
-	d.b() // want `hot path duo\.both reaches time\.Sleep \(wall clock in simulated time\) via field duo\.b => slept`
+	d.a() // want `hot path duo\.both reaches fmt\.Println \(writer I/O in the event loop\) via field duo\.a => drain`
+	d.b() // want `hot path duo\.both reaches os\.Remove \(file I/O in the event loop\) via field duo\.b => slept`
 }
 
 // hooks collects callbacks in a slice field: composite elements and
@@ -132,13 +133,13 @@ func newHooks() *hooks {
 //amoeba:hotpath
 func (h *hooks) runAll() {
 	for _, f := range h.fns {
-		f() // want `hot path hooks\.runAll reaches time\.Now \(wall clock in simulated time\) via func value f => field hooks\.fns => drain` `hot path hooks\.runAll reaches time\.Sleep \(wall clock in simulated time\) via func value f => field hooks\.fns => slept`
+		f() // want `hot path hooks\.runAll reaches fmt\.Println \(writer I/O in the event loop\) via func value f => field hooks\.fns => drain` `hot path hooks\.runAll reaches os\.Remove \(file I/O in the event loop\) via func value f => field hooks\.fns => slept`
 	}
 }
 
 //amoeba:hotpath
 func (h *hooks) runFirst() {
-	h.fns[0]() // want `hot path hooks\.runFirst reaches time\.Now \(wall clock in simulated time\) via field hooks\.fns => drain` `hot path hooks\.runFirst reaches time\.Sleep \(wall clock in simulated time\) via field hooks\.fns => slept`
+	h.fns[0]() // want `hot path hooks\.runFirst reaches fmt\.Println \(writer I/O in the event loop\) via field hooks\.fns => drain` `hot path hooks\.runFirst reaches os\.Remove \(file I/O in the event loop\) via field hooks\.fns => slept`
 }
 
 // registry keys callbacks in a map field.
@@ -154,7 +155,7 @@ func newRegistry() *registry {
 
 //amoeba:hotpath
 func (r *registry) invoke(k string) {
-	r.byName[k]() // want `hot path registry\.invoke reaches time\.Now \(wall clock in simulated time\) via field registry\.byName => drain` `hot path registry\.invoke reaches time\.Sleep \(wall clock in simulated time\) via field registry\.byName => slept`
+	r.byName[k]() // want `hot path registry\.invoke reaches fmt\.Println \(writer I/O in the event loop\) via field registry\.byName => drain` `hot path registry\.invoke reaches os\.Remove \(file I/O in the event loop\) via field registry\.byName => slept`
 }
 
 // config threads a callback into sink through field-to-field flow.
@@ -174,7 +175,7 @@ func newSink() *sink {
 
 //amoeba:hotpath
 func (s *sink) drainNow() {
-	s.onDrain() // want `hot path sink\.drainNow reaches time\.Now \(wall clock in simulated time\) via field sink\.onDrain => field config\.OnDrain => drain`
+	s.onDrain() // want `hot path sink\.drainNow reaches fmt\.Println \(writer I/O in the event loop\) via field sink\.onDrain => field config\.OnDrain => drain`
 }
 
 // cell is a generic struct: the instance field normalizes to its generic
@@ -183,7 +184,10 @@ type cell[T any] struct {
 	produce func() T
 }
 
-func stampInt() int { return int(time.Now().Unix()) }
+func stampInt() int {
+	n, _ := fmt.Println("cell")
+	return n
+}
 
 func newIntCell() *cell[int] {
 	return &cell[int]{produce: stampInt}
@@ -191,7 +195,7 @@ func newIntCell() *cell[int] {
 
 //amoeba:hotpath
 func readCell(c *cell[int]) int {
-	return c.produce() // want `hot path readCell reaches time\.Now \(wall clock in simulated time\) via field cell\.produce => stampInt`
+	return c.produce() // want `hot path readCell reaches fmt\.Println \(writer I/O in the event loop\) via field cell\.produce => stampInt`
 }
 
 // crossField resolves a literal stored by a dependency package's
@@ -199,7 +203,7 @@ func readCell(c *cell[int]) int {
 //
 //amoeba:hotpath
 func crossField(g *hotfieldx.Gauge) int64 {
-	return g.Sample() // want `hot path crossField reaches time\.Now \(wall clock in simulated time\) via field Gauge\.Sample => function literal`
+	return g.Sample() // want `hot path crossField reaches fmt\.Println \(writer I/O in the event loop\) via field Gauge\.Sample => function literal`
 }
 
 // tainted receives an opaque caller value: the binding set is
@@ -272,7 +276,7 @@ type emitter interface{ Emit() }
 
 type loud struct{}
 
-func (loud) Emit() { _ = time.Now() }
+func (loud) Emit() { fmt.Println("loud") }
 
 var liveEmitter emitter = loud{}
 
@@ -282,10 +286,10 @@ type carrier struct {
 
 //amoeba:hotpath
 func (c *carrier) emit() {
-	c.e.Emit() // want `hot path carrier\.emit reaches time\.Now \(wall clock in simulated time\) via dynamic dispatch on emitter\.Emit => loud\.Emit`
+	c.e.Emit() // want `hot path carrier\.emit reaches fmt\.Println \(writer I/O in the event loop\) via dynamic dispatch on emitter\.Emit => loud\.Emit`
 }
 
-// quiet reaches a deliberate wall-clock read through a field edge; the
+// quiet reaches a deliberate trace line through a field edge; the
 // origin-line annotation suppresses it for every root that arrives.
 type quiet struct {
 	fn func() int64
@@ -296,8 +300,9 @@ func newQuiet() *quiet {
 }
 
 func guardedStamp() int64 {
-	//amoeba:allow hotpath deliberate timestamp behind a field-stored callback
-	return time.Now().UnixNano()
+	//amoeba:allow hotpath deliberate trace line behind a field-stored callback
+	n, _ := fmt.Println("guarded")
+	return int64(n)
 }
 
 //amoeba:hotpath

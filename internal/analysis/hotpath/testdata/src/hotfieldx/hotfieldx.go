@@ -3,7 +3,7 @@
 // body in this package's type-checking context.
 package hotfieldx
 
-import "time"
+import "fmt"
 
 // Gauge samples a reading through a field-stored callback.
 type Gauge struct {
@@ -12,5 +12,8 @@ type Gauge struct {
 
 // New binds the default sampler.
 func New() *Gauge {
-	return &Gauge{Sample: func() int64 { return time.Now().UnixNano() }}
+	return &Gauge{Sample: func() int64 {
+		n, _ := fmt.Println("sample")
+		return int64(n)
+	}}
 }

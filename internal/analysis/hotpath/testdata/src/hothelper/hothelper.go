@@ -2,13 +2,7 @@
 // the package boundary through the dependency loader.
 package hothelper
 
-import (
-	"os"
-	"time"
-)
-
-// Stamp reads the wall clock.
-func Stamp() int64 { return time.Now().UnixNano() }
+import "os"
 
 // ReadConfig does file I/O.
 func ReadConfig() []byte {

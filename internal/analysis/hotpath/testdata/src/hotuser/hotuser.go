@@ -1,13 +1,15 @@
 // Package hotuser exercises hotpath: forbidden APIs reachable from
 // annotated functions and simulator callbacks are flagged at the call
 // edge — including through devirtualized interface dispatch and
-// func-valued locals — while pure formatting, seeded generators, and
-// dispatch on interfaces with no live implementer are not.
+// func-valued locals — while pure formatting, wall clocks and global
+// rand (nodeterminism's rules), and dispatch on interfaces with no live
+// implementer are not.
 package hotuser
 
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"time"
 
@@ -17,18 +19,20 @@ import (
 
 var mu sync.Mutex
 
-// Fire reads the wall clock directly.
+// Fire stats a file directly.
 //
 //amoeba:noalloc
 func Fire() {
-	_ = time.Now() // want `hot path Fire calls time\.Now \(wall clock in simulated time\)`
+	_, _ = os.Stat("fire") // want `hot path Fire calls os\.Stat \(file I/O in the event loop\)`
 }
 
-// Tick draws from the global rand source.
+// Tick reads the wall clock and draws from the global rand source: both
+// are nodeterminism's rules, so hotpath stays quiet.
 //
 //amoeba:hotpath
 func Tick() {
-	_ = rand.Int() // want `hot path Tick calls math/rand\.Int \(global rand source breaks seeded determinism\)`
+	_ = time.Now()
+	_ = rand.Int()
 }
 
 // Locked blocks on a mutex.
@@ -43,10 +47,13 @@ func Locked() {
 //
 //amoeba:hotpath
 func Transitive() int64 {
-	return stamp() // want `hot path Transitive reaches time\.Now \(wall clock in simulated time\) via stamp`
+	return stamp() // want `hot path Transitive reaches fmt\.Println \(writer I/O in the event loop\) via stamp`
 }
 
-func stamp() int64 { return time.Now().UnixNano() }
+func stamp() int64 {
+	fmt.Println("stamp")
+	return 0
+}
 
 // CrossPackage reaches file I/O through an imported package.
 //
@@ -66,15 +73,20 @@ func Formats(v int) string {
 // Schedule roots the callbacks it hands to the simulator.
 func Schedule(s *sim.Simulator) {
 	s.After(1, func() {
-		time.Sleep(time.Millisecond) // want `hot path sim\.After callback calls time\.Sleep`
+		_ = os.Remove("after") // want `hot path sim\.After callback calls os\.Remove`
 	})
 	s.At(2, cleanCallback)
-	s.Every(3, dirtyCallback) // want `sim\.Every callback dirtyCallback reaches time\.Now \(wall clock in simulated time\) via dirtyCallback`
+	s.Every(3, dirtyCallback)         // want `sim\.Every callback dirtyCallback reaches os\.Stat \(file I/O in the event loop\) via dirtyCallback`
+	s.AtStamp(4, s.Reserve(), expire) // want `sim\.AtStamp callback expire reaches os\.Remove \(file I/O in the event loop\) via expire`
 }
 
 func cleanCallback() { _ = hothelper.Pure(1) }
 
-func dirtyCallback() { _ = time.Now() }
+func dirtyCallback() { _, _ = os.Stat("dirty") }
+
+// expire is scheduled only through AtStamp, as the serverless idle
+// reclaim deadline is.
+func expire() { _ = os.Remove("lease") }
 
 // ticker carries a method used as a callback value.
 type ticker struct{}
@@ -96,7 +108,7 @@ type doer interface{ Do() }
 
 type quietDoer struct{}
 
-func (quietDoer) Do() { _ = time.Now() }
+func (quietDoer) Do() { fmt.Println("do") }
 
 // Dynamic stays quiet: no instantiated type implements doer.
 //
@@ -127,7 +139,7 @@ func Dispatch(e emitter) {
 //amoeba:hotpath
 func FuncValue() int64 {
 	f := stamp
-	return f() // want `hot path FuncValue reaches time\.Now \(wall clock in simulated time\) via func value f => stamp`
+	return f() // want `hot path FuncValue reaches fmt\.Println \(writer I/O in the event loop\) via func value f => stamp`
 }
 
 // AliasValue follows a local alias chain to the binding.
@@ -136,7 +148,7 @@ func FuncValue() int64 {
 func AliasValue() int64 {
 	f := stamp
 	g := f
-	return g() // want `hot path AliasValue reaches time\.Now \(wall clock in simulated time\) via func value g => stamp`
+	return g() // want `hot path AliasValue reaches fmt\.Println \(writer I/O in the event loop\) via func value g => stamp`
 }
 
 // BoundMethod calls through a local bound to a method value.
@@ -173,7 +185,7 @@ func retarget(p *func() int64) { _ = p }
 func SchedulePoll(s *sim.Simulator) {
 	var poll func()
 	poll = func() {
-		_ = time.Now() // want `hot path sim\.After callback calls time\.Now \(wall clock in simulated time\)`
+		fmt.Println("poll") // want `hot path sim\.After callback calls fmt\.Println \(writer I/O in the event loop\)`
 		s.After(1, poll)
 	}
 	s.After(2, poll)
@@ -182,37 +194,47 @@ func SchedulePoll(s *sim.Simulator) {
 // stampAll is a generic helper; calls to an instantiation must resolve
 // to its origin declaration or the edge is silently lost.
 func stampAll[T any](v T) int64 {
-	_ = v
-	return time.Now().UnixNano()
+	fmt.Println(v)
+	return 0
 }
 
 // Generic calls an explicit instantiation.
 //
 //amoeba:hotpath
 func Generic() int64 {
-	return stampAll[int](1) // want `hot path Generic reaches time\.Now \(wall clock in simulated time\) via stampAll`
+	return stampAll[int](1) // want `hot path Generic reaches fmt\.Println \(writer I/O in the event loop\) via stampAll`
 }
 
 // box carries a method on a generic type.
 type box[T any] struct{ v T }
 
 func (b *box[T]) stampIt() int64 {
-	_ = b.v
-	return time.Now().UnixNano()
+	fmt.Println(b.v)
+	return 0
 }
 
 // GenericMethod calls a method of an instantiated generic type.
 //
 //amoeba:hotpath
 func GenericMethod(b *box[int]) int64 {
-	return b.stampIt() // want `hot path GenericMethod reaches time\.Now \(wall clock in simulated time\) via box\.stampIt`
+	return b.stampIt() // want `hot path GenericMethod reaches fmt\.Println \(writer I/O in the event loop\) via box\.stampIt`
 }
 
-// guarded holds a deliberate wall-clock read behind one origin-line
+// Box has two type parameters; its root is named by the receiver's
+// type without them.
+type Box[K comparable, V any] struct{ m map[K]V }
+
+//amoeba:hotpath
+func (b *Box[K, V]) M() {
+	fmt.Println(len(b.m)) // want `hot path Box\.M calls fmt\.Println`
+}
+
+// guarded holds a deliberate file read behind one origin-line
 // annotation: every root that reaches it stays quiet.
 func guarded() int64 {
-	//amoeba:allow hotpath deliberate coarse timestamp, annotated once at the origin
-	return time.Now().UnixNano()
+	//amoeba:allow hotpath deliberate one-shot config read, annotated once at the origin
+	b, _ := os.ReadFile("cfg")
+	return int64(len(b))
 }
 
 //amoeba:hotpath
@@ -221,13 +243,13 @@ func UsesGuardedA() int64 { return guarded() }
 //amoeba:hotpath
 func UsesGuardedB() int64 { return guarded() }
 
-// Allowed documents a deliberate wall-clock read.
+// Allowed documents a deliberate trace line.
 //
 //amoeba:hotpath
-func Allowed() int64 {
-	//amoeba:allow hotpath coarse profiling timestamp outside sim time
-	return time.Now().UnixNano()
+func Allowed() {
+	//amoeba:allow hotpath debug trace, compiled out of release builds
+	fmt.Println("allowed")
 }
 
 // Unmarked is not a root; nothing is reported.
-func Unmarked() { _ = time.Now() }
+func Unmarked() { fmt.Println("unmarked") }

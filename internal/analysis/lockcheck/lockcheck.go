@@ -4,7 +4,8 @@
 // worker pools) makes this the likeliest deadlock shape: a goroutine that
 // sends or waits while holding a lock that the receiving side needs. The
 // analyzer performs a conservative intra-procedural scan — it tracks
-// Lock/Unlock pairs per syntactic path and does not model aliasing — so
+// Lock/Unlock pairs per syntactic path (analysis.ScanPaths, shared with
+// chancheck) and does not model aliasing — so
 // a deliberate held-across-send design can be annotated with
 // //amoeba:allow lockcheck <reason>.
 package lockcheck
@@ -28,15 +29,16 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
+	leaf := func(s ast.Stmt, h held) { step(pass, s, h) }
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					scanStmts(pass, n.Body.List, map[string]token.Pos{})
+					analysis.ScanPaths(n.Body.List, held{}, leaf)
 				}
 			case *ast.FuncLit:
-				scanStmts(pass, n.Body.List, map[string]token.Pos{})
+				analysis.ScanPaths(n.Body.List, held{}, leaf)
 			}
 			return true
 		})
@@ -44,81 +46,48 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// scanStmts walks one statement list in order, tracking which mutexes are
-// held. Branch bodies are scanned with a copy of the held set and assumed
-// not to change it for the fall-through path (conservative on both
-// sides: a branch that unlocks suppresses nothing after it, a branch
-// that locks flags nothing after it).
-func scanStmts(pass *analysis.Pass, stmts []ast.Stmt, held map[string]token.Pos) {
-	for _, s := range stmts {
-		scanStmt(pass, s, held)
+// held maps each mutex locked on the current syntactic path to its Lock
+// site. The shared path scan (analysis.ScanPaths) gives each branch a
+// clone of it.
+type held map[string]token.Pos
+
+// Clone copies the held set for a branch.
+func (h held) Clone() held {
+	out := make(held, len(h))
+	for k, v := range h {
+		out[k] = v
 	}
+	return out
 }
 
-func scanStmt(pass *analysis.Pass, s ast.Stmt, held map[string]token.Pos) {
+// step applies one straight-line statement to the held set.
+func step(pass *analysis.Pass, s ast.Stmt, h held) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			applyCall(pass, call, held)
+			applyCall(pass, call, h)
 		}
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the mutex held for every statement
-		// that follows — which is exactly what this analyzer audits —
-		// so a deferred unlock does not clear the held set.
 	case *ast.SendStmt:
-		reportHeld(pass, s.Arrow, held, "channel send")
+		reportHeld(pass, s.Arrow, h, "channel send")
 	case *ast.GoStmt:
-		reportHeld(pass, s.Pos(), held, "goroutine spawn")
+		reportHeld(pass, s.Pos(), h, "goroutine spawn")
 		// The spawned body runs without the spawner's locks; the
 		// top-level FuncLit walk scans it with a fresh held set.
-	case *ast.BlockStmt:
-		scanStmts(pass, s.List, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			scanStmt(pass, s.Init, held)
-		}
-		scanStmts(pass, s.Body.List, clone(held))
-		if s.Else != nil {
-			scanStmt(pass, s.Else, clone(held))
-		}
-	case *ast.ForStmt:
-		scanStmts(pass, s.Body.List, clone(held))
-	case *ast.RangeStmt:
-		scanStmts(pass, s.Body.List, clone(held))
-	case *ast.SwitchStmt:
-		scanCases(pass, s.Body, held)
-	case *ast.TypeSwitchStmt:
-		scanCases(pass, s.Body, held)
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			if send, ok := cc.Comm.(*ast.SendStmt); ok {
-				reportHeld(pass, send.Arrow, held, "channel send")
-			}
-			scanStmts(pass, cc.Body, clone(held))
-		}
-	case *ast.LabeledStmt:
-		scanStmt(pass, s.Stmt, held)
 	case *ast.AssignStmt:
 		for _, rhs := range s.Rhs {
 			if call, ok := rhs.(*ast.CallExpr); ok {
-				applyCall(pass, call, held)
+				applyCall(pass, call, h)
 			}
 		}
 	}
-}
-
-func scanCases(pass *analysis.Pass, body *ast.BlockStmt, held map[string]token.Pos) {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok {
-			scanStmts(pass, cc.Body, clone(held))
-		}
-	}
+	// A DeferStmt changes nothing: defer mu.Unlock() keeps the mutex
+	// held for every statement that follows, which is exactly what this
+	// analyzer audits.
 }
 
 // applyCall updates the held set for mutex operations and flags
 // WaitGroup waits under a lock.
-func applyCall(pass *analysis.Pass, call *ast.CallExpr, held map[string]token.Pos) {
+func applyCall(pass *analysis.Pass, call *ast.CallExpr, h held) {
 	pkg, recv, name := analysis.Method(pass.TypesInfo, call)
 	if pkg != "sync" {
 		return
@@ -130,30 +99,22 @@ func applyCall(pass *analysis.Pass, call *ast.CallExpr, held map[string]token.Po
 	key := types.ExprString(sel.X)
 	switch {
 	case (recv == "Mutex" || recv == "RWMutex") && (name == "Lock" || name == "RLock"):
-		held[key] = call.Pos()
+		h[key] = call.Pos()
 	case (recv == "Mutex" || recv == "RWMutex") && (name == "Unlock" || name == "RUnlock"):
-		delete(held, key)
+		delete(h, key)
 	case recv == "WaitGroup" && name == "Wait":
-		reportHeld(pass, call.Pos(), held, "WaitGroup.Wait")
+		reportHeld(pass, call.Pos(), h, "WaitGroup.Wait")
 	}
 }
 
-func reportHeld(pass *analysis.Pass, pos token.Pos, held map[string]token.Pos, what string) {
-	keys := make([]string, 0, len(held))
-	for mu := range held {
+func reportHeld(pass *analysis.Pass, pos token.Pos, h held, what string) {
+	keys := make([]string, 0, len(h))
+	for mu := range h {
 		keys = append(keys, mu)
 	}
 	sort.Strings(keys)
 	for _, mu := range keys {
 		pass.Reportf(pos, "%s while holding %s (locked at %s): release the lock first "+
-			"or annotate //amoeba:allow lockcheck", what, mu, pass.Fset.Position(held[mu]))
+			"or annotate //amoeba:allow lockcheck", what, mu, pass.Fset.Position(h[mu]))
 	}
-}
-
-func clone(held map[string]token.Pos) map[string]token.Pos {
-	out := make(map[string]token.Pos, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
 }

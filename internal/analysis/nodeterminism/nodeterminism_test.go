@@ -8,5 +8,5 @@ import (
 )
 
 func TestNoDeterminism(t *testing.T) {
-	analysistest.Run(t, "testdata", nodeterminism.Analyzer, "simlib", "cmd/tool")
+	analysistest.Run(t, "testdata", nodeterminism.Analyzer, "simlib", "simhelper", "cmd/tool")
 }

@@ -160,25 +160,11 @@ func hasGoFiles(dir string) bool {
 // diagnostics sorted by position.
 func Run(loader *Loader, paths []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	for _, path := range paths {
-		pkg, err := loader.Load(path)
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      loader.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				Deps:      loader.Loaded,
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, path, err)
-			}
-			diags = append(diags, pass.Diagnostics()...)
-		}
+	err := runPasses(loader, paths, analyzers, false, func(pass *Pass) {
+		diags = append(diags, pass.Diagnostics()...)
+	})
+	if err != nil {
+		return nil, err
 	}
 	sortDiagnostics(diags)
 	return diags, nil
@@ -192,10 +178,27 @@ func Run(loader *Loader, paths []string, analyzers []*Analyzer) ([]Diagnostic, e
 // report the inventory remainder as dead weight.
 func RunAudit(loader *Loader, paths []string, analyzers []*Analyzer) (map[string]map[int]bool, error) {
 	used := make(map[string]map[int]bool)
+	err := runPasses(loader, paths, analyzers, true, func(pass *Pass) {
+		for _, p := range pass.UsedAnnotations() {
+			if used[p.Filename] == nil {
+				used[p.Filename] = make(map[int]bool)
+			}
+			used[p.Filename][p.Line] = true
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return used, nil
+}
+
+// runPasses runs each analyzer over each loaded package, handing every
+// finished pass to done.
+func runPasses(loader *Loader, paths []string, analyzers []*Analyzer, audit bool, done func(*Pass)) error {
 	for _, path := range paths {
 		pkg, err := loader.Load(path)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, a := range analyzers {
 			pass := &Pass{
@@ -205,18 +208,13 @@ func RunAudit(loader *Loader, paths []string, analyzers []*Analyzer) (map[string
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 				Deps:      loader.Loaded,
-				Audit:     true,
+				Audit:     audit,
 			}
 			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, path, err)
+				return fmt.Errorf("analysis: %s on %s: %w", a.Name, path, err)
 			}
-			for _, p := range pass.UsedAnnotations() {
-				if used[p.Filename] == nil {
-					used[p.Filename] = make(map[int]bool)
-				}
-				used[p.Filename][p.Line] = true
-			}
+			done(pass)
 		}
 	}
-	return used, nil
+	return nil
 }

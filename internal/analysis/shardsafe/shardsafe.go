@@ -2,8 +2,8 @@
 // sweep drivers: a function annotated //amoeba:shard is one worker's run
 // body, and two workers must not be able to share mutable state except
 // through the channels handed to them as parameters. The analyzer walks
-// the static call graph from every shard root (the same resolver-backed
-// walk hotpath uses) and flags, in the root and in everything it
+// the static call graph from every shard root (analysis.Walker, the walk
+// hotpath uses too) and flags, in the root and in everything it
 // reaches:
 //
 //   - writes to package-level mutable state (assignments, ++/--, and
@@ -15,10 +15,11 @@
 //     the channel the driver passed in;
 //   - sync.Mutex.Lock / sync.RWMutex.Lock/RLock — a shard body needing
 //     a lock means it is touching shared state; the audited escape is
-//     the //amoeba:shardsafe annotation below, not an inline lock;
-//   - package-level math/rand and math/rand/v2 calls — the global
-//     source is shared mutable state (seedflow/nodeterminism flag it
-//     for determinism; here it is also a cross-shard race).
+//     the //amoeba:shardsafe annotation below, not an inline lock.
+//
+// Package-level math/rand calls are shared mutable state too, but they
+// are nodeterminism's rule: it flags every one in a non-main package,
+// and no shard root lives in a package main (DESIGN.md §7).
 //
 // A call into a function annotated //amoeba:shardsafe is trusted and not
 // walked: the annotation marks an audited concurrency-safe API boundary
@@ -60,200 +61,39 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "shardsafe",
 	Doc: "//amoeba:shard workers (and everything they reach) must not write package-level " +
-		"state, send on non-parameter channels, lock mutexes, or touch global math/rand; " +
+		"state, send on non-parameter channels, or lock mutexes; " +
 		"audited shared APIs are annotated //amoeba:shardsafe",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
-	w := &walker{
-		pass:    pass,
-		resolve: analysis.NewResolver(pass),
-		allows:  analysis.NewAllowSites(pass.Fset),
-		memo:    make(map[*types.Func][]finding),
-		litMemo: make(map[*ast.FuncLit][]finding),
+	w := analysis.NewWalker(pass, violationDesc)
+	// A declaration annotated //amoeba:shardsafe is a trusted boundary:
+	// its walk is cut and nothing behind it is reported. Audit mode walks
+	// past it only to test its liveness: a non-empty subtree means the
+	// marker still shields something.
+	w.Boundary = func(decl *ast.FuncDecl, file *ast.File, walk func() []analysis.Reach) []analysis.Reach {
+		pos := analysis.FuncMarkerPos(pass.Fset, file, decl, analysis.AnnotShardSafe)
+		if pos == token.NoPos {
+			return walk()
+		}
+		if pass.Audit && len(walk()) > 0 {
+			pass.UseAnnotation(pos)
+		}
+		return nil
 	}
 	for _, f := range pass.Files {
 		for _, fd := range analysis.MarkedFuncs(pass.Fset, f, analysis.AnnotShard) {
-			w.reportRoot(f, fd)
+			root := analysis.DeclName(fd)
+			w.Root(fd, fd.Body, func(n ast.Node, desc string) {
+				pass.Reportf(n.Pos(), "shard worker %s %s", root, desc)
+			}, func(call *ast.CallExpr, r analysis.Reach) {
+				pass.ReportfVia(call.Pos(), r.Chain, "shard worker %s reaches code that %s via %s",
+					root, r.Desc, strings.Join(r.Chain, " -> "))
+			})
 		}
 	}
 	return nil
-}
-
-// finding is one isolation violation reachable from a shard root: what
-// was touched and the call chain that gets there.
-type finding struct {
-	desc  string
-	chain []string
-}
-
-type walker struct {
-	pass     *analysis.Pass
-	resolve  *analysis.Resolver
-	allows   *analysis.AllowSites
-	memo     map[*types.Func][]finding
-	busy     []*types.Func // in-progress stack for cycle cut-off
-	litMemo  map[*ast.FuncLit][]finding
-	busyLits []*ast.FuncLit
-}
-
-// spliceVia rewrites a finding chain for a dynamic edge: the edge label
-// already names the callee the chain starts with, so it replaces the
-// chain's first element.
-func spliceVia(via string, chain []string) []string {
-	if via == "" {
-		return chain
-	}
-	return append([]string{via}, chain[1:]...)
-}
-
-// reportRoot walks one //amoeba:shard declaration, reporting direct
-// violations at their site and transitive ones at the call edge.
-func (w *walker) reportRoot(file *ast.File, fd *ast.FuncDecl) {
-	if fd.Body == nil {
-		return
-	}
-	root := rootName(fd)
-	info := w.pass.TypesInfo
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if desc, ok := violationDesc(info, fd, n); ok {
-			w.pass.Reportf(n.Pos(), "shard worker %s %s", root, desc)
-			return true
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			for _, edge := range w.resolve.CalleeEdges(info, call) {
-				for _, f := range w.edgeFindings(edge) {
-					chain := spliceVia(edge.Via, f.chain)
-					w.pass.ReportfVia(call.Pos(), chain, "shard worker %s reaches code that %s via %s",
-						root, f.desc, strings.Join(chain, " -> "))
-				}
-			}
-		}
-		return true
-	})
-}
-
-// edgeFindings dispatches one callee edge: named functions analyze by
-// declaration, field-stored function literals by body in their defining
-// package; locally bound literals yield nothing because their bodies are
-// walked inline by the enclosing inspection.
-func (w *walker) edgeFindings(edge analysis.CalleeEdge) []finding {
-	if edge.Lit != nil {
-		if edge.LitPkg == nil {
-			return nil // literal bound to a local: its body is walked inline
-		}
-		return w.analyzeLit(edge.Lit, edge.LitPkg)
-	}
-	return w.analyze(edge.Fn)
-}
-
-// analyze computes the isolation violations inside fn and everything it
-// reaches, one finding per distinct description, memoized per package
-// walk. A //amoeba:shardsafe annotation on fn short-circuits the walk.
-func (w *walker) analyze(fn *types.Func) []finding {
-	if fs, ok := w.memo[fn]; ok {
-		return fs
-	}
-	for _, b := range w.busy {
-		if b == fn {
-			return nil // cycle: the first visit owns the result
-		}
-	}
-	decl, pkg := w.resolve.DeclOf(fn)
-	if decl == nil || decl.Body == nil {
-		w.memo[fn] = nil
-		return nil // no syntax: stdlib gap, screened by violationDesc
-	}
-	file := w.resolve.FileOf(pkg, decl)
-	boundary := token.NoPos
-	if file != nil {
-		boundary = analysis.FuncMarkerPos(w.pass.Fset, file, decl, analysis.AnnotShardSafe)
-	}
-	if boundary != token.NoPos && !w.pass.Audit {
-		w.memo[fn] = nil // audited concurrency-safe boundary
-		return nil
-	}
-	w.busy = append(w.busy, fn)
-	defer func() { w.busy = w.busy[:len(w.busy)-1] }()
-
-	info := w.resolve.InfoOf(pkg)
-	out := w.findingsIn(decl, decl.Body, info, file, analysis.FuncDisplayName(w.pass.Pkg, fn))
-	if boundary != token.NoPos {
-		// Audit mode walked past the boundary only to test its liveness:
-		// a non-empty subtree means the marker still shields something.
-		if len(out) > 0 {
-			w.pass.UseAnnotation(boundary)
-		}
-		w.memo[fn] = nil
-		return nil
-	}
-	w.memo[fn] = out
-	return out
-}
-
-// analyzeLit computes the isolation violations inside a function literal
-// stored in a struct field, walked in the type-checking context of its
-// defining package. The chain head is "function literal" so that
-// spliceVia replaces it with the edge label naming the field hop.
-// Literals cannot carry a //amoeba:shardsafe boundary (the marker
-// attaches to declarations), so the walk never short-circuits here.
-func (w *walker) analyzeLit(lit *ast.FuncLit, pkg *types.Package) []finding {
-	if fs, ok := w.litMemo[lit]; ok {
-		return fs
-	}
-	for _, b := range w.busyLits {
-		if b == lit {
-			return nil // cycle: the first visit owns the result
-		}
-	}
-	w.busyLits = append(w.busyLits, lit)
-	defer func() { w.busyLits = w.busyLits[:len(w.busyLits)-1] }()
-
-	out := w.findingsIn(lit, lit.Body, w.resolve.InfoOf(pkg), w.resolve.FileAt(pkg, lit.Pos()),
-		"function literal")
-	w.litMemo[lit] = out
-	return out
-}
-
-// findingsIn scans one walked body, collecting one finding per distinct
-// violation description with self as the chain head. scope is the
-// enclosing function syntax (declaration or literal) used to decide
-// channel locality.
-func (w *walker) findingsIn(scope ast.Node, body *ast.BlockStmt, info *types.Info, file *ast.File, self string) []finding {
-	var out []finding
-	seen := make(map[string]bool)
-	add := func(f finding) {
-		if !seen[f.desc] {
-			seen[f.desc] = true
-			out = append(out, f)
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			return true
-		}
-		// An //amoeba:allow shardsafe at the violating line inside a
-		// walked body suppresses the finding for every root that
-		// reaches it: one annotation at the origin, not one per edge.
-		if pos, ok := w.allows.Covering(file, n.Pos(), w.pass.Analyzer.Name); ok {
-			w.pass.UseAnnotation(pos)
-			return true
-		}
-		if desc, ok := violationDesc(info, scope, n); ok {
-			add(finding{desc: desc, chain: []string{self}})
-			return true
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			for _, edge := range w.resolve.CalleeEdges(info, call) {
-				for _, f := range w.edgeFindings(edge) {
-					add(finding{desc: f.desc, chain: append([]string{self}, spliceVia(edge.Via, f.chain)...)})
-				}
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // violationDesc classifies one AST node inside the function whose syntax
@@ -287,9 +127,6 @@ func violationDesc(info *types.Info, scope ast.Node, n ast.Node) (desc string, o
 					return "mutates package-level " + v.Name() + " via " + id.Name, true
 				}
 			}
-		}
-		if pkg, name := analysis.PkgFunc(info, n); pkg == "math/rand" || pkg == "math/rand/v2" {
-			return "calls global " + pkg + "." + name + ", shared mutable state across shards", true
 		}
 		if pkg, recv, name := analysis.Method(info, n); pkg == "sync" {
 			if (recv == "Mutex" && name == "Lock") ||
@@ -357,22 +194,4 @@ func sharedChannel(info *types.Info, scope ast.Node, ch ast.Expr) (*types.Var, b
 			return nil, true // computed channel: not locally traceable
 		}
 	}
-}
-
-func rootName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		if st, ok := t.(*ast.StarExpr); ok {
-			t = st.X
-			continue
-		}
-		break
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fd.Name.Name
-	}
-	return fd.Name.Name
 }

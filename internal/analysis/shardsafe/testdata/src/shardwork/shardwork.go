@@ -1,7 +1,8 @@
 // Package shardwork exercises shardsafe: package-level writes,
-// non-parameter channel sends, mutex locks, and global rand reachable
-// from //amoeba:shard workers are flagged; parameter channels, locals,
-// receiver state, and //amoeba:shardsafe boundaries are not.
+// non-parameter channel sends, and mutex locks reachable from
+// //amoeba:shard workers are flagged; parameter channels, locals,
+// receiver state, global rand (nodeterminism's rule), and
+// //amoeba:shardsafe boundaries are not.
 package shardwork
 
 import (
@@ -75,11 +76,12 @@ func Locks(jobs <-chan int) {
 	}
 }
 
-// GlobalRand draws from the process-wide source.
+// GlobalRand draws from the process-wide source: nodeterminism's rule,
+// so shardsafe stays quiet.
 //
 //amoeba:shard
 func GlobalRand(out chan<- int) {
-	out <- rand.Int() // want `shard worker GlobalRand calls global math/rand\.Int, shared mutable state across shards`
+	out <- rand.Int()
 }
 
 // Transitive reaches a package-level write through a local helper and a
@@ -152,6 +154,17 @@ func FuncValueShard(jobs <-chan int) {
 	f := bump
 	for j := range jobs {
 		f(j) // want `shard worker FuncValueShard reaches code that writes package-level counter via func value f => bump`
+	}
+}
+
+// Box has two type parameters; its root is named by the receiver's
+// type without them.
+type Box[K comparable, V any] struct{ m map[K]V }
+
+//amoeba:shard
+func (b *Box[K, V]) M(jobs <-chan int) {
+	for j := range jobs {
+		counter += j + len(b.m) // want `shard worker Box\.M writes package-level counter`
 	}
 }
 

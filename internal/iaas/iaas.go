@@ -204,7 +204,7 @@ func (p *Platform) DeployWithVMs(profile workload.Profile, vms int, onComplete f
 		busyUsage:  resources.NewUsage(float64(p.sim.Now())),
 		onComplete: onComplete,
 	}
-	svc.execMu, svc.execSigma = lognormalParams(profile.ExecTime, profile.ExecCV)
+	svc.execMu, svc.execSigma = sim.LognormalParams(profile.ExecTime, profile.ExecCV)
 	p.services[profile.Name] = svc
 	p.allocate(svc)
 	svc.running = true
@@ -468,18 +468,4 @@ func (p *Platform) ConsumedCPUSeconds(name string) float64 {
 // AllocFor returns the service's instantaneous allocation.
 func (p *Platform) AllocFor(name string) resources.Vector {
 	return p.mustSvc(name).usage.Current()
-}
-
-// lognormalParams converts a mean/CV pair to lognormal parameters.
-// It panics if the mean is non-positive; Config.Validate rules that out
-// for every caller.
-func lognormalParams(mean, cv float64) (muLN, sigma float64) {
-	if mean <= 0 {
-		panic(fmt.Sprintf("iaas: non-positive lognormal mean %v", mean))
-	}
-	if cv <= 0 {
-		return math.Log(mean), 0
-	}
-	s2 := math.Log(1 + cv*cv)
-	return math.Log(mean) - s2/2, math.Sqrt(s2)
 }

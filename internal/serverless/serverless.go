@@ -228,7 +228,7 @@ func New(s *sim.Simulator, cfg Config) *Platform {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	coldMu, coldSigma := lognormalParams(cfg.ColdStartMean.Raw(), cfg.ColdStartCV)
+	coldMu, coldSigma := sim.LognormalParams(cfg.ColdStartMean.Raw(), cfg.ColdStartCV)
 	return &Platform{
 		sim:       s,
 		cfg:       cfg,
@@ -305,7 +305,7 @@ func (p *Platform) Register(profile workload.Profile, onComplete func(metrics.Qu
 	if err != nil {
 		panic(err)
 	}
-	execMu, execSigma := lognormalParams(profile.ExecTime, profile.ExecCV)
+	execMu, execSigma := sim.LognormalParams(profile.ExecTime, profile.ExecCV)
 	f := &function{
 		profile:    profile,
 		execMu:     execMu,
@@ -861,18 +861,3 @@ func (p *Platform) AllocFor(name string) resources.Vector {
 
 // MemAllocatedMB returns the pool's current container memory footprint.
 func (p *Platform) MemAllocatedMB() float64 { return p.memMB }
-
-// lognormalParams converts a (mean, CV) pair into the (mu, sigma) of the
-// underlying normal. A zero CV degenerates to a deterministic value.
-// It panics if the mean is non-positive; Config.Validate rules that out
-// for every caller.
-func lognormalParams(mean, cv float64) (mu, sigma float64) {
-	if mean <= 0 {
-		panic(fmt.Sprintf("serverless: non-positive lognormal mean %v", mean))
-	}
-	if cv <= 0 {
-		return math.Log(mean), 0
-	}
-	s2 := math.Log(1 + cv*cv)
-	return math.Log(mean) - s2/2, math.Sqrt(s2)
-}

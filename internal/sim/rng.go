@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -83,6 +84,22 @@ func (r *RNG) StdNormal() float64 {
 	}
 	u2 := r.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+}
+
+// LognormalParams converts a (mean, CV) pair into the (mu, sigma) of the
+// underlying normal, so math.Exp(mu+sigma*z) for a standard normal z is
+// a lognormal draw with that mean and CV. A zero CV degenerates to a
+// deterministic value. It panics if the mean is non-positive; the
+// platforms' Config.Validate rules that out for every caller.
+func LognormalParams(mean, cv float64) (mu, sigma float64) {
+	if mean <= 0 {
+		panic(fmt.Sprintf("sim: non-positive lognormal mean %v", mean))
+	}
+	if cv <= 0 {
+		return math.Log(mean), 0
+	}
+	s2 := math.Log(1 + cv*cv)
+	return math.Log(mean) - s2/2, math.Sqrt(s2)
 }
 
 // Normal returns a normally distributed value with the given mean and
