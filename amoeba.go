@@ -23,14 +23,19 @@
 // Quick start:
 //
 //	prof, _ := amoeba.BenchmarkByName("dd")
-//	sc := amoeba.NewScenario(amoeba.Amoeba, prof, amoeba.DefaultScenarioOptions())
+//	sc, err := amoeba.NewScenario(amoeba.Amoeba, prof, amoeba.DefaultScenarioOptions())
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	res := amoeba.Run(sc)
 //	sr := res.Services[prof.Name]
 //	fmt.Println("p95:", sr.Collector.P95(), "QoS met:", sr.Collector.QoSMet())
 package amoeba
 
 import (
+	"fmt"
 	"io"
+	"math"
 
 	"amoeba/internal/contention"
 	"amoeba/internal/core"
@@ -180,11 +185,23 @@ func DefaultScenarioOptions() ScenarioOptions {
 
 // NewScenario builds the paper's standard single-benchmark scenario: the
 // benchmark under a diurnal load, optionally with the three background
-// tenants sharing the serverless pool.
-// It panics if the options specify a non-positive horizon.
-func NewScenario(v Variant, prof Benchmark, opts ScenarioOptions) Scenario {
-	if opts.DayLength <= 0 || opts.Days <= 0 {
-		panic("amoeba: non-positive scenario horizon")
+// tenants sharing the serverless pool. It returns an error if DayLength
+// or Days is not positive and finite, if TroughFraction is outside
+// [0, 1), or if the benchmark or the built scenario fails validation.
+func NewScenario(v Variant, prof Benchmark, opts ScenarioOptions) (Scenario, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"day length", opts.DayLength.Raw()}, {"days", opts.Days}} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return Scenario{}, fmt.Errorf("amoeba: %s %v is not positive and finite", f.name, f.v)
+		}
+	}
+	if t := opts.TroughFraction.Raw(); !(t >= 0 && t < 1) {
+		return Scenario{}, fmt.Errorf("amoeba: trough fraction %v is outside [0, 1)", t)
+	}
+	if err := prof.Validate(); err != nil {
+		return Scenario{}, err
 	}
 	sc := Scenario{
 		Variant: v,
@@ -200,7 +217,10 @@ func NewScenario(v Variant, prof Benchmark, opts ScenarioOptions) Scenario {
 	if opts.Background {
 		sc.Background = core.BackgroundTenants(opts.DayLength, opts.Seed+7)
 	}
-	return sc
+	if err := sc.Validate(); err != nil {
+		return Scenario{}, err
+	}
+	return sc, nil
 }
 
 // Run executes a scenario to completion. Runs are deterministic for a

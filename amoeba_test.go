@@ -1,10 +1,21 @@
 package amoeba_test
 
 import (
+	"math"
 	"testing"
 
 	"amoeba"
 )
+
+// mustScenario builds a standard scenario, failing the test on an error.
+func mustScenario(t *testing.T, v amoeba.Variant, prof amoeba.Benchmark, opts amoeba.ScenarioOptions) amoeba.Scenario {
+	t.Helper()
+	sc, err := amoeba.NewScenario(v, prof, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
 
 func TestBenchmarksSuite(t *testing.T) {
 	bs := amoeba.Benchmarks()
@@ -31,7 +42,7 @@ func TestPublicRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := amoeba.DefaultScenarioOptions()
-	res := amoeba.Run(amoeba.NewScenario(amoeba.Amoeba, prof, opts))
+	res := amoeba.Run(mustScenario(t, amoeba.Amoeba, prof, opts))
 	sr := res.Services[prof.Name]
 	if sr == nil {
 		t.Fatal("no service result")
@@ -51,8 +62,8 @@ func TestPublicRunEndToEnd(t *testing.T) {
 func TestPublicRunDeterminism(t *testing.T) {
 	prof, _ := amoeba.BenchmarkByName("dd")
 	opts := amoeba.DefaultScenarioOptions()
-	a := amoeba.Run(amoeba.NewScenario(amoeba.Nameko, prof, opts))
-	b := amoeba.Run(amoeba.NewScenario(amoeba.Nameko, prof, opts))
+	a := amoeba.Run(mustScenario(t, amoeba.Nameko, prof, opts))
+	b := amoeba.Run(mustScenario(t, amoeba.Nameko, prof, opts))
 	if a.Services[prof.Name].Collector.P95() != b.Services[prof.Name].Collector.P95() {
 		t.Error("public API runs are not deterministic")
 	}
@@ -77,14 +88,46 @@ func TestCustomTraceScenario(t *testing.T) {
 	}
 }
 
+// TestNewScenarioValidation pins the options NewScenario rejects with an
+// error: each would otherwise panic while the load trace is built or
+// give a run that never finishes.
 func TestNewScenarioValidation(t *testing.T) {
 	prof, _ := amoeba.BenchmarkByName("float")
-	opts := amoeba.DefaultScenarioOptions()
-	opts.DayLength = 0
-	defer func() {
-		if recover() == nil {
-			t.Error("zero day length did not panic")
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		days, dayLength, trough float64
+		ok                      bool
+	}{
+		{1, 0, 0.2, false},
+		{1, -5, 0.2, false},
+		{1, nan, 0.2, false},
+		{1, inf, 0.2, false},
+		{0, 3600, 0.2, false},
+		{-1, 3600, 0.2, false},
+		{nan, 3600, 0.2, false},
+		{inf, 3600, 0.2, false},
+		{1, 3600, nan, false},
+		{1, 3600, -0.1, false},
+		{1, 3600, 1, false},
+		{1, 3600, 1.5, false},
+		{1, 3600, 0, true},
+		{1, 3600, 0.2, true},
+		{1, 3600, 0.99, true},
+	}
+	for _, c := range cases {
+		opts := amoeba.DefaultScenarioOptions()
+		opts.Days = c.days
+		opts.DayLength = amoeba.Seconds(c.dayLength)
+		opts.TroughFraction = amoeba.Fraction(c.trough)
+		_, err := amoeba.NewScenario(amoeba.Amoeba, prof, opts)
+		if (err == nil) != c.ok {
+			t.Errorf("days %v, day length %v, trough %v: err = %v, want ok = %v",
+				c.days, c.dayLength, c.trough, err, c.ok)
 		}
-	}()
-	amoeba.NewScenario(amoeba.Amoeba, prof, opts)
+	}
+	bad := prof
+	bad.PeakQPS = 0
+	if _, err := amoeba.NewScenario(amoeba.Amoeba, bad, amoeba.DefaultScenarioOptions()); err == nil {
+		t.Error("zero-peak benchmark accepted")
+	}
 }

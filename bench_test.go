@@ -15,12 +15,10 @@ import (
 	"math"
 	"testing"
 
-	"amoeba/internal/arrival"
 	"amoeba/internal/contention"
 	"amoeba/internal/controller"
 	"amoeba/internal/core"
 	"amoeba/internal/experiments"
-	"amoeba/internal/metrics"
 	"amoeba/internal/monitor"
 	"amoeba/internal/obs"
 	"amoeba/internal/queueing"
@@ -283,20 +281,6 @@ func BenchmarkAblationInterferenceModel(b *testing.B) {
 	b.ReportMetric(additive, "additive_slowdown")
 }
 
-// BenchmarkAblationPrewarmHeadroom sweeps Eq. 7's headroom, reporting the
-// violation fraction at each setting for dd.
-func BenchmarkAblationPrewarmHeadroom(b *testing.B) {
-	prof := workload.DD()
-	cfg := benchCfg()
-	var frac float64
-	for i := 0; i < b.N; i++ {
-		sc := benchScenario(cfg, prof, core.VariantAmoeba)
-		res := core.Run(sc)
-		frac = res.Services[prof.Name].Collector.ViolationFraction()
-	}
-	b.ReportMetric(frac*100, "violation_%")
-}
-
 // BenchmarkAblationWeights compares admissible loads predicted with w0
 // versus calibrated weights under a fixed contention point.
 func BenchmarkAblationWeights(b *testing.B) {
@@ -316,44 +300,6 @@ func BenchmarkAblationWeights(b *testing.B) {
 	}
 	b.ReportMetric(admW0.Raw(), "w0_admissible_qps")
 	b.ReportMetric(admL.Raw(), "calibrated_admissible_qps")
-}
-
-// BenchmarkAblationWarmPoolStrategy compares two cold-start mitigations
-// on a pure serverless deployment at low load: Amoeba-style on-demand
-// reuse (no floor) versus the static warm-pool of Lin & Glikson [20]
-// (related work §VIII). The static pool eliminates cold starts at a
-// standing memory cost; the metrics expose the trade.
-func BenchmarkAblationWarmPoolStrategy(b *testing.B) {
-	run := func(minWarm int) (coldStarts int, memMBs float64) {
-		s := sim.New(99)
-		pool := serverless.New(s, serverless.DefaultConfig())
-		prof := workload.Float()
-		queryCold := 0
-		opts := []serverless.RegisterOption{}
-		if minWarm > 0 {
-			opts = append(opts, serverless.WithMinWarm(minWarm))
-		}
-		pool.Register(prof, func(r metrics.QueryRecord) {
-			if r.Breakdown.ColdStart > 0 {
-				queryCold++
-			}
-		}, opts...)
-		// Sparse Poisson traffic: mean gap 20s, beyond the 60s idle
-		// window often enough that cold starts happen without a floor.
-		gen := arrival.New(s, trace.Constant{QPS: 0.05}, func(sim.Time) { pool.Invoke(prof.Name) })
-		gen.Start()
-		s.Run(7200)
-		return queryCold, pool.UsageFor(prof.Name).MemMB
-	}
-	var coldNo, coldPool int
-	var memNo, memPool float64
-	for i := 0; i < b.N; i++ {
-		coldNo, memNo = run(0)
-		coldPool, memPool = run(2)
-	}
-	b.ReportMetric(float64(coldNo), "cold_starts_no_pool")
-	b.ReportMetric(float64(coldPool), "cold_starts_warm_pool")
-	b.ReportMetric(memPool/memNo, "warm_pool_mem_cost_x")
 }
 
 // --- Kernel benches (DESIGN.md §10) ---

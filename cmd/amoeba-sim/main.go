@@ -17,7 +17,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"amoeba"
@@ -61,19 +60,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := checkHorizon(*days, *dayLength, *trough); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	opts := amoeba.DefaultScenarioOptions()
 	opts.Days = *days
 	opts.DayLength = amoeba.Seconds(*dayLength)
 	opts.TroughFraction = amoeba.Fraction(*trough)
 	opts.Seed = *seed
 	opts.Background = !*noBG
-	sc := amoeba.NewScenario(v, prof, opts)
-	if err := sc.Validate(); err != nil {
+	sc, err := amoeba.NewScenario(v, prof, opts)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -177,22 +171,4 @@ func main() {
 		}
 		fmt.Printf("wrote %d events to %s\n", jsonl.Count(), *events)
 	}
-}
-
-// checkHorizon rejects the load-shape flags amoeba.NewScenario cannot
-// take: a non-positive horizon panics there, a NaN or infinite one never
-// finishes, and a trough outside [0, 1] of the peak panics in the trace.
-func checkHorizon(days, dayLength, trough float64) error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"days", days}, {"day-length", dayLength}} {
-		if !(f.v > 0) || math.IsInf(f.v, 1) {
-			return fmt.Errorf("-%s must be positive and finite, got %v", f.name, f.v)
-		}
-	}
-	if !(trough >= 0 && trough <= 1) {
-		return fmt.Errorf("-trough must be in [0, 1], got %v", trough)
-	}
-	return nil
 }

@@ -1,35 +1,78 @@
 package main
 
 import (
-	"math"
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
+	"time"
 )
 
-// TestCheckHorizon pins the load-shape flags rejected before a scenario
-// is built: each would otherwise panic or run forever.
+// TestMain runs the command itself when the test binary is re-executed
+// with AMOEBA_SIM_MAIN=1, so a test can check its exit status and output.
+func TestMain(m *testing.M) {
+	if os.Getenv("AMOEBA_SIM_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runSim runs amoeba-sim with args and returns its exit status and
+// standard error.
+func runSim(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "AMOEBA_SIM_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stderr.String()
+	case errors.As(err, &exit) && ctx.Err() == nil:
+		return exit.ExitCode(), stderr.String()
+	default:
+		t.Fatalf("amoeba-sim %v: %v", args, err)
+		return 0, ""
+	}
+}
+
+// TestCheckHorizon pins the load-shape flags amoeba-sim rejects before a
+// scenario is built: each would otherwise panic or run forever. A
+// rejected flag ends the run with exit status 2 and one line of error.
 func TestCheckHorizon(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	bad := []struct{ days, dayLength, trough float64 }{
-		{1, 0, 0.2},
-		{1, -5, 0.2},
-		{1, nan, 0.2},
-		{1, inf, 0.2},
-		{0, 3600, 0.2},
-		{-1, 3600, 0.2},
-		{nan, 3600, 0.2},
-		{inf, 3600, 0.2},
-		{1, 3600, nan},
-		{1, 3600, -0.1},
-		{1, 3600, 1.5},
+	bad := []struct{ days, dayLength, trough string }{
+		{"1", "0", "0.2"},
+		{"1", "-5", "0.2"},
+		{"1", "NaN", "0.2"},
+		{"1", "+Inf", "0.2"},
+		{"0", "3600", "0.2"},
+		{"-1", "3600", "0.2"},
+		{"NaN", "3600", "0.2"},
+		{"+Inf", "3600", "0.2"},
+		{"1", "3600", "NaN"},
+		{"1", "3600", "-0.1"},
+		{"1", "3600", "1"},
+		{"1", "3600", "1.5"},
 	}
 	for _, c := range bad {
-		if err := checkHorizon(c.days, c.dayLength, c.trough); err == nil {
-			t.Errorf("checkHorizon(%v, %v, %v) accepted bad flags", c.days, c.dayLength, c.trough)
+		code, stderr := runSim(t, "-bench", "float",
+			"-days", c.days, "-day-length", c.dayLength, "-trough", c.trough)
+		if code != 2 || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("days %s, day length %s, trough %s: exit %d, stderr %q; want exit 2 and one line",
+				c.days, c.dayLength, c.trough, code, stderr)
 		}
 	}
-	for _, trough := range []float64{0, 0.2, 1} {
-		if err := checkHorizon(1, 3600, trough); err != nil {
-			t.Errorf("trough %v: %v", trough, err)
+	for _, trough := range []string{"0", "0.2"} {
+		if code, stderr := runSim(t, "-bench", "float", "-day-length", "60", "-trough", trough); code != 0 {
+			t.Errorf("trough %s: exit %d, stderr %q", trough, code, stderr)
 		}
 	}
 }

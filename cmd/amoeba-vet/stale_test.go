@@ -35,8 +35,8 @@ func TestStaleAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inventory) != 6 {
-		t.Fatalf("inventory has %d annotations, want 6: %+v", len(inventory), inventory)
+	if len(inventory) != 7 {
+		t.Fatalf("inventory has %d annotations, want 7: %+v", len(inventory), inventory)
 	}
 	sources := make(map[string][]string)
 	for _, s := range inventory {

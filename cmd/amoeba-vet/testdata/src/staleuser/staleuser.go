@@ -6,6 +6,7 @@ package staleuser
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -20,7 +21,14 @@ var (
 func Hot() int {
 	//amoeba:allow hotpath live: deliberate startup trace line
 	n, _ := fmt.Println("hot")
-	return n
+	return n + upperLen("hot")
+}
+
+// upperLen is reached from Hot, but the calls its annotation covers
+// reach nothing the hot path forbids.
+func upperLen(s string) int {
+	//amoeba:allow hotpath stale: the covered calls reach no violation
+	return len(strings.ToUpper(s))
 }
 
 // Cold carries an annotation with nothing to suppress.

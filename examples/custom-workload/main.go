@@ -44,8 +44,15 @@ func main() {
 		thumb.Name, thumb.PeakQPS, thumb.QoSTarget*1000)
 	fmt.Println("(first run profiles the service's latency surfaces — Fig. 9 style)")
 
-	am := amoeba.Run(amoeba.NewScenario(amoeba.Amoeba, thumb, opts)).Services[thumb.Name]
-	nk := amoeba.Run(amoeba.NewScenario(amoeba.Nameko, thumb, opts)).Services[thumb.Name]
+	scenario := func(v amoeba.Variant) amoeba.Scenario {
+		sc, err := amoeba.NewScenario(v, thumb, opts)
+		if err != nil {
+			panic(err)
+		}
+		return sc
+	}
+	am := amoeba.Run(scenario(amoeba.Amoeba)).Services[thumb.Name]
+	nk := amoeba.Run(scenario(amoeba.Nameko)).Services[thumb.Name]
 
 	fmt.Printf("\np95 latency: %.0fms (target %.0fms) — QoS met: %v\n",
 		am.Collector.P95()*1000, thumb.QoSTarget*1000, am.Collector.QoSMet())

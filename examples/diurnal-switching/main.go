@@ -20,7 +20,11 @@ func main() {
 
 	fmt.Printf("one diurnal day of %s under Amoeba (peak %.0f QPS, trough %.0f QPS)\n\n",
 		prof.Name, prof.PeakQPS, prof.PeakQPS*opts.TroughFraction.Raw())
-	sr := amoeba.Run(amoeba.NewScenario(amoeba.Amoeba, prof, opts)).Services[prof.Name]
+	sc, err := amoeba.NewScenario(amoeba.Amoeba, prof, opts)
+	if err != nil {
+		panic(err)
+	}
+	sr := amoeba.Run(sc).Services[prof.Name]
 
 	// Render the timeline: one column per snapshot, load on top, the
 	// active deployment mode underneath.

@@ -19,8 +19,15 @@ func main() {
 	fmt.Printf("simulating %s (peak %.0f QPS, QoS %.0fms p95) for one day...\n",
 		prof.Name, prof.PeakQPS, prof.QoSTarget*1000)
 
-	am := amoeba.Run(amoeba.NewScenario(amoeba.Amoeba, prof, opts)).Services[prof.Name]
-	nk := amoeba.Run(amoeba.NewScenario(amoeba.Nameko, prof, opts)).Services[prof.Name]
+	scenario := func(v amoeba.Variant) amoeba.Scenario {
+		sc, err := amoeba.NewScenario(v, prof, opts)
+		if err != nil {
+			panic(err)
+		}
+		return sc
+	}
+	am := amoeba.Run(scenario(amoeba.Amoeba)).Services[prof.Name]
+	nk := amoeba.Run(scenario(amoeba.Nameko)).Services[prof.Name]
 
 	fmt.Printf("\n%-22s %12s %12s\n", "", "amoeba", "nameko")
 	fmt.Printf("%-22s %12d %12d\n", "queries", am.Collector.Count(), nk.Collector.Count())

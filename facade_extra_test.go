@@ -36,13 +36,13 @@ func TestSampledTraceThroughFacade(t *testing.T) {
 func TestAutoscaleVariantThroughFacade(t *testing.T) {
 	prof, _ := amoeba.BenchmarkByName("float")
 	opts := amoeba.DefaultScenarioOptions()
-	res := amoeba.Run(amoeba.NewScenario(amoeba.Autoscale, prof, opts))
+	res := amoeba.Run(mustScenario(t, amoeba.Autoscale, prof, opts))
 	sr := res.Services[prof.Name]
 	if sr.Collector.Count() < 1000 {
 		t.Fatalf("only %d queries", sr.Collector.Count())
 	}
 	// The autoscaler must allocate less than the static peak deployment.
-	nk := amoeba.Run(amoeba.NewScenario(amoeba.Nameko, prof, opts)).Services[prof.Name]
+	nk := amoeba.Run(mustScenario(t, amoeba.Nameko, prof, opts)).Services[prof.Name]
 	if sr.TotalUsage().CPU >= nk.TotalUsage().CPU {
 		t.Errorf("autoscaler CPU %v not below static %v",
 			sr.TotalUsage().CPU, nk.TotalUsage().CPU)

@@ -286,33 +286,35 @@ func (w *Walker) walk(scope ast.Node, body *ast.BlockStmt, pkg *types.Package, s
 }
 
 // scan inspects one walked body, collecting one Reach per distinct
-// description.
+// description. An allow covering a node is credited only when it
+// suppresses something: the node is flagged, or the call reaches a
+// finding. So an origin allow deeper in the walk wins over a call-site
+// allow that would shadow it, and the call-site one reads as stale.
 func (w *Walker) scan(scope ast.Node, body *ast.BlockStmt, info *types.Info, file *ast.File, self string) []Reach {
 	var out []Reach
 	seen := make(map[string]bool)
-	add := func(desc string, chain []string) {
-		if !seen[desc] {
-			seen[desc] = true
-			out = append(out, Reach{Desc: desc, Chain: chain})
-		}
-	}
 	ast.Inspect(body, func(n ast.Node) bool {
-		desc, flagged := w.flag(info, scope, n)
-		call, isCall := n.(*ast.CallExpr)
-		if !flagged && !isCall {
+		var found []Reach
+		if desc, flagged := w.flag(info, scope, n); flagged {
+			found = []Reach{{Desc: desc, Chain: []string{self}}}
+		} else if call, ok := n.(*ast.CallExpr); ok {
+			for _, edge := range w.Resolve.CalleeEdges(info, call) {
+				for _, r := range w.Reaches(edge) {
+					found = append(found, Reach{Desc: r.Desc, Chain: append([]string{self}, r.Chain...)})
+				}
+			}
+		}
+		if len(found) == 0 {
 			return true
 		}
 		if pos, ok := w.allowed(file, n.Pos()); ok {
 			w.pass.UseAnnotation(pos)
 			return true
 		}
-		if flagged {
-			add(desc, []string{self})
-			return true
-		}
-		for _, edge := range w.Resolve.CalleeEdges(info, call) {
-			for _, r := range w.Reaches(edge) {
-				add(r.Desc, append([]string{self}, r.Chain...))
+		for _, r := range found {
+			if !seen[r.Desc] {
+				seen[r.Desc] = true
+				out = append(out, r)
 			}
 		}
 		return true

@@ -1,8 +1,6 @@
-// Package cluster models the experimental platform of the paper's Table
-// II: nodes with a fixed core count, DRAM size, NVMe disk bandwidth, and
-// NIC bandwidth, wired by a 25 Gb/s switch. One node hosts the shared
-// serverless platform, one hosts IaaS VMs, and one generates queries and
-// runs the controller/monitor — mirroring the paper's 3-node testbed.
+// Package cluster models a node of the paper's Table II testbed: a fixed
+// core count, DRAM size, NVMe disk bandwidth, and NIC bandwidth. The
+// serverless platform and the IaaS VM groups each run on one such node.
 package cluster
 
 import (
@@ -58,30 +56,4 @@ func (n Node) Validate() error {
 func (n Node) String() string {
 	return fmt.Sprintf("%s(%d cores, %.0fGB, %.0fMB/s disk, %.0fMb/s net)",
 		n.Name, n.Cores, n.MemMB/1024, n.DiskMBps, n.NetMbps)
-}
-
-// Cluster is the paper's 3-node testbed layout.
-type Cluster struct {
-	IaaS       Node // hosts the per-service VM groups
-	Serverless Node // hosts the shared container pool
-	Client     Node // generates queries, runs controller + monitor
-}
-
-// Default returns the Table II cluster: three identical nodes.
-func Default() Cluster {
-	return Cluster{
-		IaaS:       DefaultNode("iaas"),
-		Serverless: DefaultNode("serverless"),
-		Client:     DefaultNode("client"),
-	}
-}
-
-// Validate reports configuration errors on any node.
-func (c Cluster) Validate() error {
-	for _, n := range []Node{c.IaaS, c.Serverless, c.Client} {
-		if err := n.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -38,14 +38,3 @@ func TestValidateRejectsBadNodes(t *testing.T) {
 		}
 	}
 }
-
-func TestDefaultCluster(t *testing.T) {
-	c := Default()
-	if err := c.Validate(); err != nil {
-		t.Fatalf("default cluster invalid: %v", err)
-	}
-	names := map[string]bool{c.IaaS.Name: true, c.Serverless.Name: true, c.Client.Name: true}
-	if len(names) != 3 {
-		t.Error("cluster nodes not distinctly named")
-	}
-}

@@ -124,18 +124,6 @@ func (p *Predictor) AdmissibleLoad(w monitor.Weights, pressure [3]float64) units
 	return lambda
 }
 
-// ClosedFormAdmissibleLoad evaluates the paper's literal Eq. 5 at the
-// operating point (used by the ablation comparing the closed form with
-// the bisection).
-func (p *Predictor) ClosedFormAdmissibleLoad(w monitor.Weights, pressure [3]float64, load units.QPS) units.QPS {
-	mu := p.Mu(w, pressure, load)
-	q := queueing.MMN{Lambda: load.Raw(), Mu: mu.Raw(), N: p.NMax}
-	if !q.Stable() {
-		return 0
-	}
-	return queueing.DiscriminantClosedForm(q, units.Seconds(p.Profile.QoSTarget), p.Quantile)
-}
-
 // Config tunes the deployment controller.
 type Config struct {
 	// DecisionPeriod is how often the controller re-evaluates.

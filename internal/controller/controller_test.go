@@ -6,6 +6,7 @@ import (
 
 	"amoeba/internal/metrics"
 	"amoeba/internal/monitor"
+	"amoeba/internal/queueing"
 	"amoeba/internal/surfaces"
 	"amoeba/internal/units"
 	"amoeba/internal/workload"
@@ -118,12 +119,16 @@ func TestAdmissibleLoadDropsWithPressure(t *testing.T) {
 	}
 }
 
+// TestClosedFormNearBisection evaluates the paper's literal Eq. 5 at the
+// predictor's operating point and compares it with the bisection the
+// controller uses.
 func TestClosedFormNearBisection(t *testing.T) {
 	p := testPredictor(t)
 	w := monitor.InitialWeights()
 	pressure := [3]float64{0.3, 0, 0}
 	adm := p.AdmissibleLoad(w, pressure)
-	cf := p.ClosedFormAdmissibleLoad(w, pressure, adm)
+	q := queueing.MMN{Lambda: adm.Raw(), Mu: p.Mu(w, pressure, adm).Raw(), N: p.NMax}
+	cf := queueing.DiscriminantClosedForm(q, units.Seconds(p.Profile.QoSTarget), p.Quantile)
 	if cf <= 0 {
 		t.Fatalf("closed form = %v at the bisection threshold %v", cf, adm)
 	}

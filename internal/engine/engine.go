@@ -140,7 +140,6 @@ type Engine struct {
 	shadowSent     float64 // shadow tokens spent this period (count)
 	execSum        float64 // warm serverless body time since last tick
 	execN          int
-	execLoadSum    float64 // load estimate attached to exec samples
 	switchBlocked  int
 	shadowComplete int
 }

@@ -61,9 +61,6 @@ func NewMetricsSink(reg *Registry) *MetricsSink {
 	}
 }
 
-// Registry returns the registry the sink updates.
-func (m *MetricsSink) Registry() *Registry { return m.reg }
-
 // Consume implements Sink. It panics on an event type outside the
 // closed taxonomy — an unfolded event kind is an invariant violation,
 // not a datum to count under a catch-all.

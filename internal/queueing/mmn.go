@@ -123,9 +123,6 @@ func (q MMN) MeanWait() float64 {
 	return q.ErlangC() / (float64(q.N)*q.Mu - q.Lambda)
 }
 
-// MeanResponse returns E[T] = E[W] + 1/μ.
-func (q MMN) MeanResponse() float64 { return q.MeanWait() + 1/q.Mu }
-
 // ResponseQuantile returns the r-quantile of the response time
 // T = W + S approximated as the r-quantile of W plus the mean service
 // time 1/μ — the decomposition the paper's Eq. 5 uses (T_D - 1/μ budget

@@ -13,18 +13,16 @@ import (
 
 // TestConservationProperty model-checks the platform's bookkeeping under
 // randomised load: every submitted activation is exactly one of
-// completed, rejected, queued, or in execution — none invented, none
-// lost — and the container/memory accounts balance.
+// completed, queued, or in execution — none invented, none lost — and
+// the container/memory accounts balance.
 func TestConservationProperty(t *testing.T) {
-	f := func(seed uint64, qpsRaw, nMaxRaw, queueCapRaw uint8, horizonRaw uint8) bool {
+	f := func(seed uint64, qpsRaw, nMaxRaw, horizonRaw uint8) bool {
 		qps := 1 + float64(qpsRaw%40)
 		nMax := 1 + int(nMaxRaw%12)
-		queueCap := int(queueCapRaw % 50) // 0 = unbounded
 		horizon := 20 + float64(horizonRaw%60)
 
 		s := sim.New(seed)
 		cfg := DefaultConfig()
-		cfg.MaxQueue = queueCap
 		p := New(s, cfg)
 
 		prof := workload.Float()
@@ -39,11 +37,10 @@ func TestConservationProperty(t *testing.T) {
 		gen.Start()
 		s.Run(sim.Time(horizon))
 
-		rejected := p.Rejected(prof.Name)
 		inflight := p.Inflight(prof.Name)
-		if submitted != completed+rejected+inflight {
-			t.Logf("seed=%d: submitted %d != completed %d + rejected %d + inflight %d",
-				seed, submitted, completed, rejected, inflight)
+		if submitted != completed+inflight {
+			t.Logf("seed=%d: submitted %d != completed %d + inflight %d",
+				seed, submitted, completed, inflight)
 			return false
 		}
 		// Container count within the cap; memory account matches.
@@ -63,7 +60,7 @@ func TestConservationProperty(t *testing.T) {
 			t.Logf("seed=%d: %d activations stuck after drain", seed, p.Inflight(prof.Name))
 			return false
 		}
-		if submitted != completed+p.Rejected(prof.Name) {
+		if submitted != completed {
 			t.Logf("seed=%d: post-drain conservation broken", seed)
 			return false
 		}

@@ -16,39 +16,36 @@ import (
 
 // overloadReplayDigest pins the byte-exact outcome of runOverloadReplay:
 // every QueryRecord and every JSONL event (query, cold-start and span
-// events) in emission order. It was captured from the single shared-queue
-// implementation the per-function queues replaced, so it proves that the
-// k-way merge places the same activations in the same order, draws the
-// same random numbers and allocates the same span IDs. A drift here is a
-// behaviour change of the platform, never a refactoring detail.
-const overloadReplayDigest = "221e5932522f0f6a19da202531057c4c84954ac8d06b9d3262ccbab4e3a68d0e"
+// events) in emission order. It was captured on the platform that still
+// carried a bounded queue and a warm-pool floor, neither set here, so it
+// proves that deleting them changed nothing: the same activations are
+// placed in the same order, draw the same random numbers and get the
+// same span IDs. A drift here is a behaviour change of the platform,
+// never a refactoring detail.
+const overloadReplayDigest = "ca8fdc8865e9e38167f57ff30dcc9cb5626c0fcb044c24b2147fa8c3acfb4f1b"
 
 // replayStats are the scenario facts the golden run must exercise.
 type replayStats struct {
 	maxQueue  int
 	evictions int
-	rejected  int
 	prewarmed int
 	released  int
 	mmQueued  int // matmul activations that waited behind the dd backlog
-	flQueued  int // float activations that waited despite the warm floor
+	flQueued  int // float activations that waited behind the dd backlog
 }
 
 // runOverloadReplay drives three functions on an eight-container node
-// with a bounded queue, a tracer and a JSONL bus attached, and writes
-// every record and event into h. dd is capped at one container and
-// overloaded in two waves, so its backlog fills the queue and MaxQueue
-// rejects the overflow; matmul and float bursts compete for the memory
-// the other functions' idle containers hold and queue behind dd; float
-// keeps a warm-pool floor; and Prewarm and ReleaseIdle calls land while
-// the backlog is deep.
+// with a tracer and a JSONL bus attached, and writes every record and
+// event into h. dd is capped at one container and overloaded in two
+// waves, so its backlog grows deep; matmul and float bursts compete for
+// the memory the other functions' idle containers hold and queue behind
+// dd; and Prewarm and ReleaseIdle calls land while the backlog is deep.
 func runOverloadReplay(t *testing.T, h hash.Hash, setup func(*Platform)) replayStats {
 	t.Helper()
 	s := sim.New(0xA0EBA)
 	cfg := DefaultConfig()
 	cfg.Node.MemMB = 2048 // eight 256 MB containers
 	cfg.MemReserve = 0
-	cfg.MaxQueue = 60
 	p, jw := newReplayPlatform(s, cfg, h)
 	if setup != nil {
 		setup(p)
@@ -74,7 +71,7 @@ func runOverloadReplay(t *testing.T, h hash.Hash, setup func(*Platform)) replayS
 	fl.Name = "fl"
 	p.Register(dd, record, WithNMax(1))
 	p.Register(mm, record)
-	p.Register(fl, record, WithMinWarm(1))
+	p.Register(fl, record)
 
 	burst := func(name string, n int) func() {
 		return func() {
@@ -112,7 +109,6 @@ func runOverloadReplay(t *testing.T, h hash.Hash, setup func(*Platform)) replayS
 		t.Fatalf("JSONL writer: %v", err)
 	}
 	st.evictions = p.Evictions()
-	st.rejected = p.Rejected("dd") + p.Rejected("mm") + p.Rejected("fl")
 	return st
 }
 
@@ -130,13 +126,13 @@ func newReplayPlatform(s *sim.Simulator, cfg Config, h hash.Hash) (*Platform, *o
 }
 
 // TestOverloadReplayGolden pins the platform's exact behaviour through an
-// nMax-blocked backlog with cross-function eviction, MaxQueue rejects, a
-// warm-pool floor, and a Prewarm and ReleaseIdle mid-backlog.
+// nMax-blocked backlog with cross-function eviction and a Prewarm and
+// ReleaseIdle mid-backlog.
 func TestOverloadReplayGolden(t *testing.T) {
 	h := sha256.New()
 	st := runOverloadReplay(t, h, nil)
 	t.Logf("%+v", st)
-	if st.maxQueue < 60 || st.evictions == 0 || st.rejected == 0 ||
+	if st.maxQueue < 60 || st.evictions == 0 ||
 		st.prewarmed == 0 || st.released == 0 || st.mmQueued == 0 || st.flQueued == 0 {
 		t.Errorf("scenario no longer exercises the queue paths: %+v", st)
 	}
@@ -173,37 +169,41 @@ func TestPumpScanBound(t *testing.T) {
 }
 
 // tieReplayDigest pins runTieReplay the way overloadReplayDigest pins
-// runOverloadReplay. It was captured from the platform that scheduled
-// one reclaim event per idle period, so it proves that one reclaim
-// deadline per function fires the same expiries at the same (time,
-// sequence) keys.
-const tieReplayDigest = "ab5cd73b64d0e71abe3943dc2779f4f91d8138b65b2f19d1eb7aa2b54018fb63"
+// runOverloadReplay. It was captured on the platform whose reclaim
+// deadline could skip an expired prefix of the idle list kept for a
+// warm-pool floor, so it proves that the deadline on idle[0] fires the
+// same expiries at the same (time, sequence) keys.
+const tieReplayDigest = "1b74739807fdfd17c977fe4ef0a6b2b563f14d1562ce75543b1402317a4e05c9"
 
 // tieStats are the tie facts the golden run must exercise.
 type tieStats struct {
-	evictions   int
-	earlyWarm   bool // b's Invoke at 62, scheduled first, reused the expiring container
-	lateCold    int  // a's and d's Invokes at 62, scheduled later, that cold-started behind the expiries
-	floorReused bool // f's Invoke at 100 reused the container kept past its expiry
-	records     int
+	evictions int
+	earlyWarm bool // b's Invoke at 62, scheduled first, reused the expiring container
+	lateCold  int  // a's and d's Invokes at 62, scheduled later, that cold-started behind the expiries
+	fCold     int  // f's Invokes at 65 that cold-started: the middle container expired at 64
+	records   int
 }
 
 // runTieReplay drives reclaim through equal-time ties. Cold starts are
 // deterministic (ColdStartCV = 0 and a 1 s mean, so every delay is
-// exactly 1 s) on a six-container node:
+// exactly 1 s) on an eight-container node:
 //
-//   - f keeps a warm floor of one: its container idles at 1, is kept past
-//     its expiry at 61, and is reused at 100;
+//   - f prewarms one container at 0, 3 and 5, so its three idle at 1, 4
+//     and 6;
 //   - a (two containers), b (one) and d (two) prewarm at 1, so all five
 //     idle at 2 and their expiries coincide at 62;
-//   - c's cold start at 30 finds the pool full and evicts a's oldest
-//     container, the first to expire;
+//   - c's two cold starts at 30 find the pool full: the first evicts f's
+//     oldest container, the longest idle, and the reclaim deadline moves
+//     to f's middle one; the second evicts a's oldest, the first of a's
+//     to expire;
 //   - at 62, an Invoke of b scheduled before the containers idled reuses
 //     b's container ahead of its expiry, while Invokes of a and d
 //     scheduled after they idled (at 10 and 20, before a's eviction and
 //     d's first expiry moved their next expiries) land behind both of
 //     their function's expiries and cold-start;
-//   - Poisson traffic on a, b and c from 130 to 400 then churns the pool
+//   - at 65, after f's middle container expired at 64, two Invokes of f
+//     find only the newest one warm, so exactly one cold-starts;
+//   - Poisson traffic on all five from 130 to 400 then churns the pool
 //     with evictions and reuse, and everything idles out by 600.
 func runTieReplay(t *testing.T, h hash.Hash) tieStats {
 	t.Helper()
@@ -211,7 +211,7 @@ func runTieReplay(t *testing.T, h hash.Hash) tieStats {
 	cfg := DefaultConfig()
 	cfg.ColdStartMean = 1
 	cfg.ColdStartCV = 0
-	cfg.Node.MemMB = 1536 // six 256 MB containers
+	cfg.Node.MemMB = 2048 // eight 256 MB containers
 	cfg.MemReserve = 0
 	p, jw := newReplayPlatform(s, cfg, h)
 
@@ -225,20 +225,20 @@ func runTieReplay(t *testing.T, h hash.Hash) tieStats {
 			st.earlyWarm = r.Breakdown.ColdStart == 0
 		case (r.Service == "a" || r.Service == "d") && r.ArrivedAt == 62 && r.Breakdown.ColdStart > 0:
 			st.lateCold++
-		case r.Service == "f" && r.ArrivedAt == 100:
-			st.floorReused = r.Breakdown.ColdStart == 0
+		case r.Service == "f" && r.ArrivedAt == 65 && r.Breakdown.ColdStart > 0:
+			st.fCold++
 		}
 	}
-	for _, name := range []string{"a", "b", "c", "d"} {
+	for _, name := range []string{"a", "b", "c", "d", "f"} {
 		prof := workload.Float()
 		prof.Name = name
 		p.Register(prof, record)
 	}
-	fl := workload.Float()
-	fl.Name = "f"
-	p.Register(fl, record, WithMinWarm(1))
 
 	s.At(62, func() { p.Invoke("b") }) // scheduled before b's container idles
+	for _, at := range []sim.Time{0, 3, 5} {
+		s.At(at, func() { p.Prewarm("f", 1, nil) })
+	}
 	s.At(1, func() {
 		p.Prewarm("a", 2, nil)
 		p.Prewarm("b", 1, nil)
@@ -246,9 +246,15 @@ func runTieReplay(t *testing.T, h hash.Hash) tieStats {
 	})
 	s.At(10, func() { s.At(62, func() { p.Invoke("a") }) })
 	s.At(20, func() { s.At(62, func() { p.Invoke("d") }) })
-	s.At(30, func() { p.Invoke("c") })
-	s.At(100, func() { p.Invoke("f") })
-	for i, name := range []string{"a", "b", "c"} {
+	s.At(30, func() {
+		p.Invoke("c")
+		p.Invoke("c")
+	})
+	s.At(65, func() {
+		p.Invoke("f")
+		p.Invoke("f")
+	})
+	for i, name := range []string{"a", "b", "c", "d", "f"} {
 		g := arrival.New(s, trace.Constant{QPS: 0.4 + 0.3*float64(i)}, func(sim.Time) { p.Invoke(name) })
 		s.At(130, g.Start)
 		s.At(400, g.Stop)
@@ -263,13 +269,13 @@ func runTieReplay(t *testing.T, h hash.Hash) tieStats {
 }
 
 // TestTieReplayGolden pins the platform's exact reclaim behaviour when
-// idle deadlines tie with each other and with Invokes, across eviction
-// of the container that expires first and a floor-kept expiry.
+// idle deadlines tie with each other and with Invokes, and where the
+// deadline moves after an eviction of the container that expires first.
 func TestTieReplayGolden(t *testing.T) {
 	h := sha256.New()
 	st := runTieReplay(t, h)
 	t.Logf("%+v", st)
-	if st.evictions < 2 || !st.earlyWarm || st.lateCold != 2 || !st.floorReused || st.records < 100 {
+	if st.evictions < 2 || !st.earlyWarm || st.lateCold != 2 || st.fCold != 1 || st.records < 100 {
 		t.Errorf("scenario no longer exercises the tie paths: %+v", st)
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != tieReplayDigest {

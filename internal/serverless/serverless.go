@@ -1,15 +1,16 @@
 // Package serverless simulates the shared FaaS platform (the paper's
 // modified Apache OpenWhisk, §V): a memory-bounded pool of per-function
-// containers fed by a FIFO activation queue. The queue is kept per
-// function and served in global arrival order (DESIGN.md §17).
+// containers fed by an unbounded FIFO activation queue. The queue is kept
+// per function and served in global arrival order (DESIGN.md §17).
 //
 // Lifecycle per the paper's Fig. 7: an arriving query is enqueued; a ready
 // (warm) container picks it up, otherwise the platform cold-starts a new
 // container — allocating its 256 MB (Table II), paying the cold-start
 // delay — and the query runs there. A container executes one activation
-// at a time and stays warm for an idle window after finishing; reuse of
-// warm containers is the platform's main defence against cold starts, and
-// the prewarm API lets Amoeba's execution engine warm capacity *before*
+// at a time and stays warm for an idle window after finishing, then is
+// reclaimed: the pool keeps no warm floor (DESIGN.md §20). Reuse of warm
+// containers is the platform's main defence against cold starts, and the
+// prewarm API lets Amoeba's execution engine warm capacity *before*
 // routing queries (§V-A).
 //
 // While a function body executes, its resource demand joins the
@@ -33,7 +34,9 @@ import (
 	"amoeba/internal/workload"
 )
 
-// Config tunes the platform.
+// Config tunes the platform: the node, the cold-start and idle-reclaim
+// timings, and the per-tenant and memory bounds of §IV-A and Table II.
+// Nothing caps the activation queue.
 type Config struct {
 	Node cluster.Node
 
@@ -59,11 +62,6 @@ type Config struct {
 	// MemReserve is the fraction of node memory kept for the platform
 	// itself; containers may use the rest.
 	MemReserve units.Fraction
-
-	// MaxQueue bounds the activations waiting across all functions (0 =
-	// unbounded). Public platforms impose such a cap — the §I "concurrent
-	// request threshold"; arrivals beyond it are rejected and counted.
-	MaxQueue int
 }
 
 // DefaultConfig returns the Table II / §V configuration.
@@ -99,9 +97,6 @@ func (c Config) Validate() error {
 	}
 	if c.MemReserve < 0 || c.MemReserve >= 1 {
 		return fmt.Errorf("serverless: mem reserve %v out of [0,1)", c.MemReserve)
-	}
-	if c.MaxQueue < 0 {
-		return fmt.Errorf("serverless: negative queue cap")
 	}
 	return nil
 }
@@ -153,21 +148,15 @@ type function struct {
 	execMu     float64
 	execSigma  float64
 	nMax       int
-	minWarm    int // floor of warm containers kept alive (pool strategy)
-	warming    int // containers currently prewarming toward the floor
 	onComplete func(metrics.QueryRecord)
-	onReject   func()
-	// idle holds the warm containers in the order they went idle. Its
-	// first expired entries passed their idle timeout but were kept for
-	// the warm-pool floor; deadline reclaims idle[expired] (DESIGN.md §20).
+	// idle holds the warm containers in the order they went idle;
+	// deadline reclaims idle[0] (DESIGN.md §20).
 	idle       []*container
-	expired    int
 	deadline   sim.EventHandle
 	expire     func() // fires the deadline; built once at Register
 	containers int    // live containers (any state)
 	usage      *resources.Usage
 	inflight   int
-	rejected   int
 
 	queue      actRing // waiting activations, oldest first
 	waiting    bool    // listed in Platform.waiting
@@ -270,27 +259,6 @@ func WithNMax(n int) RegisterOption {
 	}
 }
 
-// WithMinWarm keeps at least n warm containers alive for the function at
-// all times — the static pool-based cold-start mitigation of Lin &
-// Glikson [20], implemented as an ablation against Amoeba's
-// switch-triggered prewarming. The floor is replenished whenever reuse or
-// reclaim would drop below it, and reclaim never shrinks the pool under
-// the floor. It panics during Register if the floor is negative.
-func WithMinWarm(n int) RegisterOption {
-	return func(f *function) {
-		if n < 0 {
-			panic("serverless: negative warm-pool floor")
-		}
-		f.minWarm = n
-	}
-}
-
-// WithRejectHandler installs a callback fired when the platform's
-// bounded activation queue rejects an invocation.
-func WithRejectHandler(fn func()) RegisterOption {
-	return func(f *function) { f.onReject = fn }
-}
-
 // Register adds a function to the platform. onComplete receives every
 // finished activation (may be nil). It panics if the profile is invalid
 // or the function is already registered.
@@ -321,9 +289,6 @@ func (p *Platform) Register(profile workload.Profile, onComplete func(metrics.Qu
 	f.expire = func() { p.expire(f) }
 	p.fns[profile.Name] = f
 	p.registered = append(p.registered, f)
-	if f.minWarm > 0 {
-		p.sim.After(0, func() { p.replenish(f) })
-	}
 }
 
 func (p *Platform) usableMemMB() units.MegaBytes {
@@ -340,17 +305,9 @@ func (p *Platform) mustFn(name string) *function {
 	return f
 }
 
-// Invoke submits one query for the named function. When the platform's
-// activation queue is bounded and full, the invocation is rejected.
+// Invoke submits one query for the named function.
 func (p *Platform) Invoke(name string) {
 	f := p.mustFn(name)
-	if p.cfg.MaxQueue > 0 && p.queued >= p.cfg.MaxQueue {
-		f.rejected++
-		if f.onReject != nil {
-			f.onReject()
-		}
-		return
-	}
 	f.inflight++
 	act := p.takeActivation(f)
 	p.seq++
@@ -400,7 +357,6 @@ func (p *Platform) place(act *activation) bool {
 		p.tracer.End(units.Seconds(p.sim.Now()), act.queueH)
 		act.queueH = obs.SpanHandle{}
 		p.execute(c, act, 0)
-		p.replenish(f)
 		return true
 	}
 	if f.containers >= f.nMax {
@@ -455,12 +411,11 @@ func (p *Platform) memAvailable() bool {
 
 // evictIdle destroys the longest-idle warm container belonging to any
 // *other* function, the lowest container id breaking ties; reports
-// whether one was found. Functions holding a warm-pool floor keep it:
-// eviction never digs below minWarm.
+// whether one was found.
 func (p *Platform) evictIdle(requester *function) bool {
 	var victim *container
 	for _, f := range p.registered {
-		if f == requester || len(f.idle) <= f.minWarm {
+		if f == requester {
 			continue
 		}
 		for _, c := range f.idle {
@@ -519,7 +474,7 @@ func (p *Platform) makeIdle(c *container) {
 	c.idleAt = p.sim.Now()
 	c.stamp = p.sim.Reserve()
 	f.idle = append(f.idle, c)
-	if len(f.idle)-1 == f.expired {
+	if len(f.idle) == 1 {
 		p.armDeadline(f)
 	}
 }
@@ -528,50 +483,31 @@ func (p *Platform) makeIdle(c *container) {
 // the deadline belongs to moves the deadline to the next one.
 func (p *Platform) removeIdle(f *function, i int) {
 	f.idle = append(f.idle[:i], f.idle[i+1:]...)
-	switch {
-	case i < f.expired:
-		f.expired--
-	case i == f.expired:
+	if i == 0 {
 		f.deadline.Cancel()
 		f.deadline = sim.EventHandle{}
 		p.armDeadline(f)
 	}
 }
 
-// armDeadline schedules the reclaim of the first idle container whose
-// timeout has not passed, if there is one. The idle list is ordered by
-// (idleAt, stamp), so no other idle container can expire before it.
+// armDeadline schedules the reclaim of the oldest idle container, if
+// there is one. The idle list is ordered by (idleAt, stamp), so no other
+// idle container can expire before it.
 //
 //amoeba:noalloc
 func (p *Platform) armDeadline(f *function) {
-	if f.expired == len(f.idle) {
+	if len(f.idle) == 0 {
 		return
 	}
-	c := f.idle[f.expired]
+	c := f.idle[0]
 	f.deadline = p.sim.AtStamp(c.idleAt+sim.Time(p.cfg.IdleTimeout.Raw()), c.stamp, f.expire)
 }
 
-// expire fires the deadline: the container's idle timeout has passed.
-// It is reclaimed unless that would shrink the pool below the warm-pool
-// floor; a container kept for the floor stays idle, expired, and no
-// later deadline applies to it.
+// expire fires the deadline: the oldest idle container's timeout has
+// passed, and it is reclaimed.
 func (p *Platform) expire(f *function) {
 	f.deadline = sim.EventHandle{} // fired: nothing left to cancel
-	if len(f.idle) > f.minWarm {
-		p.destroy(f.idle[f.expired])
-		return
-	}
-	f.expired++
-	p.armDeadline(f)
-}
-
-// replenish keeps the function's warm-pool floor filled.
-func (p *Platform) replenish(f *function) {
-	for len(f.idle)+f.warming < f.minWarm {
-		if !p.startPrewarmOne(f, nil) {
-			return
-		}
-	}
+	p.destroy(f.idle[0])
 }
 
 // startPrewarmOne launches one prewarming container; reports whether it
@@ -588,7 +524,6 @@ func (p *Platform) startPrewarmOne(f *function, onWarm func()) bool {
 		return false
 	}
 	c := p.newContainer(f, statePrewarming)
-	f.warming++
 	// A prewarm cold start is its own (root-less) trace, causally linked
 	// to the switch span that ordered the warming, if one is in progress.
 	coldH := p.tracer.Begin(units.Seconds(p.sim.Now()), p.tracer.StartTrace(), 0,
@@ -597,7 +532,6 @@ func (p *Platform) startPrewarmOne(f *function, onWarm func()) bool {
 	delay := p.sampleColdStart()
 	p.sim.After(delay, func() {
 		p.tracer.End(units.Seconds(p.sim.Now()), coldH)
-		f.warming--
 		if c.state != stateDead {
 			if p.bus.Active() {
 				p.bus.Emit(&obs.ColdStart{
@@ -610,9 +544,7 @@ func (p *Platform) startPrewarmOne(f *function, onWarm func()) bool {
 			p.makeIdle(c)
 			p.pump()
 		}
-		if onWarm != nil {
-			onWarm()
-		}
+		onWarm()
 	})
 	return true
 }
@@ -748,13 +680,6 @@ func (p *Platform) Prewarm(name string, n int, onReady func()) int {
 	}
 	return started
 }
-
-// Rejected returns the invocations refused by the bounded queue for the
-// named function.
-func (p *Platform) Rejected(name string) int { return p.mustFn(name).rejected }
-
-// MinWarm returns the warm-pool floor applied to the named function.
-func (p *Platform) MinWarm(name string) int { return p.mustFn(name).minWarm }
 
 // ReleaseIdle destroys all warm containers of the named function — the
 // engine's shutdown signal S_sd after a switch back to IaaS (§V-B).

@@ -19,10 +19,9 @@
 //   - boundscheck enforces the //amoeba:range contracts annotated on
 //     declarations in this and other packages.
 //
-// The queueing-theory core (queueing.MMN, queueing.MMNK) deliberately
-// stays in raw float64: it is textbook M/M/N math in normalised rate
-// space, and its public callers (queueing's Eq. 5–8 functions) form the
-// typed boundary.
+// The queueing-theory core (queueing.MMN) deliberately stays in raw
+// float64: it is textbook M/M/N math in normalised rate space, and its
+// public callers (queueing's Eq. 5–8 functions) form the typed boundary.
 package units
 
 // Seconds is a duration or latency in wall-clock seconds — QoS targets,
