@@ -138,6 +138,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "-shards %d is negative (0 runs the sequential kernel)\n", *shards)
+		os.Exit(2)
+	}
 	all := artifacts()
 	if *list {
 		for _, a := range all {

@@ -49,6 +49,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "-shards %d is negative (0 runs the sequential kernel)\n", *shards)
+		os.Exit(2)
+	}
 	prof, err := amoeba.BenchmarkByName(*benchName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -119,11 +123,17 @@ func main() {
 	}
 	sr := res.Services[prof.Name]
 
+	// A run whose horizon ends before any query finishes (say, in a
+	// zero-load trough) has no latency sample to take a quantile of.
+	var p95, qosMet interface{} = "n/a", "n/a"
+	if sr.Collector.Count() > 0 {
+		p95, qosMet = sr.Collector.P95(), sr.Collector.QoSMet()
+	}
 	t := report.NewTable("result", "metric", "value")
 	t.AddRow("queries", sr.Collector.Count())
-	t.AddRow("p95 latency (s)", sr.Collector.P95())
+	t.AddRow("p95 latency (s)", p95)
 	t.AddRow("QoS target (s)", prof.QoSTarget)
-	t.AddRow("QoS met", sr.Collector.QoSMet())
+	t.AddRow("QoS met", qosMet)
 	t.AddRow("violating queries", fmt.Sprintf("%.2f%%", 100*sr.Collector.ViolationFraction()))
 	t.AddRow("served by IaaS", sr.Collector.BackendCount(amoeba.BackendIaaS))
 	t.AddRow("served by serverless", sr.Collector.BackendCount(amoeba.BackendServerless))

@@ -44,9 +44,11 @@ func runSim(t *testing.T, args ...string) (int, string) {
 	}
 }
 
-// TestCheckHorizon pins the load-shape flags amoeba-sim rejects before a
-// scenario is built: each would otherwise panic or run forever. A
+// TestCheckHorizon pins the flags amoeba-sim rejects before a scenario
+// is built: each load-shape row would otherwise panic or run forever,
+// and a negative -shards would silently run the sequential kernel. A
 // rejected flag ends the run with exit status 2 and one line of error.
+// A run that finishes no query reports its latency as n/a and exits 0.
 func TestCheckHorizon(t *testing.T) {
 	bad := []struct{ days, dayLength, trough string }{
 		{"1", "0", "0.2"},
@@ -70,9 +72,17 @@ func TestCheckHorizon(t *testing.T) {
 				c.days, c.dayLength, c.trough, code, stderr)
 		}
 	}
+	code, stderr := runSim(t, "-shards", "-1", "-day-length", "60", "-bench", "float")
+	if code != 2 || strings.Count(stderr, "\n") != 1 {
+		t.Errorf("shards -1: exit %d, stderr %q; want exit 2 and one line", code, stderr)
+	}
 	for _, trough := range []string{"0", "0.2"} {
 		if code, stderr := runSim(t, "-bench", "float", "-day-length", "60", "-trough", trough); code != 0 {
 			t.Errorf("trough %s: exit %d, stderr %q", trough, code, stderr)
 		}
+	}
+	code, stderr = runSim(t, "-bench", "float", "-days", "0.01", "-day-length", "600", "-trough", "0")
+	if code != 0 {
+		t.Errorf("a run that finishes no query: exit %d, stderr %q", code, stderr)
 	}
 }

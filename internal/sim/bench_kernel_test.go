@@ -1,13 +1,19 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"testing"
+)
 
 // Kernel micro-benchmarks. These are the smoke-gated set pinned in
-// BENCH_sim.json: schedule/fire throughput, cancel throughput, recurring
-// tick cost, and a dense mixed queue. They use a shared no-capture
-// callback so the numbers measure the kernel, not the caller's closures,
-// and run in steady state (bounded queue) so allocs/op reflects the
-// per-event cost rather than one-time slab growth.
+// BENCH_sim.json and DESIGN.md §10: schedule/fire throughput, cancel
+// throughput, recurring tick cost, a dense stress queue, and the hold
+// model at the queue sizes and gaps the workloads produce. Most use a
+// shared no-capture callback so the numbers measure the kernel, not the
+// caller's closures, and all run in steady state (bounded queue) so
+// allocs/op reflects the per-event cost rather than one-time slab
+// growth.
 
 var benchFired int
 
@@ -58,9 +64,10 @@ func BenchmarkEvery(b *testing.B) {
 	s.Run(Time(b.N))
 }
 
-// BenchmarkRunDense measures a dense mixed queue: batches of 4096 events
-// at pseudo-random offsets, the shape the platform models produce at
-// high load.
+// BenchmarkRunDense measures a stress queue: batches of 4096 events at
+// uniform offsets over 100 s, drained in one Run. No workload queues
+// that many at once (BenchmarkHold's comment gives the measured sizes);
+// this measures how the queue scales past them.
 func BenchmarkRunDense(b *testing.B) {
 	const batch = 4096
 	s := New(1)
@@ -75,4 +82,47 @@ func BenchmarkRunDense(b *testing.B) {
 		s.Run(base + 200)
 	}
 	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
+}
+
+// BenchmarkHold measures the hold model at the traffic the platform
+// models produce: a fixed number of pending events, and every firing
+// schedules one more. Over amoeba-bench's amoeba-day and
+// openwhisk-overload passes the queue held 45-54 pending events on
+// average (at most 121) and at most 6 at one time. About half the pushes
+// were arrival gaps, mostly 1-100 ms, and most of the rest query
+// completions 0.1-1 s ahead. The increments here alternate the two:
+// exponential gaps with a 30 ms mean and lognormal bodies with a 0.3 s
+// mean. The sizes bracket the measured mean and maximum.
+func BenchmarkHold(b *testing.B) {
+	var incs [4096]float64
+	rng := NewRNG(11)
+	mu, sigma := LognormalParams(0.3, 0.5)
+	for i := range incs {
+		if i%2 == 0 {
+			incs[i] = rng.Exp(1 / 0.030)
+		} else {
+			incs[i] = math.Exp(mu + sigma*rng.StdNormal())
+		}
+	}
+	for _, pending := range []int{16, 64, 128} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			s := New(1)
+			n, limit := 0, -1
+			var hold func()
+			hold = func() {
+				if n++; n == limit {
+					s.Halt()
+				}
+				s.After(incs[n&(len(incs)-1)], hold)
+			}
+			for i := 0; i < pending; i++ {
+				s.After(incs[i], hold)
+			}
+			s.Run(60) // warm the slab and the queue's storage
+			n, limit = 0, b.N
+			b.ReportAllocs()
+			b.ResetTimer()
+			s.Run(Time(math.Inf(1)))
+		})
+	}
 }

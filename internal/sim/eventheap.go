@@ -1,32 +1,51 @@
 package sim
 
-// Event storage and priority queue. Events live in a flat slab indexed by
-// int32 with an explicit free list; the pending queue is an intrusive
-// 4-ary min-heap of entries that carry their (at, seq) key inline beside
-// the slab index, so sifting compares keys without touching the slab.
-// Nothing here allocates in steady state: slab, free list and heap all
-// reuse their backing arrays, so the per-event cost is a few cache lines
-// of sifting instead of an allocation plus interface-dispatched
-// container/heap calls. See DESIGN.md §10 for the invariants.
+// Event storage and the pending-event queue. Events live in a flat slab
+// indexed by int32 with an explicit free list; the pending queue is a
+// monotone radix heap of entries that carry their (at, seq) key inline
+// beside the slab index, so ordering compares keys without touching the
+// slab. A push files its entry in one of 64 buckets by the highest bit in
+// which its time's key differs from the base key, that of the last entry
+// popped; a pop takes bucket 0 or scans the lowest non-empty bucket, and
+// an entry moves only to lower buckets, so at most 63 times between its
+// push and its firing, whatever the pending count. Nothing here
+// allocates in steady state: slab, free list and buckets all reuse their
+// backing arrays. See DESIGN.md §10 for the invariants.
+
+import (
+	"math"
+	"math/bits"
+)
 
 // event is one slab slot. A slot is exactly one of: free (on the free
-// list), queued (in the heap), or mid-fire (popped, fn running). gen
+// list), queued (in a bucket), or mid-fire (popped, fn running). gen
 // increments every time the slot is released, which is what makes stale
 // EventHandles (the ABA problem of slot reuse) harmless.
 type event struct {
 	fn     func()
 	period float64 // seconds; > 0 marks a recurring (Every) event
 	gen    uint32
-	queued bool // in the heap
+	queued bool // in a bucket
 	dead   bool // cancelled; released when reached (or compacted away)
 	free   bool // on the free list
 }
 
-// entry is one pending event in the heap: its firing key and its slot.
+// entry is one pending event in the queue: its firing key and its slot.
 type entry struct {
 	at  Time
 	seq uint64 // tie-break so equal-time events fire in schedule order
 	idx int32
+}
+
+// keyOf is the radix key of a firing time: its IEEE-754 bits with the
+// sign cleared. checkTime admits no time below the clock, and the clock
+// starts at zero and never falls, so every queued time is −0, +0 or
+// positive and finite; on those the bits order as the values do, and
+// −0 shares the key of +0, which it equals.
+//
+//amoeba:noalloc
+func keyOf(at Time) uint64 {
+	return math.Float64bits(float64(at)) &^ (1 << 63)
 }
 
 // alloc takes a slot from the free list (or grows the slab) and
@@ -87,107 +106,139 @@ func (s *Simulator) push(at Time, idx int32) {
 	s.seq++
 }
 
-// pushSeq queues slot idx under the key (at, seq).
+// pushSeq queues slot idx under the key (at, seq). at must not precede
+// the clock (checkTime), so its key is at least last.
 //
 //amoeba:noalloc
 func (s *Simulator) pushSeq(at Time, seq uint64, idx int32) {
-	s.heap = append(s.heap, entry{at: at, seq: seq, idx: idx}) //amoeba:allowalloc(heap capacity tracks peak pending events; growth is amortised)
-	s.siftUp(len(s.heap) - 1)
+	s.place(entry{at: at, seq: seq, idx: idx})
+	s.pending++
 }
 
-// popMin removes the heap root. The caller must have checked the heap is
+// place files e in bucket bits.Len64(key ^ last): bucket b > 0 holds the
+// entries whose key first differs from last at bit b-1, and bucket 0 the
+// entries at exactly last. Keys and last are below 2^63, so b < 64.
+//
+//amoeba:noalloc
+func (s *Simulator) place(e entry) {
+	b := bits.Len64(keyOf(e.at) ^ s.last)
+	s.buckets[b] = append(s.buckets[b], e) //amoeba:allowalloc(bucket capacity tracks its peak occupancy; growth is amortised)
+	s.mask |= 1 << b
+	if b == 0 {
+		s.settle0()
+	}
+}
+
+// settle0 moves bucket 0's newest entry back to its place in seq order.
+// Bucket 0 is kept in seq order from head0 on, because a stamp (AtStamp)
+// can carry an older seq than the entries already there; an entry with
+// a newer seq, the usual case, stays where it was appended.
+//
+//amoeba:noalloc
+func (s *Simulator) settle0() {
+	z := s.buckets[0]
+	i := len(z) - 1
+	e := z[i]
+	for ; i > s.head0 && z[i-1].seq > e.seq; i-- {
+		z[i] = z[i-1]
+	}
+	z[i] = e
+}
+
+// pop removes and returns the first pending entry in (at, seq) order if
+// it fires at or before horizon; otherwise it leaves the queue as it is
+// and reports false. The caller must have checked the queue is
 // non-empty.
 //
-//amoeba:noalloc
-func (s *Simulator) popMin() {
-	h := s.heap
-	n := len(h) - 1
-	h[0] = h[n]
-	s.heap = h[:n]
-	if n > 0 {
-		s.siftDown(0)
-	}
-}
-
-// siftUp restores the heap property upward from position i, moving the
-// hole rather than swapping (one write per level).
+// Bucket 0's entries sort before every other bucket's. When it is empty,
+// pop scans the lowest non-empty bucket for its minimum, and last
+// advances to that entry's key only if it is due by horizon. Run then
+// moves the clock to it (or, for a cancelled entry, to a later entry or
+// the horizon) before any callback or caller can push, so last never
+// passes the clock's key there, and a push between the clock and an
+// event stopped at the horizon still files at or above last. The rest
+// of the bucket agrees with the new last above bit b-1 and so moves to
+// lower buckets; a lone entry pops without moving.
 //
 //amoeba:noalloc
-func (s *Simulator) siftUp(i int) {
-	h := s.heap
-	e := h[i]
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !before(e, h[parent]) {
-			break
+func (s *Simulator) pop(horizon Time) (entry, bool) {
+	if s.mask&1 != 0 {
+		z := s.buckets[0]
+		e := z[s.head0]
+		if e.at > horizon {
+			return e, false
 		}
-		h[i] = h[parent]
-		i = parent
+		if s.head0++; s.head0 == len(z) {
+			s.buckets[0] = z[:0]
+			s.head0 = 0
+			s.mask &^= 1
+		}
+		s.pending--
+		return e, true
 	}
-	h[i] = e
+	b := bits.TrailingZeros64(s.mask)
+	z := s.buckets[b]
+	m := 0
+	for i := 1; i < len(z); i++ {
+		if before(z[i], z[m]) {
+			m = i
+		}
+	}
+	e := z[m]
+	if e.at > horizon {
+		return e, false
+	}
+	s.last = keyOf(e.at)
+	s.buckets[b] = s.buckets[b][:0]
+	s.mask &^= 1 << b
+	for i := range z {
+		if i != m {
+			s.place(z[i])
+		}
+	}
+	s.pending--
+	return e, true
 }
 
-// siftDown restores the heap property downward from position i. The
-// 4-ary layout halves the tree depth of a binary heap.
-//
-//amoeba:noalloc
-func (s *Simulator) siftDown(i int) {
-	h := s.heap
-	n := len(h)
-	e := h[i]
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if before(h[c], h[best]) {
-				best = c
-			}
-		}
-		if !before(h[best], e) {
-			break
-		}
-		h[i] = h[best]
-		i = best
-	}
-	h[i] = e
-}
-
-// maybeCompact sweeps cancelled events out of the heap once they exceed
+// maybeCompact sweeps cancelled events out of the queue once they exceed
 // half of it. Cancel is O(1) (a dead mark); the sweep keeps a
 // pathological schedule/cancel workload from growing the queue without
 // bound while costing amortised O(1) per cancellation.
 //
 //amoeba:noalloc
 func (s *Simulator) maybeCompact() {
-	if s.deadQueued >= 16 && s.deadQueued*2 > len(s.heap) {
+	if s.deadQueued >= 16 && s.deadQueued*2 > s.pending {
 		s.compact()
 	}
 }
 
-// compact rebuilds the heap without its dead entries, releasing their
-// slots. Pop order is unaffected: it is fully determined by the (at, seq)
-// total order, not by the heap's internal layout.
+// compact filters the dead entries out of every bucket in place,
+// releasing their slots. Each bucket keeps its live entries in their
+// order, so bucket 0 stays in seq order; pop order is fully determined
+// by the (at, seq) total order in any case.
 //
 //amoeba:noalloc
 func (s *Simulator) compact() {
-	live := s.heap[:0]
-	for _, e := range s.heap {
-		if s.slab[e.idx].dead {
-			s.release(e.idx)
-		} else {
-			live = append(live, e) //amoeba:allowalloc(appends into heap[:0]; live set never exceeds existing capacity)
+	for m := s.mask; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		z := s.buckets[b]
+		if b == 0 {
+			z = z[s.head0:]
+		}
+		live := s.buckets[b][:0]
+		for _, e := range z {
+			if s.slab[e.idx].dead {
+				s.release(e.idx)
+			} else {
+				live = append(live, e) //amoeba:allowalloc(filters a bucket in place; its live entries never exceed its capacity)
+			}
+		}
+		s.buckets[b] = live
+		if len(live) == 0 {
+			s.mask &^= 1 << b
 		}
 	}
-	s.heap = live
-	for i := (len(live) - 2) >> 2; i >= 0; i-- {
-		s.siftDown(i)
-	}
+	s.head0 = 0
+	s.pending -= s.deadQueued
 	s.deadQueued = 0
 }

@@ -60,12 +60,12 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 // TestPendingBoundedUnderCancelChurn drives a pathological
 // schedule-then-cancel loop and checks the lazy compaction sweep keeps
 // both the queue and the slab bounded. Without the sweep, every
-// cancelled event would sit in the heap until its firing time.
+// cancelled event would sit in the queue until its firing time.
 func TestPendingBoundedUnderCancelChurn(t *testing.T) {
 	s := New(1)
 	fn := func() {}
 
-	// A few live events pin the heap to prove the sweep keeps them.
+	// A few live events pin the queue to prove the sweep keeps them.
 	for i := 0; i < 4; i++ {
 		s.At(Time(1e6+float64(i)), fn)
 	}
@@ -132,7 +132,7 @@ func (k simKernel) KHalt()                                  { k.s.Halt() }
 // refEvent and refKernel are a deliberately naive reimplementation of
 // the kernel's documented semantics: an unsorted slice scanned for the
 // (at, seq) minimum. O(n²) and allocation-happy, but obviously correct —
-// the slab/heap kernel must match its visible behaviour exactly.
+// the slab/radix-heap kernel must match its visible behaviour exactly.
 type refEvent struct {
 	at     float64
 	seq    uint64
@@ -227,8 +227,10 @@ type logEntry struct {
 // each Run. The script exercises same-time FIFO bursts, mid-flight
 // cancellation (including of already-fired handles, which must no-op),
 // reserve-then-schedule (immediately at the current time, or from a later
-// event), self-stopping Every tickers, Halt, and horizon clamping with
-// resume.
+// event), equal-time bursts whose stamps arrive out of seq order,
+// self-stopping Every tickers, Halt, horizon clamping with resume,
+// scheduling from outside a run between the clock and the next pending
+// event, and times from −0 and subnormals up to ~1e308.
 func driveKernel(k kernelAPI, seed uint64) []logEntry {
 	rng := NewRNG(seed)
 	var log []logEntry
@@ -237,6 +239,13 @@ func driveKernel(k kernelAPI, seed uint64) []logEntry {
 	nextID := 1000
 	fired := 0
 
+	// leaf returns a callback that only logs, so bursts of them keep the
+	// script's event count bounded.
+	leaf := func() func() {
+		id := nextID
+		nextID++
+		return func() { log = append(log, logEntry{id, k.KNow()}) }
+	}
 	var body func(id int) func()
 	body = func(id int) func() {
 		return func() {
@@ -285,6 +294,16 @@ func driveKernel(k kernelAPI, seed uint64) []logEntry {
 				id := nextID
 				nextID++
 				cancels = append(cancels, k.KAt(wholeSecondAfter(k.KNow(), rng), body(id)))
+			case 10: // an equal-time burst whose stamps arrive newest first
+				sts := [3]Stamp{k.KReserve(), k.KReserve(), k.KReserve()}
+				at := k.KNow()
+				if rng.Intn(2) == 0 {
+					at = wholeSecondAfter(at, rng)
+				}
+				cancels = append(cancels, k.KAt(at, leaf())) // the newest seq: fires after all three
+				for j := len(sts) - 1; j >= 0; j-- {
+					cancels = append(cancels, k.KAtStamp(at, sts[j], leaf()))
+				}
 			}
 		}
 	}
@@ -299,8 +318,17 @@ func driveKernel(k kernelAPI, seed uint64) []logEntry {
 		nextID++
 		cancels = append(cancels, k.KAt(0.5, body(id)))
 	}
+	// −0 and +0 tie; then the smallest subnormal, the smallest normal, and
+	// times that only the final drain reaches.
+	for _, at := range []float64{math.Copysign(0, -1), 0, 5e-324, 0x1p-1022, 1e-300, 1e300, 1e308} {
+		id := nextID
+		nextID++
+		cancels = append(cancels, k.KAt(at, body(id)))
+	}
 	// Ticker 0 stops itself after 12 ticks; ticker 1 outlives the first
-	// horizon to prove clamped Runs leave pending events intact.
+	// horizon to prove clamped Runs leave pending events intact, and is
+	// stopped before the final drain.
+	var stopLong func()
 	for i := 0; i < 2; i++ {
 		id := i
 		remaining := 12
@@ -315,21 +343,47 @@ func driveKernel(k kernelAPI, seed uint64) []logEntry {
 				stop()
 			}
 		})
+		stopLong = stop
 	}
 
 	k.KRun(7)
 	log = append(log, logEntry{-1, k.KNow()})
-	k.KRun(7) // immediate re-run at the same horizon: nothing new fires
+	// From outside the run, between the clock and the next pending event
+	// (ticker 1 ticks within 0.75 s): these fire first, so a queue that
+	// moved its base to that event while stopping at the horizon fails.
+	now := k.KNow()
+	for _, d := range []float64{0, 1e-9, 1e-3, 0.01, 0.1} {
+		id := nextID
+		nextID++
+		cancels = append(cancels, k.KAt(now+d, body(id)))
+	}
+	id := nextID
+	nextID++
+	cancels = append(cancels, k.KAtStamp(now+1e-3, k.KReserve(), body(id)))
+	k.KRun(7) // resumes a halted run, or fires just the event scheduled at the clock
 	log = append(log, logEntry{-2, k.KNow()})
 	k.KRun(15)
 	log = append(log, logEntry{-3, k.KNow()})
+	stopLong()
+	// Drain to the largest finite time, resuming after halts. The
+	// script's events spawn fewer than one event each on average, so the
+	// queue empties.
+	for i := 0; i < 100 && k.KNow() < math.MaxFloat64; i++ {
+		k.KRun(math.MaxFloat64)
+		log = append(log, logEntry{-4 - i, k.KNow()})
+	}
 	return log
 }
 
 // wholeSecondAfter returns one of the next two whole seconds after now,
-// so events the script places there tie at equal times.
+// so events the script places there tie at equal times. From 2^53 on,
+// where a second is below the float spacing, it returns the next float.
 func wholeSecondAfter(now float64, rng *RNG) float64 {
-	return math.Floor(now) + 1 + float64(rng.Intn(2))
+	t := math.Floor(now) + 1 + float64(rng.Intn(2))
+	if t <= now {
+		t = math.Nextafter(now, math.Inf(1))
+	}
+	return t
 }
 
 func TestKernelDifferentialRandomized(t *testing.T) {
@@ -347,6 +401,163 @@ func TestKernelDifferentialRandomized(t *testing.T) {
 			}
 		}
 	}
+}
+
+// driveBytes decodes a script from fuzzer bytes, runs it against a
+// kernel and returns its trajectory: every firing (id, time) and the
+// clock after each Run. Each op byte selects At, At whose firing runs
+// the next op from inside the run, Reserve, AtStamp, Cancel or
+// Run(horizon). Times are the clock plus a decoded offset: zero, −0
+// (which stays −0 at a zero clock), a subnormal, a small fraction, whole
+// seconds, a huge value, or any finite non-negative float. Ops the
+// kernel would reject as model bugs (a time that overflows, a stamp
+// sorting before the event last fired) are skipped, and a final Run
+// drains the queue.
+func driveBytes(k kernelAPI, data []byte) []logEntry {
+	if len(data) > 1024 { // the reference kernel is quadratic
+		data = data[:1024]
+	}
+	var log []logEntry
+	var cancels []func()
+	type stamp struct {
+		st  Stamp
+		seq uint64
+	}
+	var stamps []stamp
+	var seq uint64    // the kernel's next sequence number: At and Reserve each take one
+	var curAt float64 // the key of the event now firing, or of the last one
+	var curSeq uint64 // fired: the zero key before any fires, as in the kernel
+	nextID := 0
+	pos := 0
+	next := func() byte {
+		if pos >= len(data) {
+			return 0
+		}
+		pos++
+		return data[pos-1]
+	}
+	// at decodes a time no earlier than the clock; false if it overflows.
+	at := func() (float64, bool) {
+		now := k.KNow()
+		var off float64
+		switch next() % 8 {
+		case 1:
+			if off = math.Copysign(0, -1); now == 0 {
+				return off, true
+			}
+		case 2:
+			off = 5e-324 * float64(next())
+		case 3, 4:
+			off = float64(next()) / 64
+		case 5:
+			off = float64(next()%4) + 1
+		case 6:
+			off = math.Ldexp(float64(next()), 990+int(next()%30))
+		case 7:
+			var raw uint64
+			for i := 0; i < 8; i++ {
+				raw = raw<<8 | uint64(next())
+			}
+			off = math.Abs(math.Float64frombits(raw))
+			if math.IsNaN(off) || math.IsInf(off, 0) {
+				off = 0
+			}
+		}
+		t := now + off
+		return t, !math.IsInf(t, 0)
+	}
+	var step func(inRun bool)
+	fire := func(id int, seq uint64, nested bool) func() {
+		return func() {
+			log = append(log, logEntry{id, k.KNow()})
+			curAt, curSeq = k.KNow(), seq
+			if nested {
+				step(true)
+			}
+		}
+	}
+	step = func(inRun bool) {
+		switch op := next() % 6; op {
+		case 0, 1:
+			if t, ok := at(); ok {
+				cancels = append(cancels, k.KAt(t, fire(nextID, seq, op == 1)))
+				nextID++
+				seq++
+			}
+		case 2:
+			stamps = append(stamps, stamp{k.KReserve(), seq})
+			seq++
+		case 3:
+			if len(stamps) == 0 {
+				break
+			}
+			i := int(next()) % len(stamps)
+			sp := stamps[i]
+			t, ok := at()
+			if !ok || t == curAt && sp.seq < curSeq {
+				break
+			}
+			stamps = append(stamps[:i], stamps[i+1:]...)
+			cancels = append(cancels, k.KAtStamp(t, sp.st, fire(nextID, sp.seq, false)))
+			nextID++
+		case 4:
+			if len(cancels) > 0 {
+				cancels[int(next())%len(cancels)]()
+			}
+		case 5:
+			if t, ok := at(); ok && !inRun {
+				k.KRun(t)
+				log = append(log, logEntry{-1, k.KNow()})
+			}
+		}
+	}
+	for pos < len(data) {
+		step(false)
+	}
+	k.KRun(math.MaxFloat64)
+	return append(log, logEntry{-2, k.KNow()})
+}
+
+// FuzzEventQueue requires the kernel to fire every fuzzed schedule in the
+// order the naive reference kernel does. The seeds stop a run at its
+// horizon and then schedule between the clock and the next pending event,
+// tie −0 with +0, queue stamps newest first at one time, and mix
+// subnormal with huge times.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{
+		0, 4, 9, 0, 4, 30, 0, 5, 0, // At +9/64 s, +30/64 s, +1 s
+		5, 4, 20, // Run to +20/64 s: stops with two events pending
+		0, 0, 0, 4, 1, 0, 3, 5, // At the clock, +1/64 s, +5/64 s
+		2, 3, 0, 4, 2, // Reserve; AtStamp it at +2/64 s
+		5, 4, 50, // Run past them all
+	})
+	f.Add([]byte{
+		2, 2, 2, // three stamps
+		3, 2, 1, 3, 1, 1, 3, 0, 1, // the stamps at −0, newest first
+		0, 1, 0, 0, // At −0, At +0
+		1, 0, // At +0, its firing runs the op after the Run:
+		5, 0, // Run to the clock
+		0, 0, // At the clock
+	})
+	f.Add([]byte{
+		0, 2, 1, 0, 2, 255, // subnormal offsets
+		0, 6, 7, 3, // 7·2^993 s
+		0, 7, 0x7f, 0xef, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // MaxFloat64
+		5, 3, 255, // Run to ~4 s
+		1, 6, 1, 1, 0, 6, 1, 1, // huge ties, the first scheduling at its firing time
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got := driveBytes(simKernel{New(1)}, data)
+		want := driveBytes(&refKernel{}, data)
+		if len(got) != len(want) {
+			t.Fatalf("trajectory lengths differ: kernel %d vs reference %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trajectories diverge at step %d: kernel %+v vs reference %+v", i, got[i], want[i])
+			}
+		}
+	})
 }
 
 // --- Reserve-then-schedule ---
@@ -459,18 +670,18 @@ func TestAtStampPanics(t *testing.T) {
 // --- Zero-allocation contracts (DESIGN.md §10) ---
 
 // TestZeroAllocSchedule asserts the steady-state schedule+fire path
-// allocates nothing: slot from the free list, heap in place, callback
+// allocates nothing: slot from the free list, buckets in place, callback
 // invoked, slot released — for fresh and reserved keys alike.
 //
 //amoeba:alloctest sim.Simulator.At sim.Simulator.After sim.Simulator.schedule
 //amoeba:alloctest sim.Simulator.Run sim.Simulator.alloc sim.Simulator.release
-//amoeba:alloctest sim.before sim.Simulator.push sim.Simulator.pushSeq sim.Simulator.popMin
-//amoeba:alloctest sim.Simulator.siftUp sim.Simulator.siftDown sim.Simulator.checkTime
+//amoeba:alloctest sim.before sim.Simulator.push sim.Simulator.pushSeq sim.Simulator.pop
+//amoeba:alloctest sim.Simulator.place sim.Simulator.settle0 sim.keyOf sim.Simulator.checkTime
 //amoeba:alloctest sim.Simulator.Reserve sim.Simulator.AtStamp
 func TestZeroAllocSchedule(t *testing.T) {
 	s := New(1)
 	fn := func() {}
-	for i := 0; i < 256; i++ { // warm the slab, free list and heap
+	for i := 0; i < 256; i++ { // warm the slab, free list and buckets
 		s.After(1, fn)
 	}
 	s.Run(1e6)
@@ -489,14 +700,14 @@ func TestZeroAllocSchedule(t *testing.T) {
 
 // TestZeroAllocEveryTick asserts a recurring ticker's firings reuse its
 // slot: ticks cost no allocation after the initial schedule. The ticker
-// re-queue path shares Run/push/siftDown with the one-shot test above.
+// re-queue path shares Run/push/pop with the one-shot test above.
 //
 //amoeba:alloctest sim.Simulator.Run
 func TestZeroAllocEveryTick(t *testing.T) {
 	s := New(1)
 	stop := s.Every(1, func() {})
 	defer stop()
-	s.Run(64) // warm up: heap sized, slot in place
+	s.Run(64) // warm up: buckets sized, slot in place
 
 	horizon := s.Now()
 	allocs := testing.AllocsPerRun(100, func() {
@@ -511,7 +722,7 @@ func TestZeroAllocEveryTick(t *testing.T) {
 // TestZeroAllocCancel asserts the cancel path is allocation-free in
 // steady state, including the bulk compaction sweep: cancelling 64 of 64
 // queued events trips maybeCompact's dead-majority threshold on every
-// run, so compact's heap rebuild and slot releases execute inside the
+// run, so compact's bucket filter and slot releases execute inside the
 // AllocsPerRun window.
 //
 //amoeba:alloctest sim.EventHandle.Cancel sim.Simulator.maybeCompact sim.Simulator.compact
@@ -528,7 +739,7 @@ func TestZeroAllocCancel(t *testing.T) {
 		}
 		s.Run(s.Now() + 128)
 	}
-	for i := 0; i < 4; i++ { // warm slab, free list and heap capacity
+	for i := 0; i < 4; i++ { // warm slab, free list and bucket capacity
 		churn()
 	}
 	if s.Cancelled() == 0 {

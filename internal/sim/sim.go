@@ -15,7 +15,7 @@
 // component consumes in the order they were drawn.
 //
 // The kernel is allocation-free in steady state: events live in a
-// generation-counted slab behind an intrusive 4-ary heap whose entries
+// generation-counted slab behind a monotone radix heap whose entries
 // carry their (at, seq) keys inline (eventheap.go), recurring tickers
 // reuse their slot across ticks, and cancellation is an O(1) dead mark
 // with a lazy compaction sweep. The performance contracts are documented
@@ -83,16 +83,23 @@ type Stamp struct {
 // Simulator owns the virtual clock and the pending-event queue.
 type Simulator struct {
 	now  Time
-	slab []event // all event slots; indexed by the heap and the free list
+	slab []event // all event slots; indexed by the buckets and the free list
 	free []int32 // released slots available for reuse
-	heap []entry // pending events, 4-ary min-heap by (at, seq)
 	seq  uint64
 	cur  entry // the event now firing, or the last one fired
 	rng  *RNG
 
+	// The pending events: a monotone radix heap by (at, seq)
+	// (eventheap.go).
+	buckets [64][]entry // buckets[b]: entries whose key first differs from last at bit b-1
+	mask    uint64      // bit b set iff buckets[b] holds an entry
+	last    uint64      // base key: the last popped; at most the clock's key whenever a push can come
+	head0   int         // buckets[0][:head0] have been popped
+	pending int         // queued entries, cancelled ones included
+
 	fired      uint64
 	cancelled  uint64
-	deadQueued int // cancelled events still occupying heap entries
+	deadQueued int // cancelled events still occupying queue entries
 	halted     bool
 	horizon    Time // the horizon of the current (or last) Run call
 }
@@ -220,12 +227,11 @@ func (s *Simulator) Run(horizon Time) uint64 {
 	var fired uint64
 	s.halted = false
 	s.horizon = horizon
-	for len(s.heap) > 0 && !s.halted {
-		top := s.heap[0]
-		if top.at > horizon {
+	for s.pending > 0 && !s.halted {
+		top, ok := s.pop(horizon)
+		if !ok {
 			break
 		}
-		s.popMin()
 		ev := &s.slab[top.idx]
 		ev.queued = false
 		if ev.dead {
@@ -265,7 +271,7 @@ func (s *Simulator) Run(horizon Time) uint64 {
 }
 
 // Pending returns the number of queued (possibly cancelled) events.
-func (s *Simulator) Pending() int { return len(s.heap) }
+func (s *Simulator) Pending() int { return s.pending }
 
 // Every schedules fn at the given period, starting one period from now,
 // until the returned stop function is called. fn observes the simulator's
