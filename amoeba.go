@@ -234,11 +234,6 @@ func Run(sc Scenario) *Result { return core.Run(sc) }
 // for every shard count, including shards=1.
 func RunSharded(sc Scenario, shards int) *Result { return core.RunSharded(sc, shards) }
 
-// SyntheticFleet generates n managed services cycling the five
-// archetypes with Zipf-skewed diurnal loads — a fleet-shaped input for
-// scale tests and the sharded benchmarks.
-func SyntheticFleet(n int, seed uint64) []ServiceSpec { return core.SyntheticFleet(n, seed) }
-
 // BackgroundTenants returns the §VII-A co-tenant set (float, dd,
 // cloud_stor at a low diurnal load) for custom scenarios.
 func BackgroundTenants(dayLength Seconds, seed uint64) []ServiceSpec {
@@ -268,7 +263,7 @@ type (
 	// EventRing keeps copies of the most recent events in memory.
 	EventRing = obs.Ring
 	// MetricsRegistry holds counters, gauges, and bounded histograms with
-	// Prometheus-text and expvar exposition.
+	// Prometheus-text exposition.
 	MetricsRegistry = obs.Registry
 	// DecisionEvent is one controller decision with the full Eq. 5
 	// discriminant inputs, the verdict, and its reason.

@@ -1,16 +1,11 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"amoeba/internal/core"
 	"amoeba/internal/obs"
-	"amoeba/internal/trace"
-	"amoeba/internal/units"
 	"amoeba/internal/workload"
 )
 
@@ -18,43 +13,19 @@ import (
 // 300 s traced Amoeba day on dd, in stream order.
 func tracedLines(tb testing.TB) []string {
 	tb.Helper()
-	const day = units.Seconds(300)
-	prof := workload.DD()
-	var buf bytes.Buffer
-	bus := obs.NewBus()
-	bus.Attach(obs.NewJSONLWriter(&buf))
-	core.Run(core.Scenario{
-		Variant: core.VariantAmoeba,
-		Services: []core.ServiceSpec{{Profile: prof,
-			Trace: trace.NewDiurnal(prof.PeakQPS, prof.PeakQPS*0.2, day.Raw(), 0xA0EBA)}},
-		Background: core.BackgroundTenants(day, 0xA0EBA+7),
-		Duration:   day,
-		Seed:       0xA0EBA,
-		Bus:        bus,
-	})
+	lines, events := simStream(tb, core.VariantAmoeba, workload.DD(), 300, 1)
 	seen := map[obs.Kind]bool{}
-	var lines []string
-	sc := bufio.NewScanner(&buf)
-	sc.Buffer(nil, maxLine)
-	for sc.Scan() {
-		var probe struct {
-			Kind obs.Kind `json:"kind"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			tb.Fatal(err)
-		}
-		if !seen[probe.Kind] {
-			seen[probe.Kind] = true
-			lines = append(lines, sc.Text())
+	var first []string
+	for i, ev := range events {
+		if k := ev.EventKind(); !seen[k] {
+			seen[k] = true
+			first = append(first, lines[i])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		tb.Fatal(err)
+	if len(first) != 7 {
+		tb.Fatalf("the traced run wrote %d of the 7 kinds", len(first))
 	}
-	if len(lines) != 7 {
-		tb.Fatalf("the traced run wrote %d of the 7 kinds", len(lines))
-	}
-	return lines
+	return first
 }
 
 // FuzzValidateStream feeds the validator arbitrary streams: it returns

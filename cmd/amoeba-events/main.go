@@ -27,6 +27,18 @@
 //     event. Forward references are legal — a query's root span is
 //     emitted after its phase children.
 //
+// A run's horizon cuts off what is still open, and checks 7 and 8 accept
+// exactly those references, and no others:
+//
+//   - a query still executing at the horizon emitted its closed
+//     queue_wait and cold_start phases but never its root span, so the
+//     Parent of such a phase may stay unresolved when its trace has no
+//     exec phase and no query_complete;
+//   - a switch still in flight at the horizon never emits its switch
+//     span, so a Cause to a switch span may stay unresolved when its ID
+//     is above every switch span ID of the referencing record's service
+//     (span IDs only grow, so the switch that began last has the highest).
+//
 // Merged multi-shard streams (amoeba-sim -shards) pass the same checks
 // unchanged: the epoch merge must preserve the global sim-clock order
 // (check 3), trace/span IDs are allocated from disjoint strided
@@ -250,13 +262,16 @@ type spanRec struct {
 // spanRef is one edge awaiting resolution at end of stream (forward
 // references are legal: a query's root span follows its children).
 type spanRef struct {
-	line   int
-	target obs.SpanID
-	what   string   // field name, for the error message
-	want   obs.Kind // required kind of the target span
+	line    int
+	target  obs.SpanID
+	what    string   // field name, for the error message
+	want    obs.Kind // required kind of the target span
+	service string   // the referencing record's service
 	// nest, when set, additionally requires the referenced span to be an
-	// interval of the same trace enclosing [start, end].
+	// interval of the same trace enclosing [start, end]; phase is the
+	// referencing phase span's.
 	nest       bool
+	phase      obs.Phase
 	trace      obs.TraceID
 	start, end units.Seconds
 }
@@ -265,10 +280,18 @@ type spanRef struct {
 type traceChecker struct {
 	spans map[obs.SpanID]spanRec
 	refs  []spanRef
+	// finished holds the traces whose query reached its exec phase or
+	// completed; lastSwitch is each service's highest switch span ID.
+	finished   map[obs.TraceID]bool
+	lastSwitch map[string]obs.SpanID
 }
 
 func newTraceChecker() *traceChecker {
-	return &traceChecker{spans: map[obs.SpanID]spanRec{}}
+	return &traceChecker{
+		spans:      map[obs.SpanID]spanRec{},
+		finished:   map[obs.TraceID]bool{},
+		lastSwitch: map[string]obs.SpanID{},
+	}
 }
 
 // declare records a span the stream introduced, enforcing the paired
@@ -291,12 +314,13 @@ func (tc *traceChecker) declare(line int, kind obs.Kind, trace obs.TraceID, span
 	return nil
 }
 
-// refer queues a causal edge for end-of-stream resolution.
-func (tc *traceChecker) refer(line int, target obs.SpanID, what string, want obs.Kind) {
+// refer queues a causal edge from a record of service for end-of-stream
+// resolution.
+func (tc *traceChecker) refer(line int, target obs.SpanID, what string, want obs.Kind, service string) {
 	if target == 0 {
 		return
 	}
-	tc.refs = append(tc.refs, spanRef{line: line, target: target, what: what, want: want})
+	tc.refs = append(tc.refs, spanRef{line: line, target: target, what: what, want: want, service: service})
 }
 
 // observe folds one validated event into the checker.
@@ -309,7 +333,8 @@ func (tc *traceChecker) observe(ev obs.Event, line int) error {
 		if err := tc.declare(line, obs.KindQueryComplete, e.Trace, e.Span, e.Arrived, e.At, true); err != nil {
 			return err
 		}
-		tc.refer(line, e.Cause, "cause", obs.KindSwitchSpan)
+		tc.finished[e.Trace] = true
+		tc.refer(line, e.Cause, "cause", obs.KindSwitchSpan, e.Service)
 	case *obs.PhaseSpan:
 		if e.Trace == 0 || e.Span == 0 {
 			return fmt.Errorf("line %d: phase_span: zero trace/span — phase spans exist only on traced runs", line)
@@ -325,9 +350,12 @@ func (tc *traceChecker) observe(ev obs.Event, line int) error {
 		if err := tc.declare(line, obs.KindPhaseSpan, e.Trace, e.Span, e.Start, e.End, true); err != nil {
 			return err
 		}
+		if e.Phase == obs.PhaseExec {
+			tc.finished[e.Trace] = true
+		}
 		if e.Parent != 0 {
 			tc.refs = append(tc.refs, spanRef{
-				line: line, target: e.Parent, what: "parent", nest: true,
+				line: line, target: e.Parent, what: "parent", nest: true, phase: e.Phase,
 				trace: e.Trace, start: e.Start, end: e.End,
 			})
 		}
@@ -338,7 +366,7 @@ func (tc *traceChecker) observe(ev obs.Event, line int) error {
 		if e.Phase == obs.PhaseRetry {
 			causeKind = obs.KindDecision
 		}
-		tc.refer(line, e.Cause, "cause", causeKind)
+		tc.refer(line, e.Cause, "cause", causeKind, e.Service)
 	case *obs.SwitchSpan:
 		if e.Start > e.FlipAt || e.FlipAt > e.End {
 			return fmt.Errorf("line %d: switch_span: instants not ordered: start %v, flip %v, end %v",
@@ -347,17 +375,20 @@ func (tc *traceChecker) observe(ev obs.Event, line int) error {
 		if err := tc.declare(line, obs.KindSwitchSpan, e.Trace, e.Span, e.Start, e.End, true); err != nil {
 			return err
 		}
-		tc.refer(line, e.Decision, "decision_span", obs.KindDecision)
+		if e.Span > tc.lastSwitch[e.Service] {
+			tc.lastSwitch[e.Service] = e.Span
+		}
+		tc.refer(line, e.Decision, "decision_span", obs.KindDecision, e.Service)
 	case *obs.DecisionEvent:
 		if err := tc.declare(line, obs.KindDecision, e.Trace, e.Span, e.At, e.At, false); err != nil {
 			return err
 		}
-		tc.refer(line, e.MeterSpan, "meter_span", obs.KindMeterSample)
+		tc.refer(line, e.MeterSpan, "meter_span", obs.KindMeterSample, e.Service)
 	case *obs.HeartbeatSample:
 		if err := tc.declare(line, obs.KindHeartbeat, e.Trace, e.Span, e.At, e.At, false); err != nil {
 			return err
 		}
-		tc.refer(line, e.MeterSpan, "meter_span", obs.KindMeterSample)
+		tc.refer(line, e.MeterSpan, "meter_span", obs.KindMeterSample, e.Service)
 	case *obs.MeterSample:
 		if err := tc.declare(line, obs.KindMeterSample, e.Trace, e.Span, e.At, e.At, false); err != nil {
 			return err
@@ -369,10 +400,23 @@ func (tc *traceChecker) observe(ev obs.Event, line int) error {
 	return nil
 }
 
+// openAtHorizon reports whether an unresolved ref points at work the
+// run's horizon cut off (see the command doc): the root span of a query
+// still executing, or a switch span still in flight.
+func (tc *traceChecker) openAtHorizon(ref spanRef) bool {
+	if ref.nest {
+		return (ref.phase == obs.PhaseQueueWait || ref.phase == obs.PhaseColdStart) && !tc.finished[ref.trace]
+	}
+	return ref.want == obs.KindSwitchSpan && ref.target > tc.lastSwitch[ref.service]
+}
+
 // finish resolves every queued edge once the stream ended.
 func (tc *traceChecker) finish() error {
 	for _, ref := range tc.refs {
 		rec, ok := tc.spans[ref.target]
+		if !ok && tc.openAtHorizon(ref) {
+			continue
+		}
 		if !ok {
 			what := ref.what
 			if ref.nest {

@@ -8,7 +8,8 @@ import (
 
 	"amoeba/internal/core"
 	"amoeba/internal/obs"
-	"amoeba/internal/units"
+	"amoeba/internal/trace"
+	"amoeba/internal/workload"
 )
 
 // mergedStream is a synthetic two-namespace merge in canonical
@@ -56,31 +57,41 @@ func TestValidateRejectsCollidingNamespaces(t *testing.T) {
 	}
 }
 
-// TestValidateShardedRunEndToEnd validates a real merged stream from the
-// sharded kernel. The fleet runs pure serverless (no deploy-mode
-// switches), so every causal edge is guaranteed closed by the horizon —
-// Amoeba-variant runs can legally end mid-switch, which orphans Cause
-// references by design (see the command doc).
+// TestValidateShardedRunEndToEnd validates real merged streams from the
+// sharded kernel on the paper grid: the five benchmarks, each on its own
+// diurnal day, beside the three background tenants (9 cells with the
+// monitor daemon). On this 240 s day OpenWhisk ends with queries still
+// executing and Amoeba ends mid-switch; the validator accepts both
+// horizon cases (the command doc's checks 7 and 8).
 func TestValidateShardedRunEndToEnd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a fleet simulation")
+		t.Skip("runs a paper-grid simulation")
 	}
-	var buf bytes.Buffer
-	sc := core.FleetScenario(6, 17, units.Seconds(600))
-	sc.Variant = core.VariantOpenWhisk
-	bus := obs.NewBus()
-	bus.Attach(obs.NewJSONLWriter(&buf))
-	sc.Bus = bus
-	core.RunSharded(sc, 4)
+	const day, seed = 240, 17
+	for _, v := range []core.Variant{core.VariantOpenWhisk, core.VariantAmoeba} {
+		var svcs []core.ServiceSpec
+		for i, prof := range workload.All() {
+			tr := trace.NewDiurnal(prof.PeakQPS, prof.PeakQPS*0.2, day, seed+uint64(i))
+			svcs = append(svcs, core.ServiceSpec{Profile: prof, Trace: tr})
+		}
+		var buf bytes.Buffer
+		bus := obs.NewBus()
+		bus.Attach(obs.NewJSONLWriter(&buf))
+		core.RunSharded(core.Scenario{
+			Variant:    v,
+			Services:   svcs,
+			Background: core.BackgroundTenants(day, seed+7),
+			Duration:   day,
+			Seed:       seed,
+			Bus:        bus,
+		}, 4)
 
-	perKind, total, err := validateStream(bytes.NewReader(buf.Bytes()), nil)
-	if err != nil {
-		t.Fatalf("sharded run stream rejected: %v", err)
-	}
-	if total == 0 {
-		t.Fatal("sharded run emitted no events")
-	}
-	if perKind[obs.KindQueryComplete] == 0 {
-		t.Fatal("sharded run completed no queries")
+		perKind, total, err := validateStream(bytes.NewReader(buf.Bytes()), nil)
+		if err != nil {
+			t.Fatalf("%v: sharded run stream rejected: %v", v, err)
+		}
+		if total == 0 || perKind[obs.KindQueryComplete] == 0 {
+			t.Fatalf("%v: sharded run completed no queries (%d events)", v, total)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"amoeba/internal/trace"
@@ -33,21 +34,28 @@ func main() {
 	)
 	flag.Parse()
 
-	if *peak <= *trough || *trough < 0 {
-		fmt.Fprintln(os.Stderr, "amoeba-trace: need peak > trough >= 0")
-		os.Exit(2)
-	}
-	if *samples < 2 || *day <= 0 {
-		fmt.Fprintln(os.Stderr, "amoeba-trace: need day > 0 and samples >= 2")
-		os.Exit(2)
+	// Every comparison below is false for NaN, so NaN fails each check.
+	finite := func(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+	inDay := func(x float64) bool { return 0 <= x && x <= *day }
+	for _, c := range []struct {
+		ok   bool
+		need string
+	}{
+		{finite(*peak) && *peak > *trough && *trough >= 0, "finite peak > trough >= 0"},
+		{finite(*day) && *day > 0 && *samples >= 2, "a finite day > 0 and samples >= 2"},
+		{finite(*burstQPS) && *burstQPS >= 0, "a finite burst-extra >= 0"},
+		{inDay(*burstFrom) && inDay(*burstTo), "burst-from and burst-to within [0, day]"},
+		{*burstQPS == 0 || *burstFrom < *burstTo, "burst-from < burst-to"},
+	} {
+		if !c.ok {
+			fmt.Fprintf(os.Stderr, "amoeba-trace: need %s (-peak %g -trough %g -day %g -samples %d -burst-extra %g -burst-from %g -burst-to %g)\n",
+				c.need, *peak, *trough, *day, *samples, *burstQPS, *burstFrom, *burstTo)
+			os.Exit(2)
+		}
 	}
 
 	var tr trace.Trace = trace.NewDiurnal(*peak, *trough, *day, *seed)
 	if *burstQPS > 0 {
-		if !(*burstFrom < *burstTo) {
-			fmt.Fprintln(os.Stderr, "amoeba-trace: need burst-from < burst-to")
-			os.Exit(2)
-		}
 		tr = trace.Burst{Inner: tr, Extra: *burstQPS, From: *burstFrom, To: *burstTo}
 	}
 

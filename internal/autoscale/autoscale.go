@@ -83,7 +83,7 @@ type Autoscaler struct {
 	last    float64 // time of the last scaling action
 	scaling bool    // a scale-out is booting
 	actions int
-	stop    func()
+	started bool
 }
 
 // New creates an autoscaler for a service already deployed on the
@@ -105,18 +105,11 @@ func New(s *sim.Simulator, vms *iaas.Platform, prof workload.Profile, cfg Config
 
 // Start begins the evaluation loop. It panics if called twice.
 func (a *Autoscaler) Start() {
-	if a.stop != nil {
+	if a.started {
 		panic("autoscale: Start called twice")
 	}
-	a.stop = a.sim.Every(a.cfg.Period, a.evaluate)
-}
-
-// Stop halts the loop.
-func (a *Autoscaler) Stop() {
-	if a.stop != nil {
-		a.stop()
-		a.stop = nil
-	}
+	a.started = true
+	a.sim.Every(a.cfg.Period, a.evaluate)
 }
 
 // Actions returns the number of scaling actions taken.

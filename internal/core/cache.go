@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"amoeba/internal/meters"
@@ -15,66 +14,46 @@ import (
 // performs once per microservice ("for a long-running microservice, it is
 // acceptable to profile it", §IV-B). Experiments re-run many scenarios
 // over the same profiles, so the results are memoised process-wide, keyed
-// by the platform configuration they were measured under.
+// by the whole profile and platform configuration they were measured
+// under. The profile's name is part of the key: profiling seeds a
+// surface's cells from it.
+
+// surfaceKey identifies one profiled surface set.
+type surfaceKey struct {
+	prof workload.Profile
+	cfg  serverless.Config
+}
 
 var (
 	cacheMu      sync.Mutex
-	curveCache   = map[string][3]*meters.Curve{}
-	surfaceCache = map[string]*surfaces.Set{}
+	curveCache   = map[serverless.Config][3]*meters.Curve{}
+	surfaceCache = map[surfaceKey]*surfaces.Set{}
 )
-
-// fingerprint captures every config field that influences profiled
-// latencies.
-func fingerprint(cfg serverless.Config) string {
-	return fmt.Sprintf("%v|%v|%v|%v|%v|%v",
-		cfg.Node.Capacity(), cfg.ColdStartMean, cfg.CodeLoadColdFactor,
-		cfg.IdleTimeout, cfg.ContainerMemMB, cfg.MemReserve)
-}
 
 // MeterCurves returns the profiled Fig. 8 curves for the three contention
 // meters under the given platform configuration, building them on first
 // use.
 func MeterCurves(cfg serverless.Config) [3]*meters.Curve {
-	key := fingerprint(cfg)
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	if c, ok := curveCache[key]; ok {
-		return c
+	c, ok := curveCache[cfg]
+	if !ok {
+		c = profiling.AllMeterCurves(cfg, profiling.DefaultPressureGrid())
+		curveCache[cfg] = c
 	}
-	c := profiling.AllMeterCurves(cfg, profiling.DefaultPressureGrid(), profiling.DefaultOptions())
-	curveCache[key] = c
 	return c
-}
-
-// profileFingerprint captures every profile field that influences the
-// profiled surfaces — everything except the name. Keying the memo by
-// content instead of name lets fleets of renamed archetype clones
-// (core.SyntheticFleet) share the five archetype builds instead of
-// re-profiling per clone.
-func profileFingerprint(p workload.Profile) string {
-	return fmt.Sprintf("%v|%v|%v|%v|%v|%v|%v|%v|%v|%v",
-		p.ExecTime, p.ExecCV, p.QoSTarget, p.Demand, p.Sensitivity,
-		p.MemSensitivity, p.PeakQPS, p.Overheads, p.VMCores, p.VMMemMB)
 }
 
 // SurfaceSet returns the profiled Fig. 9 latency surfaces for a service
 // under the given platform configuration, building them on first use.
-// The memo key is the profile's numeric content, not its name: two
-// profiles differing only in name share one build.
 func SurfaceSet(prof workload.Profile, cfg serverless.Config) *surfaces.Set {
-	key := profileFingerprint(prof) + "§" + fingerprint(cfg)
+	key := surfaceKey{prof, cfg}
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	set, ok := surfaceCache[key]
 	if !ok {
-		set = profiling.BuildSet(prof, cfg,
-			profiling.DefaultPressureGrid(), profiling.DefaultLoadGrid(prof), profiling.DefaultOptions())
+		set = profiling.BuildSet(prof, cfg, profiling.DefaultPressureGrid(), profiling.DefaultLoadGrid(prof))
 		surfaceCache[key] = set
-	}
-	if set.Service != prof.Name {
-		// A renamed clone of a cached build: the surfaces themselves are
-		// immutable after profiling, so share them and rebind the label.
-		return &surfaces.Set{Service: prof.Name, Surfaces: set.Surfaces}
 	}
 	return set
 }
@@ -84,6 +63,6 @@ func SurfaceSet(prof workload.Profile, cfg serverless.Config) *surfaces.Set {
 func ResetProfileCache() {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	curveCache = map[string][3]*meters.Curve{}
-	surfaceCache = map[string]*surfaces.Set{}
+	curveCache = map[serverless.Config][3]*meters.Curve{}
+	surfaceCache = map[surfaceKey]*surfaces.Set{}
 }

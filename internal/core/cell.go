@@ -55,7 +55,7 @@ type managed struct {
 // newCell builds a cell with a fresh simulator and serverless pool.
 func newCell(sc *Scenario, seed uint64) *cell {
 	s := sim.New(seed)
-	slCfg := sc.serverlessConfig()
+	slCfg := serverless.DefaultConfig()
 	return &cell{sc: sc, slCfg: slCfg, sim: s, pool: serverless.New(s, slCfg)}
 }
 
@@ -85,7 +85,7 @@ func (c *cell) attach(bus *obs.Bus, tracer *obs.Tracer) {
 // addIaaS gives the cell its IaaS platform; tenant and daemon cells run
 // none.
 func (c *cell) addIaaS() {
-	c.vms = iaas.New(c.sim, c.sc.iaasConfig())
+	c.vms = iaas.New(c.sim, iaas.DefaultConfig())
 	c.vms.SetBus(c.bus)
 	c.vms.SetTracer(c.tracer)
 }
@@ -108,6 +108,10 @@ func (c *cell) addTenant(bg ServiceSpec) {
 	c.pool.Register(bg.Profile, coll.Observe, serverless.WithNMax(64))
 	arrival.New(c.sim, bg.Trace, invoker(c.pool, bg.Profile.Name)).Start()
 }
+
+// allowedError is Eq. 8's e, the error fraction the engine's sample
+// period tolerates.
+const allowedError units.Fraction = 0.10
 
 // addService wires one managed service under the scenario's variant and
 // starts its arrivals. It panics if the controller or the engine's sample
@@ -152,9 +156,9 @@ func (c *cell) addService(svc ServiceSpec) {
 		engCfg := engine.DefaultConfig(c.slCfg.Node.Capacity())
 		engCfg.SamplePeriod, err = queueing.SamplePeriod(
 			c.slCfg.ColdStartMean, units.Seconds(prof.QoSTarget),
-			units.Seconds(prof.ExecTime), c.sc.allowedError(), units.Seconds(10))
+			units.Seconds(prof.ExecTime), allowedError, units.Seconds(10))
 		if err != nil {
-			panic(err) // scenario validation bounds the QoS target and error
+			panic(err) // scenario validation bounds the QoS target
 		}
 		engCfg.Prewarm = c.sc.Variant != VariantAmoebaNoP
 		eng = engine.New(c.sim, c.pool, c.vms, prof, ctrl, c.mon, engCfg)
@@ -166,12 +170,6 @@ func (c *cell) addService(svc ServiceSpec) {
 		onArrival = func(sim.Time) { eng.HandleQuery() }
 	}
 	arrival.New(c.sim, svc.Trace, onArrival).Start()
-
-	if eng := m.eng; eng != nil && c.sc.SnapshotPeriod > 0 {
-		c.sim.Every(c.sc.SnapshotPeriod.Raw(), func() {
-			eng.Timeline.RecordSnapshot(metrics.Snapshot{At: float64(c.sim.Now()), Mode: eng.Mode()})
-		})
-	}
 	c.services = append(c.services, m)
 }
 

@@ -16,12 +16,10 @@ import (
 	"math"
 
 	"amoeba/internal/controller"
-	"amoeba/internal/iaas"
 	"amoeba/internal/metrics"
 	"amoeba/internal/monitor"
 	"amoeba/internal/obs"
 	"amoeba/internal/resources"
-	"amoeba/internal/serverless"
 	"amoeba/internal/sim"
 	"amoeba/internal/trace"
 	"amoeba/internal/units"
@@ -74,16 +72,6 @@ type Scenario struct {
 	Duration   units.Seconds // virtual seconds
 	Seed       uint64
 
-	// Serverless overrides the pool config (nil = DefaultConfig).
-	Serverless *serverless.Config
-	// IaaS overrides the VM platform config (nil = DefaultConfig).
-	IaaS *iaas.Config
-	// AllowedError is Eq. 8's e in [0, 1), deciding the sample period
-	// (0 = 0.10).
-	AllowedError units.Fraction
-	// SnapshotPeriod densifies the timeline for Fig. 12/13 (0 = engine
-	// sample period only).
-	SnapshotPeriod units.Seconds
 	// Bus is the telemetry bus events are emitted on (nil = unobserved;
 	// every emission site stays on its zero-cost path). Attach sinks
 	// before Run — the bus is wired into the platforms, the monitor, and
@@ -91,10 +79,10 @@ type Scenario struct {
 	Bus *obs.Bus
 }
 
-// Validate reports scenario errors. A zero AllowedError or
-// SnapshotPeriod keeps its default; NaN, infinite and out-of-range
-// values are errors. So is a trace whose peak rate is NaN, infinite or
-// negative; a zero peak is valid and generates no arrivals.
+// Validate reports scenario errors: an unknown variant, no services, a
+// duration that is not positive and finite, an invalid or duplicate
+// profile, and a trace whose peak rate is NaN, infinite or negative. A
+// zero peak is valid and generates no arrivals.
 func (sc *Scenario) Validate() error {
 	if _, ok := variantNames[sc.Variant]; !ok {
 		return fmt.Errorf("core: unknown variant %v", sc.Variant)
@@ -104,22 +92,6 @@ func (sc *Scenario) Validate() error {
 	}
 	if d := sc.Duration.Raw(); !(d > 0) || math.IsInf(d, 1) {
 		return fmt.Errorf("core: duration %v is not positive and finite", sc.Duration)
-	}
-	if p := sc.SnapshotPeriod.Raw(); !(p >= 0) || math.IsInf(p, 1) {
-		return fmt.Errorf("core: snapshot period %v is not non-negative and finite", sc.SnapshotPeriod)
-	}
-	if e := sc.AllowedError.Raw(); !(e >= 0 && e < 1) {
-		return fmt.Errorf("core: allowed error %v is outside [0, 1)", sc.AllowedError)
-	}
-	if sc.Serverless != nil {
-		if err := sc.Serverless.Validate(); err != nil {
-			return err
-		}
-	}
-	if sc.IaaS != nil {
-		if err := sc.IaaS.Validate(); err != nil {
-			return err
-		}
 	}
 	seen := map[string]bool{}
 	for _, group := range [2][]ServiceSpec{sc.Services, sc.Background} {
@@ -140,27 +112,6 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 	return nil
-}
-
-func (sc *Scenario) serverlessConfig() serverless.Config {
-	if sc.Serverless != nil {
-		return *sc.Serverless
-	}
-	return serverless.DefaultConfig()
-}
-
-func (sc *Scenario) iaasConfig() iaas.Config {
-	if sc.IaaS != nil {
-		return *sc.IaaS
-	}
-	return iaas.DefaultConfig()
-}
-
-func (sc *Scenario) allowedError() units.Fraction {
-	if sc.AllowedError > 0 {
-		return sc.AllowedError
-	}
-	return 0.10
 }
 
 // ServiceResult is the outcome for one managed service.

@@ -4,9 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"amoeba/internal/iaas"
 	"amoeba/internal/metrics"
-	"amoeba/internal/serverless"
 	"amoeba/internal/trace"
 	"amoeba/internal/units"
 	"amoeba/internal/workload"
@@ -155,26 +153,9 @@ func TestScenarioValidation(t *testing.T) {
 		{"unknown variant", func(sc *Scenario) { sc.Variant = VariantAutoscale + 1 }},
 		{"NaN duration", func(sc *Scenario) { sc.Duration = units.Seconds(nan) }},
 		{"infinite duration", func(sc *Scenario) { sc.Duration = units.Seconds(inf) }},
-		{"infinite snapshot period", func(sc *Scenario) { sc.SnapshotPeriod = units.Seconds(inf) }},
-		{"NaN snapshot period", func(sc *Scenario) { sc.SnapshotPeriod = units.Seconds(nan) }},
-		{"NaN allowed error", func(sc *Scenario) { sc.AllowedError = units.Fraction(nan) }},
-		{"allowed error 1", func(sc *Scenario) { sc.AllowedError = 1 }},
-		{"allowed error 2", func(sc *Scenario) { sc.AllowedError = 2 }},
-		{"infinite allowed error", func(sc *Scenario) { sc.AllowedError = units.Fraction(inf) }},
-		{"negative allowed error", func(sc *Scenario) { sc.AllowedError = -0.1 }},
 		{"NaN peak", func(sc *Scenario) { sc.Services[0].Trace = trace.Constant{QPS: nan} }},
 		{"infinite peak", func(sc *Scenario) { sc.Services[0].Trace = trace.Constant{QPS: inf} }},
 		{"negative peak", func(sc *Scenario) { sc.Services[0].Trace = trace.Constant{QPS: -1} }},
-		{"invalid serverless config", func(sc *Scenario) {
-			cfg := serverless.DefaultConfig()
-			cfg.IdleTimeout = 0
-			sc.Serverless = &cfg
-		}},
-		{"invalid IaaS config", func(sc *Scenario) {
-			cfg := iaas.DefaultConfig()
-			cfg.Headroom = 0.5
-			sc.IaaS = &cfg
-		}},
 	}
 	base := scenarioFor(workload.Float(), VariantAmoeba, 1)
 	if err := base.Validate(); err != nil {

@@ -10,7 +10,6 @@ import (
 	"amoeba/internal/metrics"
 	"amoeba/internal/obs"
 	"amoeba/internal/trace"
-	"amoeba/internal/units"
 	"amoeba/internal/workload"
 )
 
@@ -30,6 +29,9 @@ const goldenDay = 600.0
 // windows hash as start, query count and violation count; the digests
 // were recaptured with that hash on the code that still kept a P²
 // estimate per window, so they prove its deletion moved nothing else.
+// The Amoeba-NoM pair ran with a 25 s snapshot timer until the timer
+// was deleted; it was recaptured without the timer on the code that
+// still had it.
 var goldenDigests = map[string]string{
 	"amoeba/seed=3/shards=0":      "0fd098fe8748c81b1a4c4232dc0c9377bdfea85b7a8b217c6e6feb5dd7534a4a",
 	"amoeba/seed=3/shards=2":      "220370e16115eecb7894af9a36a128bf93a153e95a4585ba8f8dc8b73fbb21e2",
@@ -47,27 +49,20 @@ var goldenDigests = map[string]string{
 	"nameko/seed=3/shards=2":      "773f167d3f28ebfa8c182ee01f4af9aadb507b77909404c22932c8c8761dded7",
 	"nameko/seed=17/shards=0":     "d05d35a69cdc21823838a46583ca0a70d579d21da9a9bf30dcb6e6e405b4f6ca",
 	"nameko/seed=17/shards=2":     "d213dd025f8886a8c3d6a1c7b07eddd27858637a6e8c3e40d8fc4fe6954c7437",
-
-	"amoeba-nom/seed=3/snapshot=25/shards=0": "1e110b0b6843debcbaab13eab5cb1b1590e4c5d3db28f2e66f50e9caf821ea80",
-	"amoeba-nom/seed=3/snapshot=25/shards=2": "23a8245e20a089fc46fae17ed5d5aa565c34e26df3c436ffd8a652bf9a36fe92",
-	"autoscale/seed=3/shards=0":              "7438b68434e14608778be83f6c8976e2dcd8248c46d48d0c1ac457fd0c158766",
-	"autoscale/seed=3/shards=2":              "3f69562626d9c59ed2b719a44587316daed075aaf5e3f3b2ba1163bba406b7b3",
+	"amoeba-nom/seed=3/shards=0":  "5d6e15ea1d8339b3c3c21e62ce2da9c66a172fd1431eafc228206666384712e0",
+	"amoeba-nom/seed=3/shards=2":  "71d05a767a1d0964f6b59c07bbf2ed61e623eb1ef36ad5c717e3a3f8e2c6ccd0",
+	"autoscale/seed=3/shards=0":   "7438b68434e14608778be83f6c8976e2dcd8248c46d48d0c1ac457fd0c158766",
+	"autoscale/seed=3/shards=2":   "3f69562626d9c59ed2b719a44587316daed075aaf5e3f3b2ba1163bba406b7b3",
 }
 
-// goldenCase is one golden scenario: a variant at a seed, with the
-// Fig. 12 snapshot timer on when snapshot is positive.
+// goldenCase is one golden scenario: a variant at a seed.
 type goldenCase struct {
-	v        Variant
-	seed     uint64
-	snapshot units.Seconds
+	v    Variant
+	seed uint64
 }
 
 func (c goldenCase) key(shards int) string {
-	k := fmt.Sprintf("%v/seed=%d/", c.v, c.seed)
-	if c.snapshot > 0 {
-		k += fmt.Sprintf("snapshot=%v/", c.snapshot)
-	}
-	return k + fmt.Sprintf("shards=%d", shards)
+	return fmt.Sprintf("%v/seed=%d/shards=%d", c.v, c.seed, shards)
 }
 
 func goldenScenario(v Variant, seed uint64, bus *obs.Bus) Scenario {
@@ -94,7 +89,6 @@ func digestRun(t *testing.T, c goldenCase, shards int) string {
 	w := obs.NewJSONLWriter(h)
 	bus.Attach(w)
 	sc := goldenScenario(c.v, c.seed, bus)
-	sc.SnapshotPeriod = c.snapshot
 	var res *Result
 	if shards == 0 {
 		res = Run(sc)
@@ -153,9 +147,9 @@ func hashCollector(h hash.Hash, c *metrics.Collector) {
 // TestScenarioGolden pins short Amoeba, Amoeba-NoP, OpenWhisk and
 // Nameko days at two seeds, on Run and on RunSharded with two workers,
 // against digests captured before the thinning fast path existed. One
-// Amoeba-NoM day with the snapshot timer and one autoscale day pin the
-// PCA-off monitor, the snapshot timer and the autoscaler wiring; their
-// digests were captured before both kernels shared one wiring path.
+// Amoeba-NoM day and one autoscale day pin the PCA-off monitor and the
+// autoscaler wiring; the autoscale digests were captured before both
+// kernels shared one wiring path.
 func TestScenarioGolden(t *testing.T) {
 	skipIfRace(t)
 	var cases []goldenCase
@@ -165,7 +159,7 @@ func TestScenarioGolden(t *testing.T) {
 		}
 	}
 	cases = append(cases,
-		goldenCase{v: VariantAmoebaNoM, seed: 3, snapshot: 25},
+		goldenCase{v: VariantAmoebaNoM, seed: 3},
 		goldenCase{v: VariantAutoscale, seed: 3})
 	for _, c := range cases {
 		for _, shards := range []int{0, 2} {

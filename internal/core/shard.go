@@ -31,6 +31,7 @@ import (
 	"amoeba/internal/monitor"
 	"amoeba/internal/obs"
 	"amoeba/internal/resources"
+	"amoeba/internal/serverless"
 	"amoeba/internal/sim"
 )
 
@@ -187,7 +188,7 @@ func RunSharded(sc Scenario, shards int) *Result {
 	// variant runs none), 1..S the managed services in scenario order,
 	// S+1..S+B the background tenants.
 	stride := 1 + len(sc.Services) + len(sc.Background)
-	r := &shardRun{model: contention.NewModel(sc.serverlessConfig().Node.Capacity())}
+	r := &shardRun{model: contention.NewModel(serverless.DefaultConfig().Node.Capacity())}
 
 	// open starts cell ns on its own seed. An observed cell gets a
 	// private bus, an epoch buffer and a tracer in its own namespace.

@@ -11,14 +11,34 @@ import (
 	"amoeba/internal/obs"
 	"amoeba/internal/serverless"
 	"amoeba/internal/sim"
+	"amoeba/internal/trace"
 	"amoeba/internal/units"
+	"amoeba/internal/workload"
 )
 
-// shardedStream runs a fleet scenario on the sharded kernel and returns
-// its JSONL event stream and result.
-func shardedStream(t *testing.T, n int, seed uint64, duration units.Seconds, shards int) ([]byte, *Result) {
+// paperGrid is §VII-A's setup with all five benchmarks at once, each on
+// its own diurnal day, beside the three background tenants. With the
+// monitor daemon that is 9 cells, enough for 8 workers.
+func paperGrid(seed uint64, day units.Seconds) Scenario {
+	var svcs []ServiceSpec
+	for i, prof := range workload.All() {
+		tr := trace.NewDiurnal(prof.PeakQPS, prof.PeakQPS*0.2, day.Raw(), seed+uint64(i))
+		svcs = append(svcs, ServiceSpec{Profile: prof, Trace: tr})
+	}
+	return Scenario{
+		Variant:    VariantAmoeba,
+		Services:   svcs,
+		Background: BackgroundTenants(day, seed+7),
+		Duration:   day,
+		Seed:       seed,
+	}
+}
+
+// shardedStream runs the paper grid over one day on the sharded kernel
+// and returns its JSONL event stream and result.
+func shardedStream(t *testing.T, seed uint64, day units.Seconds, shards int) ([]byte, *Result) {
 	t.Helper()
-	sc := FleetScenario(n, seed, duration)
+	sc := paperGrid(seed, day)
 	var buf bytes.Buffer
 	bus := obs.NewBus()
 	w := obs.NewJSONLWriter(&buf)
@@ -70,10 +90,10 @@ func resultTable(res *Result) string {
 func TestRunShardedDeterministicAcrossShardCounts(t *testing.T) {
 	skipIfRace(t)
 	for _, seed := range []uint64{3, 11, 42} {
-		refStream, refRes := shardedStream(t, 10, seed, 120, 1)
+		refStream, refRes := shardedStream(t, seed, 120, 1)
 		refTable := resultTable(refRes)
 		for _, k := range []int{2, 4, 8} {
-			stream, res := shardedStream(t, 10, seed, 120, k)
+			stream, res := shardedStream(t, seed, 120, k)
 			if !bytes.Equal(refStream, stream) {
 				t.Fatalf("seed %d: JSONL stream at shards=%d differs from shards=1", seed, k)
 			}
@@ -90,8 +110,8 @@ func TestRunShardedDeterministicAcrossShardCounts(t *testing.T) {
 // several, exercising the job hand-off and barrier happens-before
 // edges under the detector.
 func TestRunShardedRaceShort(t *testing.T) {
-	a, resA := shardedStream(t, 6, 7, 60, 4)
-	b, resB := shardedStream(t, 6, 7, 60, 2)
+	a, resA := shardedStream(t, 7, 60, 4)
+	b, resB := shardedStream(t, 7, 60, 2)
 	if !bytes.Equal(a, b) {
 		t.Fatal("short-horizon streams differ between shards=4 and shards=2")
 	}
@@ -111,11 +131,11 @@ func TestRunShardedClampsAndRejects(t *testing.T) {
 				t.Fatal("RunSharded(0) did not panic")
 			}
 		}()
-		RunSharded(FleetScenario(2, 1, 30), 0)
+		RunSharded(paperGrid(1, 30), 0)
 	}()
 
-	ref, _ := shardedStream(t, 2, 9, 60, 1)
-	big, _ := shardedStream(t, 2, 9, 60, 1000) // 6 cells; clamps to 6
+	ref, _ := shardedStream(t, 9, 60, 1)
+	big, _ := shardedStream(t, 9, 60, 1000) // 9 cells; clamps to 9
 	if !bytes.Equal(ref, big) {
 		t.Fatal("clamped oversized shard count changed the stream")
 	}
@@ -126,11 +146,11 @@ func TestRunShardedClampsAndRejects(t *testing.T) {
 func TestRunShardedVariants(t *testing.T) {
 	skipIfRace(t)
 	for _, v := range []Variant{VariantAmoebaNoM, VariantAmoebaNoP, VariantNameko, VariantOpenWhisk, VariantAutoscale} {
-		sc := FleetScenario(4, 5, 60)
+		sc := paperGrid(5, 60)
 		sc.Variant = v
 		res := RunSharded(sc, 3)
-		if len(res.Services) != 4 {
-			t.Fatalf("%v: %d service results, want 4", v, len(res.Services))
+		if len(res.Services) != len(sc.Services) {
+			t.Fatalf("%v: %d service results, want %d", v, len(res.Services), len(sc.Services))
 		}
 		for name, sr := range res.Services {
 			if sr.Collector == nil || sr.Collector.Count() == 0 {
@@ -233,65 +253,5 @@ func TestMonitorReplicaRelay(t *testing.T) {
 	}
 	if w := m.WeightsFor("svc"); !w.Learned {
 		t.Fatal("replica did not calibrate from heartbeats")
-	}
-}
-
-// TestSyntheticFleet pins the fleet generator: deterministic in (n,
-// seed), validating as a scenario, skewed across services, and panicking
-// on a non-positive count.
-func TestSyntheticFleet(t *testing.T) {
-	a := SyntheticFleet(100, 7)
-	b := SyntheticFleet(100, 7)
-	if len(a) != 100 {
-		t.Fatalf("fleet size %d, want 100", len(a))
-	}
-	sc := Scenario{Variant: VariantAmoeba, Services: a, Duration: 60, Seed: 7}
-	if err := sc.Validate(); err != nil {
-		t.Fatalf("fleet scenario invalid: %v", err)
-	}
-	peaks := make(map[float64]bool)
-	for i := range a {
-		if a[i].Profile.Name != b[i].Profile.Name {
-			t.Fatalf("service %d name differs across identical seeds", i)
-		}
-		if pa, pb := a[i].Trace.Peak(), b[i].Trace.Peak(); pa != pb {
-			t.Fatalf("service %d peak %v != %v across identical seeds", i, pa, pb)
-		}
-		peaks[a[i].Trace.Peak()] = true
-	}
-	if len(peaks) < 50 {
-		t.Fatalf("only %d distinct peak rates across 100 services — skew missing", len(peaks))
-	}
-	if c := SyntheticFleet(100, 8); a[0].Trace.Peak() == c[0].Trace.Peak() {
-		t.Fatal("different seeds produced identical first-service peaks")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("SyntheticFleet(0) did not panic")
-			}
-		}()
-		SyntheticFleet(0, 1)
-	}()
-}
-
-// TestSurfaceSetSharedAcrossRenamedClones pins the content-keyed memo:
-// two profiles differing only in name share one profiled build (same
-// surface pointers) while each keeps its own service label.
-func TestSurfaceSetSharedAcrossRenamedClones(t *testing.T) {
-	skipIfRace(t)
-	cfg := serverless.DefaultConfig()
-	fleet := SyntheticFleet(10, 3)
-	base, clone := fleet[0].Profile, fleet[5].Profile // same archetype, different names
-	if base.Name == clone.Name {
-		t.Fatalf("fixture broken: %q == %q", base.Name, clone.Name)
-	}
-	sa := SurfaceSet(base, cfg)
-	sb := SurfaceSet(clone, cfg)
-	if sa.Service != base.Name || sb.Service != clone.Name {
-		t.Fatalf("service labels %q/%q, want %q/%q", sa.Service, sb.Service, base.Name, clone.Name)
-	}
-	if sa.Surfaces != sb.Surfaces {
-		t.Fatal("renamed clone re-profiled instead of sharing the cached surfaces")
 	}
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"amoeba/internal/metrics"
+	"amoeba/internal/profiling"
+	"amoeba/internal/serverless"
 	"amoeba/internal/trace"
 	"amoeba/internal/workload"
 )
@@ -175,6 +178,34 @@ func TestProfileCacheReuse(t *testing.T) {
 	after := testingCacheSizes()
 	if before != after {
 		t.Errorf("cache grew across identical runs: %v -> %v", before, after)
+	}
+}
+
+// TestSurfaceSetKeyedByName pins the memo key: profiling seeds a
+// surface's cells from the service name, so a renamed clone of float,
+// profiled first, must not stand in for float itself. All three grids
+// of SurfaceSet(float) equal a fresh, unmemoised float build bit for bit.
+func TestSurfaceSetKeyedByName(t *testing.T) {
+	cfg := serverless.DefaultConfig()
+	fl := workload.Float()
+	clone := fl
+	clone.Name = "float_clone"
+	ResetProfileCache()
+	SurfaceSet(clone, cfg)
+	got := SurfaceSet(fl, cfg)
+	want := profiling.BuildSet(fl, cfg, profiling.DefaultPressureGrid(), profiling.DefaultLoadGrid(fl))
+	if got.Service != fl.Name {
+		t.Fatalf("service label %q, want %q", got.Service, fl.Name)
+	}
+	for idx, ws := range want.Surfaces {
+		gs := got.Surfaces[idx]
+		for i := range ws.Lat {
+			for j := range ws.Lat[i] {
+				if g, w := gs.Lat[i][j], ws.Lat[i][j]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("surface %d cell (%d,%d) = %v, fresh float build %v", idx, i, j, g, w)
+				}
+			}
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // Fig09Result reproduces paper Fig. 9: the three latency surfaces of an
-// example microservice — its p95 body latency as (pressure, own load)
+// example microservice — its mean body latency as (pressure, own load)
 // sweep a grid, one surface per shared resource.
 type Fig09Result struct {
 	Benchmark string
@@ -44,7 +44,7 @@ func (r *Fig09Result) Render() []*report.Table {
 			cols = append(cols, fmt.Sprintf("%.1f", l))
 		}
 		t := report.NewTable(
-			fmt.Sprintf("Fig. 9(%c): %s sensitivity surface of %s (p95 body latency, s)",
+			fmt.Sprintf("Fig. 9(%c): %s sensitivity surface of %s (mean body latency, s)",
 				'a'+idx, names[idx], r.Benchmark), cols...)
 		for i, p := range sf.Pressures {
 			row := []interface{}{fmt.Sprintf("%.2f", p)}

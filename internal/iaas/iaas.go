@@ -444,15 +444,6 @@ func (p *Platform) QueueLength(name string) int { return len(p.mustSvc(name).que
 // Inflight returns submitted-but-incomplete queries of the service.
 func (p *Platform) Inflight(name string) int { return p.mustSvc(name).inflight }
 
-// Utilization returns busy/slots right now.
-func (p *Platform) Utilization(name string) float64 {
-	svc := p.mustSvc(name)
-	if svc.slots == 0 {
-		return 0
-	}
-	return float64(svc.busy) / float64(svc.slots)
-}
-
 // UsageFor returns the service's accumulated allocated resource-time: the
 // rented cores and memory integrated over the time its VMs were up.
 func (p *Platform) UsageFor(name string) resources.Vector {

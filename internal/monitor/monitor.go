@@ -132,7 +132,6 @@ type Monitor struct {
 	meterLat  [3]*stats.EWMA
 	pressure  [3]float64
 	services  map[string]*sampleWindow
-	stop      []func()
 	started   bool
 	meterCPUs float64 // CPU-seconds consumed by meters (overhead tracking)
 
@@ -248,19 +247,9 @@ func (m *Monitor) Start() {
 		// Keep one container warm per meter so probes measure contention,
 		// not cold starts.
 		m.pool.Prewarm(name, 1, nil)
-		stop := m.sim.Every(period.Raw(), func() { m.pool.Invoke(name) })
-		m.stop = append(m.stop, stop)
+		m.sim.Every(period.Raw(), func() { m.pool.Invoke(name) })
 	}
-	stop := m.sim.Every(m.cfg.SamplePeriod.Raw(), m.refresh)
-	m.stop = append(m.stop, stop)
-}
-
-// Stop halts probing and refresh.
-func (m *Monitor) Stop() {
-	for _, fn := range m.stop {
-		fn()
-	}
-	m.stop = nil
+	m.sim.Every(m.cfg.SamplePeriod.Raw(), m.refresh)
 }
 
 // refresh recomputes the pressure estimate from smoothed meter latencies.

@@ -171,9 +171,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 // P95 is shorthand for the 95th percentile, the paper's QoS quantile.
 func (h *Histogram) P95() float64 { return h.Quantile(0.95) }
 
-// P99 is shorthand for the 99th percentile.
-func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
-
 // Bucket is one non-empty histogram bucket for exposition.
 type Bucket struct {
 	Upper float64 // exclusive upper bound

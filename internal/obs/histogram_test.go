@@ -275,16 +275,6 @@ func lessInOutput(out, prefix string) bool {
 	return true
 }
 
-func TestExpvarFunc(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("events").Inc()
-	v := r.Expvar()()
-	s, ok := v.(string)
-	if !ok || !strings.Contains(s, "events 1") {
-		t.Fatalf("Expvar() = %v", v)
-	}
-}
-
 func TestLabeledHistogramExposition(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram(Labeled("lat", "svc", "dd"), 0.001, 1, 4)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -36,7 +35,7 @@ func (g *Gauge) Set(v float64) { g.v = v }
 func (g *Gauge) Value() float64 { return g.v }
 
 // Registry holds named counters, gauges, and histograms and renders
-// them in Prometheus text exposition format or as an expvar.Var. Names
+// them in Prometheus text exposition format. Names
 // may carry a Prometheus label suffix (`name{k="v"}`, see Labeled);
 // exposition sorts series lexicographically, so the output of a
 // deterministic run is itself deterministic.
@@ -228,16 +227,4 @@ func writeHistogram(w io.Writer, series string, h *Histogram) error {
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", base, labels, h.Count())
 	return err
-}
-
-// Expvar returns the registry as an expvar.Func rendering the full
-// Prometheus text block, suitable for expvar.Publish in a binary that
-// serves /debug/vars. The registry itself never touches the process-
-// global expvar namespace — publishing is the caller's choice.
-func (r *Registry) Expvar() expvar.Func {
-	return func() interface{} {
-		var b strings.Builder
-		_ = r.WritePrometheus(&b) // strings.Builder writes cannot fail
-		return b.String()
-	}
 }

@@ -27,47 +27,21 @@ import (
 	"amoeba/internal/workload"
 )
 
-// Options tunes the profiling harness.
-type Options struct {
-	// Duration is virtual seconds simulated per grid cell.
-	Duration float64
-	// ProbeQPS is the probe load used when profiling meter curves.
-	ProbeQPS float64
-	// Seed derives per-cell seeds.
-	Seed uint64
-	// Parallelism caps the worker pool (0 = GOMAXPROCS).
-	Parallelism int
-	// Quantile is the latency quantile recorded into surfaces (0.95).
-	Quantile float64
-}
-
-// DefaultOptions returns a configuration balancing precision and runtime.
-func DefaultOptions() Options {
-	return Options{
-		Duration:    60,
-		ProbeQPS:    2,
-		Seed:        0xA0EBA,
-		Parallelism: 0,
-		Quantile:    0.95,
-	}
-}
-
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) validate() error {
-	if o.Duration <= 0 || o.ProbeQPS <= 0 {
-		return fmt.Errorf("profiling: non-positive duration/probe rate")
-	}
-	if o.Quantile <= 0 || o.Quantile >= 1 {
-		return fmt.Errorf("profiling: quantile %v out of (0,1)", o.Quantile)
-	}
-	return nil
-}
+// The harness's fixed settings, balancing precision and runtime. Every
+// grid cell runs on as many workers as GOMAXPROCS allows; each cell
+// derives its seed from baseSeed and its own index, so the worker count
+// never changes a result.
+const (
+	// cellSeconds is the virtual time simulated per grid cell.
+	cellSeconds = 60.0
+	// probeQPS is the probe load meter curves are profiled at.
+	probeQPS = 2.0
+	// baseSeed derives the per-cell seeds.
+	baseSeed uint64 = 0xA0EBA
+	// meterQuantile is the latency quantile a meter curve records:
+	// meters probe, they do not serve, so the median.
+	meterQuantile = 0.5
+)
 
 // injectionFor converts a pressure level on meter resource idx into a raw
 // demand vector against the given capacity. It panics on an index outside
@@ -86,11 +60,11 @@ func injectionFor(idx int, pressure float64, capacity resources.Vector) resource
 
 // measureCell runs one mini-simulation: the profile alone on a platform
 // whose pressure on meter resource idx is pinned at the given level,
-// driven at loadQPS, returning a latency quantile over warm queries.
+// driven at loadQPS, returning a latency statistic over warm queries.
 //
-// bodyOnly selects what is measured. Meter curves record the probe's full
-// warm-path latency (a 1 QPS probe never queues, so the whole latency is
-// contention signal). Latency surfaces record only the function body:
+// bodyOnly selects what is measured. Meter curves record the median of
+// the probe's full warm-path latency (a probe at probeQPS never queues,
+// so the whole latency is contention signal). Latency surfaces record only the function body:
 // queueing is the M/M/N discriminant's job, and folding it into the
 // surfaces would double-count it in Eq. 6 — and blow the features up near
 // saturation, where profiling-cell queues explode.
@@ -98,7 +72,7 @@ func injectionFor(idx int, pressure float64, capacity resources.Vector) resource
 // It panics if the cell produced no warm samples, which would silently
 // poison the surface grid.
 func measureCell(prof workload.Profile, idx int, pressure, loadQPS float64,
-	cfg serverless.Config, opts Options, seed uint64, bodyOnly bool) float64 {
+	cfg serverless.Config, seed uint64, bodyOnly bool) float64 {
 
 	s := sim.New(seed)
 	p := serverless.New(s, cfg)
@@ -125,7 +99,7 @@ func measureCell(prof workload.Profile, idx int, pressure, loadQPS float64,
 	gen := arrival.New(s, trace.Constant{QPS: loadQPS}, func(sim.Time) { p.Invoke(prof.Name) })
 	// Start after the prewarm settles.
 	s.At(6, func() { gen.Start() })
-	s.Run(sim.Time(6 + opts.Duration))
+	s.Run(sim.Time(6 + cellSeconds))
 
 	if lat.Len() == 0 {
 		panic(fmt.Sprintf("profiling: no warm samples for %s at p=%v load=%v",
@@ -138,29 +112,23 @@ func measureCell(prof workload.Profile, idx int, pressure, loadQPS float64,
 		// features and calibration targets commensurable.
 		return lat.Mean()
 	}
-	return lat.Quantile(opts.Quantile)
+	return lat.Quantile(meterQuantile)
 }
 
 // MeterCurve profiles one contention meter (one panel of Fig. 8): its
 // latency as the pressure on its resource sweeps the grid. The result is
 // made monotone by isotonic (running-max) smoothing so the runtime
 // inversion is well-defined.
-// It panics if the options are invalid, the grid has fewer than two
-// points, or the profiled curve fails validation.
-func MeterCurve(m meters.Meter, cfg serverless.Config, pressures []float64, opts Options) *meters.Curve {
-	if err := opts.validate(); err != nil {
-		panic(err)
-	}
+// It panics if the grid has fewer than two points or the profiled curve
+// fails validation.
+func MeterCurve(m meters.Meter, cfg serverless.Config, pressures []float64) *meters.Curve {
 	if len(pressures) < 2 {
 		panic("profiling: need at least 2 pressure points")
 	}
 	lats := make([]float64, len(pressures))
-	parallelFor(len(pressures), opts.workers(), func(i int) {
-		seed := opts.Seed ^ (uint64(m.Index+1) << 32) ^ uint64(i)
-		// Meters are profiled with the median (they probe, not serve).
-		o := opts
-		o.Quantile = 0.5
-		lats[i] = measureCell(m.Profile, m.Index, pressures[i], opts.ProbeQPS, cfg, o, seed, false)
+	parallelFor(len(pressures), runtime.GOMAXPROCS(0), func(i int) {
+		seed := baseSeed ^ (uint64(m.Index+1) << 32) ^ uint64(i)
+		lats[i] = measureCell(m.Profile, m.Index, pressures[i], probeQPS, cfg, seed, false)
 	})
 	for i := 1; i < len(lats); i++ { // isotonic smoothing
 		if lats[i] < lats[i-1] {
@@ -176,34 +144,32 @@ func MeterCurve(m meters.Meter, cfg serverless.Config, pressures []float64, opts
 
 // AllMeterCurves profiles the three meters through the bounded pool,
 // one worker per meter.
-func AllMeterCurves(cfg serverless.Config, pressures []float64, opts Options) [3]*meters.Curve {
+func AllMeterCurves(cfg serverless.Config, pressures []float64) [3]*meters.Curve {
 	var out [3]*meters.Curve
 	ms := meters.All()
 	parallelFor(len(ms), len(ms), func(i int) {
-		out[ms[i].Index] = MeterCurve(ms[i], cfg, pressures, opts)
+		out[ms[i].Index] = MeterCurve(ms[i], cfg, pressures)
 	})
 	return out
 }
 
 // BuildSurface profiles one latency surface (one panel of Fig. 9): the
-// service's p95 latency over (pressure on resource idx) × (own load).
-// It panics if the options are invalid or the profiled surface fails
+// service's mean body latency over (pressure on resource idx) × (own
+// load). The cells' seeds hash the service name, so a renamed profile
+// profiles to different values. It panics if the profiled surface fails
 // validation.
 func BuildSurface(prof workload.Profile, idx int, cfg serverless.Config,
-	pressures, loads []float64, opts Options) *surfaces.Surface {
+	pressures, loads []float64) *surfaces.Surface {
 
-	if err := opts.validate(); err != nil {
-		panic(err)
-	}
 	lat := make([][]float64, len(pressures))
 	for i := range lat {
 		lat[i] = make([]float64, len(loads))
 	}
 	cells := len(pressures) * len(loads)
-	parallelFor(cells, opts.workers(), func(k int) {
+	parallelFor(cells, runtime.GOMAXPROCS(0), func(k int) {
 		i, j := k/len(loads), k%len(loads)
-		seed := opts.Seed ^ (uint64(idx+7) << 40) ^ uint64(k)<<8 ^ hashName(prof.Name)
-		lat[i][j] = measureCell(prof, idx, pressures[i], loads[j], cfg, opts, seed, true)
+		seed := baseSeed ^ (uint64(idx+7) << 40) ^ uint64(k)<<8 ^ hashName(prof.Name)
+		lat[i][j] = measureCell(prof, idx, pressures[i], loads[j], cfg, seed, true)
 	})
 	// Isotonic smoothing along the pressure axis: physics says more
 	// pressure never helps, so residual sampling noise is clamped.
@@ -230,7 +196,7 @@ func BuildSurface(prof workload.Profile, idx int, cfg serverless.Config,
 // BuildSet profiles all three surfaces of a service. It panics if the
 // assembled set fails validation.
 func BuildSet(prof workload.Profile, cfg serverless.Config,
-	pressures, loads []float64, opts Options) *surfaces.Set {
+	pressures, loads []float64) *surfaces.Set {
 
 	set := &surfaces.Set{Service: prof.Name}
 	var wg sync.WaitGroup
@@ -239,7 +205,7 @@ func BuildSet(prof workload.Profile, cfg serverless.Config,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			set.Surfaces[idx] = BuildSurface(prof, idx, cfg, pressures, loads, opts)
+			set.Surfaces[idx] = BuildSurface(prof, idx, cfg, pressures, loads)
 		}()
 	}
 	wg.Wait()

@@ -9,19 +9,12 @@ import (
 	"amoeba/internal/workload"
 )
 
-func fastOpts() Options {
-	o := DefaultOptions()
-	o.Duration = 30
-	o.ProbeQPS = 4
-	return o
-}
-
 func TestMeterCurveShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling sweep in -short mode")
 	}
 	cfg := serverless.DefaultConfig()
-	c := MeterCurve(meters.CPUMeter(), cfg, []float64{0, 0.3, 0.6, 0.9}, fastOpts())
+	c := MeterCurve(meters.CPUMeter(), cfg, []float64{0, 0.3, 0.6, 0.9})
 	if err := c.Validate(); err != nil {
 		t.Fatalf("profiled curve invalid: %v", err)
 	}
@@ -46,10 +39,9 @@ func TestMeterCurveIsolation(t *testing.T) {
 	// The IO meter must not react to CPU pressure: profile the IO meter
 	// while injecting on resource 0 (CPU) via a manual sweep.
 	cfg := serverless.DefaultConfig()
-	opts := fastOpts()
 	io := meters.IOMeter()
-	base := measureCell(io.Profile, 0, 0, opts.ProbeQPS, cfg, opts, 1, false)
-	loaded := measureCell(io.Profile, 0, 0.9, opts.ProbeQPS, cfg, opts, 2, false)
+	base := measureCell(io.Profile, 0, 0, probeQPS, cfg, 1, false)
+	loaded := measureCell(io.Profile, 0, 0.9, probeQPS, cfg, 2, false)
 	if loaded > base*1.1 {
 		t.Errorf("IO meter reacted to CPU pressure: %v -> %v", base, loaded)
 	}
@@ -61,7 +53,7 @@ func TestBuildSurfaceMonotoneInPressure(t *testing.T) {
 	}
 	cfg := serverless.DefaultConfig()
 	prof := workload.Float()
-	s := BuildSurface(prof, 0, cfg, []float64{0, 0.5, 1.0}, []float64{2, 10}, fastOpts())
+	s := BuildSurface(prof, 0, cfg, []float64{0, 0.5, 1.0}, []float64{2, 10})
 	if err := s.Validate(); err != nil {
 		t.Fatalf("surface invalid: %v", err)
 	}
@@ -84,7 +76,7 @@ func TestBuildSetCompleteness(t *testing.T) {
 	}
 	cfg := serverless.DefaultConfig()
 	prof := workload.CloudStor()
-	set := BuildSet(prof, cfg, []float64{0, 0.6, 1.0}, []float64{1, 6}, fastOpts())
+	set := BuildSet(prof, cfg, []float64{0, 0.6, 1.0}, []float64{1, 6})
 	if err := set.Validate(); err != nil {
 		t.Fatalf("set invalid: %v", err)
 	}

@@ -2,6 +2,7 @@ package profiling
 
 import (
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -33,10 +34,10 @@ func TestParallelForWorkerCounts(t *testing.T) {
 }
 
 // TestBuildSurfaceWorkerCountIndependence profiles the same surface with
-// a serial sweep and with a wide worker pool. Every grid cell derives its
-// seed from the cell index alone, so the two grids must be bit-identical:
-// a difference means a cell read state owned by another cell, i.e. the
-// fan-out is not actually embarrassingly parallel.
+// a serial sweep and with a wide worker pool (GOMAXPROCS 1 and 8). Every
+// grid cell derives its seed from the cell index alone, so the two grids
+// must be bit-identical: a difference means a cell read state owned by
+// another cell, i.e. the fan-out is not actually embarrassingly parallel.
 func TestBuildSurfaceWorkerCountIndependence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling sweep in -short mode")
@@ -46,13 +47,10 @@ func TestBuildSurfaceWorkerCountIndependence(t *testing.T) {
 	pressures := []float64{0, 0.4, 0.8}
 	loads := []float64{2, 6}
 
-	serial := fastOpts()
-	serial.Parallelism = 1
-	wide := fastOpts()
-	wide.Parallelism = 8
-
-	a := BuildSurface(prof, 0, cfg, pressures, loads, serial)
-	b := BuildSurface(prof, 0, cfg, pressures, loads, wide)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a := BuildSurface(prof, 0, cfg, pressures, loads)
+	runtime.GOMAXPROCS(8)
+	b := BuildSurface(prof, 0, cfg, pressures, loads)
 	if !reflect.DeepEqual(a.Lat, b.Lat) {
 		t.Errorf("surface depends on worker count:\nserial: %v\nwide:   %v", a.Lat, b.Lat)
 	}
@@ -67,7 +65,7 @@ func TestBuildSetConcurrentSurfaces(t *testing.T) {
 		t.Skip("profiling sweep in -short mode")
 	}
 	cfg := serverless.DefaultConfig()
-	set := BuildSet(workload.Float(), cfg, []float64{0, 0.5}, []float64{2, 4}, fastOpts())
+	set := BuildSet(workload.Float(), cfg, []float64{0, 0.5}, []float64{2, 4})
 	if err := set.Validate(); err != nil {
 		t.Fatalf("concurrently built set invalid: %v", err)
 	}

@@ -25,17 +25,10 @@ package sim
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is a point in virtual time, in seconds since simulation start.
 type Time float64
-
-// Duration converts a virtual duration in seconds to time.Duration for
-// human-readable reporting.
-func (t Time) Duration() time.Duration {
-	return time.Duration(float64(t) * float64(time.Second))
-}
 
 func (t Time) String() string {
 	return fmt.Sprintf("%.3fs", float64(t))

@@ -82,9 +82,6 @@ func (s *Sample) Quantile(q float64) float64 {
 // P95 is shorthand for the 95th percentile, the paper's QoS metric.
 func (s *Sample) P95() float64 { return s.Quantile(0.95) }
 
-// P99 is shorthand for the 99th percentile.
-func (s *Sample) P99() float64 { return s.Quantile(0.99) }
-
 // Mean returns the arithmetic mean. It panics on an empty sample.
 func (s *Sample) Mean() float64 {
 	if len(s.data) == 0 {

@@ -20,7 +20,8 @@ type Surface struct {
 	Resource  int       // meter index (0 = CPU, 1 = IO, 2 = Net)
 	Pressures []float64 // strictly increasing grid on the pressure axis
 	Loads     []float64 // strictly increasing grid on the load (QPS) axis
-	// Lat[i][j] is the p95 latency at Pressures[i], Loads[j], in seconds.
+	// Lat[i][j] is the mean body latency at Pressures[i], Loads[j], in
+	// seconds.
 	Lat [][]float64
 }
 
@@ -75,8 +76,8 @@ func segment(grid []float64, x float64) (int, float64) {
 	return i - 1, f
 }
 
-// At returns the bilinearly interpolated p95 latency at (pressure, load),
-// clamped to the profiled region.
+// At returns the bilinearly interpolated mean body latency at
+// (pressure, load), clamped to the profiled region.
 func (s *Surface) At(pressure float64, load units.QPS) units.Seconds {
 	pi, pf := segment(s.Pressures, pressure)
 	li, lf := segment(s.Loads, load.Raw())
