@@ -141,9 +141,14 @@ type Trace = trace.Trace
 func ConstantTrace(qps QPS) Trace { return trace.Constant{QPS: qps.Raw()} }
 
 // DiurnalTrace returns a Didi-shaped daily load pattern: a deep night
-// trough, morning and evening peaks, deterministic noise.
-func DiurnalTrace(peakQPS, troughQPS QPS, dayLength Seconds, seed uint64) Trace {
-	return trace.NewDiurnal(peakQPS.Raw(), troughQPS.Raw(), dayLength.Raw(), seed)
+// trough, morning and evening peaks, deterministic noise. It returns an
+// error if the peak is not positive and finite, the trough is outside
+// [0, peak), or the day length is not positive and finite.
+func DiurnalTrace(peakQPS, troughQPS QPS, dayLength Seconds, seed uint64) (Trace, error) {
+	if err := trace.CheckDiurnal(peakQPS.Raw(), troughQPS.Raw(), dayLength.Raw()); err != nil {
+		return nil, err
+	}
+	return trace.NewDiurnal(peakQPS.Raw(), troughQPS.Raw(), dayLength.Raw(), seed), nil
 }
 
 // LoadTraceCSV reads a two-column "time_seconds,qps" series into a
@@ -187,7 +192,8 @@ func DefaultScenarioOptions() ScenarioOptions {
 // benchmark under a diurnal load, optionally with the three background
 // tenants sharing the serverless pool. It returns an error if DayLength
 // or Days is not positive and finite, if TroughFraction is outside
-// [0, 1), or if the benchmark or the built scenario fails validation.
+// [0, 1), or if the benchmark, its diurnal trace (DiurnalTrace) or the
+// built scenario fails validation.
 func NewScenario(v Variant, prof Benchmark, opts ScenarioOptions) (Scenario, error) {
 	for _, f := range []struct {
 		name string
@@ -203,14 +209,14 @@ func NewScenario(v Variant, prof Benchmark, opts ScenarioOptions) (Scenario, err
 	if err := prof.Validate(); err != nil {
 		return Scenario{}, err
 	}
+	tr, err := DiurnalTrace(QPS(prof.PeakQPS),
+		units.Scale(QPS(prof.PeakQPS), opts.TroughFraction.Raw()), opts.DayLength, opts.Seed)
+	if err != nil {
+		return Scenario{}, err
+	}
 	sc := Scenario{
-		Variant: v,
-		Services: []ServiceSpec{{
-			Profile: prof,
-			Trace: DiurnalTrace(QPS(prof.PeakQPS),
-				units.Scale(QPS(prof.PeakQPS), opts.TroughFraction.Raw()),
-				opts.DayLength, opts.Seed),
-		}},
+		Variant:  v,
+		Services: []ServiceSpec{{Profile: prof, Trace: tr}},
 		Duration: units.Scale(opts.DayLength, opts.Days),
 		Seed:     opts.Seed,
 	}

@@ -125,9 +125,11 @@ func TestNewScenarioValidation(t *testing.T) {
 				c.days, c.dayLength, c.trough, err, c.ok)
 		}
 	}
-	bad := prof
-	bad.PeakQPS = 0
-	if _, err := amoeba.NewScenario(amoeba.Amoeba, bad, amoeba.DefaultScenarioOptions()); err == nil {
-		t.Error("zero-peak benchmark accepted")
+	for _, peak := range []float64{0, nan, inf} {
+		bad := prof
+		bad.PeakQPS = peak
+		if _, err := amoeba.NewScenario(amoeba.Amoeba, bad, amoeba.DefaultScenarioOptions()); err == nil {
+			t.Errorf("benchmark with peak load %v accepted", peak)
+		}
 	}
 }

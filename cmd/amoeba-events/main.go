@@ -52,7 +52,10 @@
 //	amoeba-events -validate events.jsonl
 //	amoeba-events -validate -perfetto trace.json events.jsonl
 //	amoeba-events -check-perfetto trace.json
-//	amoeba-sim -events /dev/stdout ... | amoeba-events -validate
+//	amoeba-sim -events /dev/fd/3 ... 3>&1 >/dev/null | amoeba-events -validate
+//
+// The piped form sends the stream through fd 3 and discards amoeba-sim's
+// report, which it prints on standard output.
 //
 // Exit status is non-zero on the first violation. With -counts the
 // per-kind event totals are printed after a clean validation. With

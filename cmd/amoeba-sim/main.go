@@ -88,7 +88,10 @@ func main() {
 		bus = amoeba.NewEventBus()
 	}
 	if *events != "" {
-		f, err := os.Create(*events)
+		// Write-only: opened read-write, a pipe such as /dev/fd/3 would
+		// keep a read end in this process, and a write after the reader
+		// exits would block forever instead of failing.
+		f, err := os.OpenFile(*events, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

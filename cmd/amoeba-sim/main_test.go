@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"strings"
@@ -84,5 +85,38 @@ func TestCheckHorizon(t *testing.T) {
 	code, stderr = runSim(t, "-bench", "float", "-days", "0.01", "-day-length", "600", "-trough", "0")
 	if code != 0 {
 		t.Errorf("a run that finishes no query: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestEventsToClosedPipe: a stream written to a pipe whose reader exits
+// ends the run with a write error. The child gets the pipe's write end
+// as fd 3 and names it with -events /dev/fd/3; the test reads 100 bytes
+// and closes the read end, and the child must exit non-zero within the
+// harness's minute. Opened read-write, the pipe kept a read end in the
+// child, so its writes blocked forever once the pipe filled.
+func TestEventsToClosedPipe(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0],
+		"-bench", "float", "-day-length", "600", "-events", "/dev/fd/3")
+	cmd.Env = append(os.Environ(), "AMOEBA_SIM_MAIN=1")
+	cmd.ExtraFiles = []*os.File{w}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if _, err := io.ReadFull(r, make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	err = cmd.Wait()
+	var exit *exec.ExitError
+	if ctx.Err() != nil || !errors.As(err, &exit) || exit.ExitCode() <= 0 {
+		t.Fatalf("amoeba-sim writing to a closed pipe: %v (deadline %v); want a non-zero exit", err, ctx.Err())
 	}
 }

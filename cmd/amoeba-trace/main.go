@@ -34,6 +34,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := trace.CheckDiurnal(*peak, *trough, *day); err != nil {
+		fmt.Fprintf(os.Stderr, "amoeba-trace: %v\n", err)
+		os.Exit(2)
+	}
 	// Every comparison below is false for NaN, so NaN fails each check.
 	finite := func(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 	inDay := func(x float64) bool { return 0 <= x && x <= *day }
@@ -41,8 +45,7 @@ func main() {
 		ok   bool
 		need string
 	}{
-		{finite(*peak) && *peak > *trough && *trough >= 0, "finite peak > trough >= 0"},
-		{finite(*day) && *day > 0 && *samples >= 2, "a finite day > 0 and samples >= 2"},
+		{*samples >= 2, "samples >= 2"},
 		{finite(*burstQPS) && *burstQPS >= 0, "a finite burst-extra >= 0"},
 		{inDay(*burstFrom) && inDay(*burstTo), "burst-from and burst-to within [0, day]"},
 		{*burstQPS == 0 || *burstFrom < *burstTo, "burst-from < burst-to"},

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"amoeba"
 )
@@ -14,7 +15,12 @@ import (
 // diurnal builds a day-shaped trace peaking at the profile's peak QPS.
 func diurnal(prof amoeba.Benchmark, trough amoeba.Fraction, day amoeba.Seconds, seed uint64) amoeba.Trace {
 	peak := amoeba.QPS(prof.PeakQPS)
-	return amoeba.DiurnalTrace(peak, amoeba.QPS(prof.PeakQPS*trough.Raw()), day, seed)
+	tr, err := amoeba.DiurnalTrace(peak, amoeba.QPS(prof.PeakQPS*trough.Raw()), day, seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	return tr
 }
 
 func main() {

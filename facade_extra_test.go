@@ -1,6 +1,7 @@
 package amoeba_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -66,5 +67,29 @@ func TestCustomBenchmarkValidatesThroughFacade(t *testing.T) {
 	b.QoSTarget = 0.05 // below exec time
 	if b.Validate() == nil {
 		t.Error("impossible QoS target accepted")
+	}
+}
+
+// TestDiurnalTraceRejectsInvalid: the facade returns an error, never a
+// trace, for a NaN or infinite day length or peak. Such a trace used to
+// report a zero Peak, which a scenario accepted as a run with no
+// arrivals. trace's TestDiurnalInvalidPanics covers every rejected case.
+func TestDiurnalTraceRejectsInvalid(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		peak, trough, day float64
+		ok                bool
+	}{
+		{80, 16, 3600, true},
+		{80, 16, nan, false},
+		{80, 16, inf, false},
+		{nan, 16, 3600, false},
+		{inf, 16, 3600, false},
+	}
+	for _, c := range cases {
+		tr, err := amoeba.DiurnalTrace(amoeba.QPS(c.peak), amoeba.QPS(c.trough), amoeba.Seconds(c.day), 1)
+		if (err == nil) != c.ok || (tr == nil) == c.ok {
+			t.Errorf("DiurnalTrace(%v, %v, %v) = %v, %v; want ok %t", c.peak, c.trough, c.day, tr, err, c.ok)
+		}
 	}
 }

@@ -231,26 +231,6 @@ func (e *encoder) float(b []byte, key string, x float64) []byte {
 	return b
 }
 
-// appendFloat formats a finite x as encoding/json does: the shortest
-// decimal that round-trips, in 'f' form unless |x| < 1e-6 or
-// |x| >= 1e21, and in 'e' form without a leading zero in a negative
-// exponent (e-7, not e-07).
-func appendFloat(b []byte, x float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, x, format, -1, 64)
-	if format == 'e' {
-		n := len(b)
-		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
 // floatMemo is a direct-mapped cache from a float64's bit pattern to its
 // formatted digits. It is exact because the digits are a pure function
 // of the bits: a hit returns what appendFloat would append, and a

@@ -63,15 +63,25 @@ type Diurnal struct {
 	noise []float64
 }
 
-// NewDiurnal builds a Didi-shaped daily trace. dayLength is the virtual
-// duration of one day; seed fixes the noise. It panics on a non-positive
-// day length or an inverted peak/trough pair.
-func NewDiurnal(peakQPS, troughQPS, dayLength float64, seed uint64) *Diurnal {
-	if peakQPS <= 0 || troughQPS < 0 || troughQPS >= peakQPS {
-		panic(fmt.Sprintf("trace: invalid diurnal peak=%v trough=%v", peakQPS, troughQPS))
+// CheckDiurnal reports why NewDiurnal would reject its arguments: a peak
+// that is not positive and finite, a trough outside [0, peak), or a day
+// length that is not positive and finite. A NaN fails every check.
+func CheckDiurnal(peakQPS, troughQPS, dayLength float64) error {
+	if !(peakQPS > 0) || math.IsInf(peakQPS, 1) || !(troughQPS >= 0) || !(troughQPS < peakQPS) {
+		return fmt.Errorf("trace: invalid diurnal peak=%v trough=%v", peakQPS, troughQPS)
 	}
-	if dayLength <= 0 {
-		panic("trace: non-positive day length")
+	if !(dayLength > 0) || math.IsInf(dayLength, 1) {
+		return fmt.Errorf("trace: diurnal day length %v is not positive and finite", dayLength)
+	}
+	return nil
+}
+
+// NewDiurnal builds a Didi-shaped daily trace. dayLength is the virtual
+// duration of one day; seed fixes the noise. It panics if CheckDiurnal
+// rejects its arguments.
+func NewDiurnal(peakQPS, troughQPS, dayLength float64, seed uint64) *Diurnal {
+	if err := CheckDiurnal(peakQPS, troughQPS, dayLength); err != nil {
+		panic(err.Error())
 	}
 	d := &Diurnal{
 		PeakQPS:     peakQPS,

@@ -87,21 +87,48 @@ func TestDiurnalDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// diurnalArgs are NewDiurnal's arguments, and whether it accepts them.
+var diurnalArgs = []struct {
+	peak, trough, day float64
+	ok                bool
+}{
+	{100, 20, 3600, true},
+	{100, 0, 1e-9, true},
+	{math.MaxFloat64, 0, math.MaxFloat64, true},
+	{0, 0, 100, false},
+	{-1, 0, 100, false},
+	{10, 10, 100, false}, // trough >= peak
+	{10, 11, 100, false},
+	{10, -1, 100, false},
+	{10, 1, 0, false},
+	{10, 1, -5, false},
+	{math.NaN(), 1, 100, false},
+	{10, math.NaN(), 100, false},
+	{10, 1, math.NaN(), false},
+	{math.Inf(1), 1, 100, false},
+	{10, math.Inf(1), 100, false},
+	{10, math.Inf(-1), 100, false},
+	{10, 1, math.Inf(1), false},
+	{math.Inf(-1), 1, 100, false},
+}
+
+// TestDiurnalInvalidPanics: CheckDiurnal rejects a peak that is not
+// positive and finite, a trough outside [0, peak) and a day length that
+// is not positive and finite, NaN included, and NewDiurnal panics on
+// exactly those.
 func TestDiurnalInvalidPanics(t *testing.T) {
-	cases := []func(){
-		func() { NewDiurnal(0, 0, 100, 1) },
-		func() { NewDiurnal(10, 10, 100, 1) }, // trough >= peak
-		func() { NewDiurnal(10, 1, 0, 1) },
-	}
-	for i, fn := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			fn()
+	for _, c := range diurnalArgs {
+		if err := CheckDiurnal(c.peak, c.trough, c.day); (err == nil) != c.ok {
+			t.Errorf("CheckDiurnal(%v, %v, %v) = %v, want ok %t", c.peak, c.trough, c.day, err, c.ok)
+		}
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			NewDiurnal(c.peak, c.trough, c.day, 1)
+			return false
 		}()
+		if panicked == c.ok {
+			t.Errorf("NewDiurnal(%v, %v, %v): panicked %t, want %t", c.peak, c.trough, c.day, panicked, !c.ok)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"amoeba/internal/contention"
 	"amoeba/internal/resources"
@@ -85,8 +86,8 @@ func (p Profile) Validate() error {
 	if err := p.Sensitivity.Validate(); err != nil {
 		return fmt.Errorf("workload: %s: %w", p.Name, err)
 	}
-	if p.PeakQPS <= 0 {
-		return fmt.Errorf("workload: %s has non-positive peak load", p.Name)
+	if !(p.PeakQPS > 0) || math.IsInf(p.PeakQPS, 1) {
+		return fmt.Errorf("workload: %s has peak load %v, not positive and finite", p.Name, p.PeakQPS)
 	}
 	if p.VMCores <= 0 || p.VMMemMB <= 0 {
 		return fmt.Errorf("workload: %s has invalid VM shape", p.Name)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"amoeba/internal/resources"
@@ -78,6 +79,8 @@ func TestValidateCatchesErrors(t *testing.T) {
 		"neg demand":    func(p Profile) Profile { p.Demand = resources.Vector{CPU: 1, MemMB: -5}; return p },
 		"bad sens":      func(p Profile) Profile { p.Sensitivity.CPU = -1; return p },
 		"zero peak":     func(p Profile) Profile { p.PeakQPS = 0; return p },
+		"NaN peak":      func(p Profile) Profile { p.PeakQPS = math.NaN(); return p },
+		"infinite peak": func(p Profile) Profile { p.PeakQPS = math.Inf(1); return p },
 		"zero vm cores": func(p Profile) Profile { p.VMCores = 0; return p },
 		"huge cv":       func(p Profile) Profile { p.ExecCV = 3; return p },
 	}
