@@ -395,6 +395,28 @@ func BenchmarkSuiteParallel(b *testing.B) {
 
 // --- Telemetry benches (DESIGN.md §9) ---
 
+// recordStream records every event of a 300 s Amoeba day on dd with
+// the background tenants: all seven kinds in their real mix and with
+// their real values.
+func recordStream(b *testing.B) []obs.Event {
+	cfg := benchCfg()
+	cfg.DayLength = 300
+	sc := benchScenario(cfg, workload.DD(), core.VariantAmoeba)
+	rec := obs.NewBuffer()
+	sc.Bus = obs.NewBus()
+	sc.Bus.Attach(rec)
+	core.Run(sc)
+	events := rec.Events()
+	kinds := map[obs.Kind]bool{}
+	for _, ev := range events {
+		kinds[ev.EventKind()] = true
+	}
+	if len(kinds) != 7 {
+		b.Fatalf("recorded stream has %d of the 7 kinds", len(kinds))
+	}
+	return events
+}
+
 // BenchmarkEventEmit measures the per-event cost of the obs bus: the
 // guarded no-sink path (which must stay allocation-free — the event
 // literal is never constructed), a ring sink, the metrics-folding sink,
@@ -402,6 +424,13 @@ func BenchmarkSuiteParallel(b *testing.B) {
 //
 //amoeba:alloctest obs.Bus.Active obs.Bus.Emit
 func BenchmarkEventEmit(b *testing.B) {
+	var events []obs.Event // recordStream's, on first use
+	recorded := func(b *testing.B) []obs.Event {
+		if events == nil {
+			events = recordStream(b)
+		}
+		return events
+	}
 	mkEvent := func(bus *obs.Bus, i int) {
 		if bus.Active() {
 			bus.Emit(&obs.QueryComplete{
@@ -431,37 +460,34 @@ func BenchmarkEventEmit(b *testing.B) {
 		}
 	})
 	b.Run("metrics", func(b *testing.B) {
+		// The metrics sink folding the recorded stream. One pass over it
+		// before the timer interns every series, so this prices the
+		// steady-state fold alone: no event construction and, as
+		// TestZeroAllocMetricsFold pins, no allocation.
+		events := recorded(b)
 		bus := obs.NewBus()
 		bus.Attach(obs.NewMetricsSink(obs.NewRegistry()))
+		for _, ev := range events {
+			bus.Emit(ev)
+		}
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mkEvent(bus, i)
+		b.ResetTimer()
+		for i, j := 0, 0; i < b.N; i++ {
+			bus.Emit(events[j])
+			if j++; j == len(events) {
+				j = 0
+			}
 		}
 	})
 	b.Run("jsonl", func(b *testing.B) {
-		// The JSONL writer replaying a recorded stream: every event of a
-		// 300 s Amoeba day on dd, all seven kinds in their real mix and
-		// with their real values. Recording happens before the timer, so
-		// this prices the writer's pipeline, not event construction: the
-		// copy into a batch on the caller's goroutine, and the encoding
-		// and write into io.Discard on the writer's own, which overlap.
-		// The final Err waits for the last batch, so on two or more cores
-		// ns/op is the slower of the two halves per event.
-		cfg := benchCfg()
-		cfg.DayLength = 300
-		sc := benchScenario(cfg, workload.DD(), core.VariantAmoeba)
-		rec := obs.NewBuffer()
-		sc.Bus = obs.NewBus()
-		sc.Bus.Attach(rec)
-		core.Run(sc)
-		events := rec.Events()
-		kinds := map[obs.Kind]bool{}
-		for _, ev := range events {
-			kinds[ev.EventKind()] = true
-		}
-		if len(kinds) != 7 {
-			b.Fatalf("recorded stream has %d of the 7 kinds", len(kinds))
-		}
+		// The JSONL writer replaying the recorded stream. Recording
+		// happens before the timer, so this prices the writer's
+		// pipeline, not event construction: the copy into a batch on the
+		// caller's goroutine, and the encoding and write into io.Discard
+		// on the writer's own, which overlap. The final Err waits for the
+		// last batch, so on two or more cores ns/op is the slower of the
+		// two halves per event.
+		events := recorded(b)
 		bus := obs.NewBus()
 		w := obs.NewJSONLWriter(io.Discard)
 		bus.Attach(w)

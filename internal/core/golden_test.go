@@ -55,6 +55,49 @@ var goldenDigests = map[string]string{
 	"autoscale/seed=3/shards=2":   "3f69562626d9c59ed2b719a44587316daed075aaf5e3f3b2ba1163bba406b7b3",
 }
 
+// registryDigests pins the metrics registry a MetricsSink folds from
+// golden scenarios: the SHA-256 of its Prometheus-text exposition, every
+// counter, gauge, histogram bucket, sum and count. They were captured on
+// the sink that found each series in string-keyed maps and the histogram
+// that took every octave from math.Log2, so they prove that the interned
+// lookups and the bit-arithmetic bucket index fold the same values into
+// the same buckets.
+var registryDigests = map[string]string{
+	"amoeba/seed=3/shards=0":    "b458baeb41b7428f739ba64ef1b06ea805dfbf7340b7ee1a27290c9d4ef27026",
+	"amoeba/seed=3/shards=2":    "0864978f63120f9c926e90e1eeae0e16324a846b16e7182ec5c1f4adf1d297d8",
+	"openwhisk/seed=3/shards=0": "16e9665a0998f7cef0a026d39be8071380bb9f5a3fe2e75fb072ab3aca448ac7",
+	"openwhisk/seed=3/shards=2": "477805dd93a9b8650957927ea0510b1180cc0f640123852d89dbe518769e30c6",
+}
+
+// TestRegistryGolden folds golden Amoeba and OpenWhisk days, on Run and
+// on RunSharded with two workers, into a metrics registry and checks the
+// exposition's digest.
+func TestRegistryGolden(t *testing.T) {
+	skipIfRace(t)
+	for _, v := range []Variant{VariantAmoeba, VariantOpenWhisk} {
+		c := goldenCase{v: v, seed: 3}
+		for _, shards := range []int{0, 2} {
+			reg := obs.NewRegistry()
+			bus := obs.NewBus()
+			bus.Attach(obs.NewMetricsSink(reg))
+			sc := goldenScenario(c.v, c.seed, bus)
+			if shards == 0 {
+				Run(sc)
+			} else {
+				RunSharded(sc, shards)
+			}
+			h := sha256.New()
+			if err := reg.WritePrometheus(h); err != nil {
+				t.Fatal(err)
+			}
+			key := c.key(shards)
+			if got, want := fmt.Sprintf("%x", h.Sum(nil)), registryDigests[key]; got != want {
+				t.Errorf("%s: registry digest %s, want %s", key, got, want)
+			}
+		}
+	}
+}
+
 // goldenCase is one golden scenario: a variant at a seed.
 type goldenCase struct {
 	v    Variant

@@ -18,8 +18,9 @@ import (
 // value still contributes to Sum/Min/Max), so quantiles degrade
 // gracefully rather than failing when a latency spike exceeds hi.
 type Histogram struct {
-	lo, hi   float64
+	lo       float64
 	sub      int
+	octaves  int // ⌈log2(hi/lo)⌉, at least 1
 	counts   []uint64
 	total    uint64
 	sum      float64
@@ -39,7 +40,7 @@ func NewHistogram(lo, hi float64, sub int) *Histogram {
 		octaves = 1
 	}
 	return &Histogram{
-		lo: lo, hi: hi, sub: sub,
+		lo: lo, sub: sub, octaves: octaves,
 		counts: make([]uint64, octaves*sub),
 		min:    math.Inf(1), max: math.Inf(-1),
 	}
@@ -48,12 +49,44 @@ func NewHistogram(lo, hi float64, sub int) *Histogram {
 // Buckets returns the number of allocated buckets — the memory bound.
 func (h *Histogram) Buckets() int { return len(h.counts) }
 
-// index maps a value to its bucket. Values below lo land in bucket 0,
-// values at or above hi in the last bucket.
+// edgeBand is the guard band of index, in units of the last mantissa
+// bit: 2^32 of them are 2^-20 of an octave.
+const edgeBand = 1 << 32
+
+// index maps a value to its bucket. Values below lo land in bucket 0.
+// The last octave ends at lo·2^octaves, at or above hi; values from
+// there up land in the last bucket, and so do +Inf and every v for
+// which v/lo overflows.
+//
+// The octave is the binary exponent of r = v/lo, and the sub-bucket is
+// (m-1)·sub for r's significand m in [1, 2): the formula of indexLog2
+// exactly, because v/(lo·2^oct) rounds to exactly r·2^-oct = m. Only
+// the octave differs: math.Log2 can round across an integer when m is
+// near 1 or 2. So within 2^-20 of either edge index calls indexLog2,
+// and every value below the last octave's top lands where indexLog2
+// puts it (DESIGN.md §9).
 func (h *Histogram) index(v float64) int {
 	if v < h.lo {
 		return 0
 	}
+	b := math.Float64bits(v / h.lo) // r ≥ 1: normal or +Inf, never NaN
+	oct := int(b>>52) - 1023
+	if oct >= h.octaves {
+		return len(h.counts) - 1
+	}
+	frac := b & (1<<52 - 1)
+	if frac < edgeBand || frac > 1<<52-edgeBand {
+		return h.indexLog2(v)
+	}
+	m := math.Float64frombits(1023<<52 | frac)
+	// m-1 ≤ 1-2^-20 outside the band, so the product rounds below sub.
+	return oct*h.sub + int((m-1)*float64(h.sub))
+}
+
+// indexLog2 is index's formula near octave edges: the octave from
+// math.Log2, the sub-bucket against lo·2^oct, both clamped. index calls
+// it only with lo ≤ v and v/lo finite.
+func (h *Histogram) indexLog2(v float64) int {
 	oct := int(math.Floor(math.Log2(v / h.lo)))
 	if oct < 0 {
 		oct = 0

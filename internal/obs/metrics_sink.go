@@ -12,23 +12,50 @@ const (
 // resources names the meter/pressure label values in meter order.
 var resources = [...]string{"cpu", "io", "net"}
 
+// handle is one interned metric handle and the label value it is kept
+// under.
+type handle[T any] struct {
+	value string
+	h     T
+}
+
+// handles keeps a few metric handles keyed by one label's value, in the
+// order first seen. The values come from short sets (the run's services,
+// two backends, a few verdicts and switch targets), so a linear scan
+// finds one without hashing the string, and two strings from one
+// literal compare equal by pointer.
+type handles[T any] []handle[T]
+
+// slot returns the handle slot for value, adding an empty one on first
+// sight. The pointer is good until the next call.
+func (hs *handles[T]) slot(value string) *T {
+	for i := range *hs {
+		if (*hs)[i].value == value {
+			return &(*hs)[i].h
+		}
+	}
+	*hs = append(*hs, handle[T]{value: value})
+	return &(*hs)[len(*hs)-1].h
+}
+
 // svcSeries holds one service's interned metric handles. Every field
 // is resolved at most once — on the first event that needs it — and
-// folded through a direct pointer (or a small per-label-value map)
-// thereafter, so the steady-state fold never formats a label key.
+// folded through a direct pointer (or a short scan of per-label-value
+// handles) thereafter, so the steady-state fold never formats a label
+// key nor hashes a string.
 type svcSeries struct {
-	ls         LabelSet            // {service="X"}, shared by the single-label series
-	queries    map[string]*Counter // by backend
+	ls         LabelSet          // {service="X"}, shared by the single-label series
+	queries    handles[*Counter] // by backend
 	latency    *Histogram
 	coldQuery  *Counter
 	coldPre    *Counter
-	verdicts   map[string]*Counter // by verdict
+	verdicts   handles[*Counter] // by verdict
 	load       *Gauge
 	admissible *Gauge
 	mu         *Gauge
-	switches   map[string]*Counter // by target mode
+	switches   handles[*Counter] // by target mode
 	heartbeats *Counter
-	phases     map[Phase]*Histogram // by trace phase
+	phases     [5]*Histogram // by phaseSlot
 }
 
 // MetricsSink folds the event stream into a Registry: query and
@@ -39,14 +66,14 @@ type svcSeries struct {
 //
 // Label handling is interned: series handles are resolved once per
 // (service, label-value) pair through pre-sorted LabelSet suffixes and
-// cached, so the per-event fold path performs no label formatting and,
-// in steady state, no allocation (histogram observation is
-// allocation-free by construction).
+// cached, so the per-event fold path performs no label formatting, no
+// string hashing and, in steady state, no allocation (histogram
+// observation is allocation-free by construction).
 type MetricsSink struct {
 	reg        *Registry
-	services   map[string]*svcSeries
+	services   handles[*svcSeries]
 	coldDelay  *Histogram
-	switchDur  map[string]*Histogram // by target mode
+	switchDur  handles[*Histogram] // by target mode
 	pressure   [3]*Gauge
 	meterLat   [3]*Gauge
 	meterPress [3]*Gauge
@@ -54,16 +81,13 @@ type MetricsSink struct {
 
 // NewMetricsSink builds a sink updating reg.
 func NewMetricsSink(reg *Registry) *MetricsSink {
-	return &MetricsSink{
-		reg:       reg,
-		services:  make(map[string]*svcSeries),
-		switchDur: make(map[string]*Histogram),
-	}
+	return &MetricsSink{reg: reg}
 }
 
 // Consume implements Sink. It panics on an event type outside the
-// closed taxonomy — an unfolded event kind is an invariant violation,
-// not a datum to count under a catch-all.
+// closed taxonomy, and on a PhaseSpan whose phase is outside the closed
+// Phase set — an unfolded event kind or phase is an invariant
+// violation, not a datum to count under a catch-all.
 //
 //amoeba:noalloc
 func (m *MetricsSink) Consume(ev Event) {
@@ -90,26 +114,21 @@ func (m *MetricsSink) Consume(ev Event) {
 
 // svc interns the per-service series block on first sight of a service.
 func (m *MetricsSink) svc(service string) *svcSeries {
-	if s, ok := m.services[service]; ok {
-		return s
+	s := m.services.slot(service)
+	if *s == nil {
+		*s = &svcSeries{ls: NewLabelSet("service", service)}
 	}
-	s := &svcSeries{ls: NewLabelSet("service", service)}
-	m.services[service] = s
-	return s
+	return *s
 }
 
 func (m *MetricsSink) foldQuery(e *QueryComplete) {
 	s := m.svc(e.Service)
-	c := s.queries[e.Backend]
-	if c == nil {
-		if s.queries == nil {
-			s.queries = make(map[string]*Counter)
-		}
-		c = m.reg.Counter(Labeled("amoeba_queries_total",
+	c := s.queries.slot(e.Backend)
+	if *c == nil {
+		*c = m.reg.Counter(Labeled("amoeba_queries_total",
 			"service", e.Service, "backend", e.Backend))
-		s.queries[e.Backend] = c
 	}
-	c.Inc()
+	(*c).Inc()
 	if s.latency == nil {
 		s.latency = m.reg.Histogram(s.ls.For("amoeba_latency_seconds"),
 			latencyLo, latencyHi, latencySub)
@@ -137,16 +156,12 @@ func (m *MetricsSink) foldCold(e *ColdStart) {
 
 func (m *MetricsSink) foldDecision(e *DecisionEvent) {
 	s := m.svc(e.Service)
-	c := s.verdicts[e.Verdict]
-	if c == nil {
-		if s.verdicts == nil {
-			s.verdicts = make(map[string]*Counter)
-		}
-		c = m.reg.Counter(Labeled("amoeba_decisions_total",
+	c := s.verdicts.slot(e.Verdict)
+	if *c == nil {
+		*c = m.reg.Counter(Labeled("amoeba_decisions_total",
 			"service", e.Service, "verdict", e.Verdict))
-		s.verdicts[e.Verdict] = c
 	}
-	c.Inc()
+	(*c).Inc()
 	if s.load == nil {
 		s.load = m.reg.Gauge(s.ls.For("amoeba_load_qps"))
 		s.admissible = m.reg.Gauge(s.ls.For("amoeba_admissible_qps"))
@@ -167,24 +182,19 @@ func (m *MetricsSink) foldDecision(e *DecisionEvent) {
 
 func (m *MetricsSink) foldSwitch(e *SwitchSpan) {
 	s := m.svc(e.Service)
-	c := s.switches[e.To]
-	if c == nil {
-		if s.switches == nil {
-			s.switches = make(map[string]*Counter)
-		}
-		c = m.reg.Counter(Labeled("amoeba_switches_total",
+	c := s.switches.slot(e.To)
+	if *c == nil {
+		*c = m.reg.Counter(Labeled("amoeba_switches_total",
 			"service", e.Service, "to", e.To))
-		s.switches[e.To] = c
 	}
-	c.Inc()
+	(*c).Inc()
 	if !e.Aborted {
-		h := m.switchDur[e.To]
-		if h == nil {
-			h = m.reg.Histogram(Labeled("amoeba_switch_duration_seconds", "to", e.To),
+		h := m.switchDur.slot(e.To)
+		if *h == nil {
+			*h = m.reg.Histogram(Labeled("amoeba_switch_duration_seconds", "to", e.To),
 				latencyLo, latencyHi, latencySub)
-			m.switchDur[e.To] = h
 		}
-		h.Observe((e.End - e.Start).Raw())
+		(*h).Observe((e.End - e.Start).Raw())
 	}
 }
 
@@ -211,15 +221,30 @@ func (m *MetricsSink) foldMeter(e *MeterSample) {
 
 func (m *MetricsSink) foldPhase(e *PhaseSpan) {
 	s := m.svc(e.Service)
-	h := s.phases[e.Phase]
-	if h == nil {
-		if s.phases == nil {
-			s.phases = make(map[Phase]*Histogram)
-		}
-		h = m.reg.Histogram(Labeled("amoeba_phase_seconds",
+	h := &s.phases[phaseSlot(e.Phase)]
+	if *h == nil {
+		*h = m.reg.Histogram(Labeled("amoeba_phase_seconds",
 			"service", e.Service, "phase", string(e.Phase)),
 			latencyLo, latencyHi, latencySub)
-		s.phases[e.Phase] = h
 	}
-	h.Observe((e.End - e.Start).Raw())
+	(*h).Observe((e.End - e.Start).Raw())
+}
+
+// phaseSlot returns p's index in a service's phase histograms. It
+// panics on a phase outside the closed Phase set, as Consume does on an
+// event outside the taxonomy.
+func phaseSlot(p Phase) int {
+	switch p {
+	case PhaseQueueWait:
+		return 0
+	case PhaseColdStart:
+		return 1
+	case PhaseExec:
+		return 2
+	case PhaseDrain:
+		return 3
+	case PhaseRetry:
+		return 4
+	}
+	panic("obs: phase outside the closed set: " + string(p))
 }
