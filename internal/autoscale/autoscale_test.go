@@ -27,7 +27,7 @@ func TestScalesOutUnderLoad(t *testing.T) {
 	s, vms, a, _ := rig(1, cfg)
 	// 1 VM = 4 slots; 40 QPS × 0.1 s needs ~4 busy workers at 100%:
 	// far over the 75% threshold.
-	gen := arrival.New(s, trace.Constant{QPS: 40}, func(sim.Time) { vms.Invoke("float") })
+	gen := arrival.New(s, trace.Constant{QPS: 40}, func(sim.Time) { vms.Bind("float").Invoke() })
 	gen.Start()
 	s.Run(600)
 	if vms.VMs("float") <= cfg.MinVMs {
@@ -46,7 +46,7 @@ func TestScalesInWhenIdle(t *testing.T) {
 	cfg := DefaultConfig()
 	s, vms, _, _ := rig(2, cfg)
 	// Load for a while, then nothing.
-	gen := arrival.New(s, trace.Step{Before: 40, After: 0.5, At: 600}, func(sim.Time) { vms.Invoke("float") })
+	gen := arrival.New(s, trace.Step{Before: 40, After: 0.5, At: 600}, func(sim.Time) { vms.Bind("float").Invoke() })
 	gen.Start()
 	s.Run(600)
 	peakVMs := vms.VMs("float")
@@ -63,7 +63,7 @@ func TestRespectsBounds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxVMs = 2
 	s, vms, _, _ := rig(3, cfg)
-	gen := arrival.New(s, trace.Constant{QPS: 200}, func(sim.Time) { vms.Invoke("float") })
+	gen := arrival.New(s, trace.Constant{QPS: 200}, func(sim.Time) { vms.Bind("float").Invoke() })
 	gen.Start()
 	s.Run(400)
 	if got := vms.VMs("float"); got > 2 {
@@ -75,7 +75,7 @@ func TestCooldownLimitsActionRate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cooldown = 300
 	s, vms, a, _ := rig(4, cfg)
-	gen := arrival.New(s, trace.Constant{QPS: 80}, func(sim.Time) { vms.Invoke("float") })
+	gen := arrival.New(s, trace.Constant{QPS: 80}, func(sim.Time) { vms.Bind("float").Invoke() })
 	gen.Start()
 	s.Run(600)
 	// At most two actions fit in 600s with a 300s cooldown (plus boot).
@@ -89,7 +89,7 @@ func TestRampViolatesTightQoSBeforeCapacityArrives(t *testing.T) {
 	// the 30s VM boot, and float's 180ms target cannot absorb that.
 	cfg := DefaultConfig()
 	s, vms, _, coll := rig(5, cfg)
-	gen := arrival.New(s, trace.Step{Before: 2, After: 45, At: 300}, func(sim.Time) { vms.Invoke("float") })
+	gen := arrival.New(s, trace.Step{Before: 2, After: 45, At: 300}, func(sim.Time) { vms.Bind("float").Invoke() })
 	gen.Start()
 	s.Run(900)
 	if coll.ViolationFraction() < 0.01 {

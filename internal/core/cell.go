@@ -106,7 +106,8 @@ func (c *cell) addTenant(bg ServiceSpec) {
 	coll := metrics.NewCollector(bg.Profile.Name, bg.Profile.QoSTarget)
 	c.tenants = append(c.tenants, coll)
 	c.pool.Register(bg.Profile, coll.Observe, serverless.WithNMax(64))
-	arrival.New(c.sim, bg.Trace, invoker(c.pool, bg.Profile.Name)).Start()
+	inv := c.pool.Bind(bg.Profile.Name)
+	arrival.New(c.sim, bg.Trace, func(sim.Time) { inv.Invoke() }).Start()
 }
 
 // allowedError is Eq. 8's e, the error fraction the engine's sample
@@ -124,19 +125,22 @@ func (c *cell) addService(svc ServiceSpec) {
 	case VariantNameko:
 		m.coll = metrics.NewCollector(prof.Name, prof.QoSTarget)
 		c.vms.Deploy(prof, m.coll.Observe)
-		onArrival = invoker(c.vms, prof.Name)
+		inv := c.vms.Bind(prof.Name)
+		onArrival = func(sim.Time) { inv.Invoke() }
 
 	case VariantOpenWhisk:
 		m.coll = metrics.NewCollector(prof.Name, prof.QoSTarget)
 		c.pool.Register(prof, m.coll.Observe)
-		onArrival = invoker(c.pool, prof.Name)
+		inv := c.pool.Bind(prof.Name)
+		onArrival = func(sim.Time) { inv.Invoke() }
 
 	case VariantAutoscale:
 		m.coll = metrics.NewCollector(prof.Name, prof.QoSTarget)
 		asCfg := autoscale.DefaultConfig()
 		c.vms.DeployWithVMs(prof, asCfg.MinVMs, m.coll.Observe)
 		autoscale.New(c.sim, c.vms, prof, asCfg).Start()
-		onArrival = invoker(c.vms, prof.Name)
+		inv := c.vms.Bind(prof.Name)
+		onArrival = func(sim.Time) { inv.Invoke() }
 
 	default: // the Amoeba variants
 		// Register the primary function; the engine exists a moment
@@ -203,9 +207,4 @@ func (c *cell) harvest(res *Result) {
 		res.MeterCPUSeconds += c.mon.MeterCPUSeconds()
 	}
 	res.Events += c.sim.Events()
-}
-
-// invoker adapts a platform Invoke method to an arrival callback.
-func invoker(p interface{ Invoke(string) }, name string) func(sim.Time) {
-	return func(sim.Time) { p.Invoke(name) }
 }

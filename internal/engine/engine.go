@@ -120,6 +120,13 @@ type Engine struct {
 	bus    *obs.Bus
 	tracer *obs.Tracer
 
+	// The service's route on each backend and its shadow twin's route on
+	// the pool, bound once in New.
+	toIaaS       iaas.Invoker
+	toServerless serverless.Invoker
+	toShadow     serverless.Invoker
+	shadowName   string
+
 	Collector *metrics.Collector
 	Timeline  *metrics.Timeline
 	// Windowed tracks the violation rate in 60 s windows: cold-start
@@ -147,7 +154,8 @@ type Engine struct {
 // New wires an engine for one service. The service must already be
 // registered on the pool and deployed on the IaaS platform by the caller
 // (core does this); the engine registers only the shadow twin.
-// It panics if the config fails validation.
+// It panics if the config fails validation, or if the service is not
+// registered on the pool or not deployed on the IaaS platform.
 func New(s *sim.Simulator, pool *serverless.Platform, vms *iaas.Platform,
 	prof workload.Profile, ctrl *controller.Controller, mon *monitor.Monitor, cfg Config) *Engine {
 
@@ -163,6 +171,8 @@ func New(s *sim.Simulator, pool *serverless.Platform, vms *iaas.Platform,
 		Windowed:  metrics.NewWindowedViolations(60, prof.QoSTarget),
 		mode:      metrics.BackendIaaS,
 	}
+	e.toIaaS = vms.Bind(prof.Name)
+	e.toServerless = pool.Bind(prof.Name)
 	if cfg.ShadowFraction > 0 {
 		shadow := prof
 		shadow.Name = prof.Name + ShadowSuffix
@@ -170,6 +180,8 @@ func New(s *sim.Simulator, pool *serverless.Platform, vms *iaas.Platform,
 			e.shadowComplete++
 			e.observeServerlessBody(r)
 		}, serverless.WithNMax(4))
+		e.toShadow = pool.Bind(shadow.Name)
+		e.shadowName = shadow.Name
 	}
 	return e
 }
@@ -215,19 +227,26 @@ func (e *Engine) Start() {
 // HandleQuery routes one arriving query. It panics if the routing mode
 // is outside the Backend enum — a query silently dropped by a corrupted
 // mode would skew every latency figure downstream.
+//
+//amoeba:noalloc
 func (e *Engine) HandleQuery() {
 	e.arrivals++
 	switch e.mode {
 	case metrics.BackendIaaS:
-		e.vms.Invoke(e.prof.Name)
+		e.toIaaS.Invoke()
 		e.maybeShadow()
 	case metrics.BackendServerless:
-		e.pool.Invoke(e.prof.Name)
+		e.toServerless.Invoke()
 	default:
+		//amoeba:allowalloc(cold panic path: message boxing fires only on a corrupted mode)
 		panic(fmt.Sprintf("engine: invalid routing mode %v", e.mode))
 	}
 }
 
+// maybeShadow mirrors the query to the shadow twin, within the shadow
+// fraction and the per-period budget.
+//
+//amoeba:noalloc
 func (e *Engine) maybeShadow() {
 	if e.cfg.ShadowFraction <= 0 {
 		return
@@ -238,7 +257,7 @@ func (e *Engine) maybeShadow() {
 	}
 	if e.rng.Float64() < e.cfg.ShadowFraction.Raw() {
 		e.shadowSent++
-		e.pool.Invoke(e.prof.Name + ShadowSuffix)
+		e.toShadow.Invoke()
 	}
 }
 
@@ -383,7 +402,7 @@ func (e *Engine) currentAlloc() resources.Vector {
 	alloc := e.vms.AllocFor(e.prof.Name)
 	alloc = alloc.Add(e.pool.AllocFor(e.prof.Name))
 	if e.cfg.ShadowFraction > 0 {
-		alloc = alloc.Add(e.pool.AllocFor(e.prof.Name + ShadowSuffix))
+		alloc = alloc.Add(e.pool.AllocFor(e.shadowName))
 	}
 	return alloc
 }

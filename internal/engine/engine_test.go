@@ -59,12 +59,21 @@ func flatSet(prof workload.Profile) *surfaces.Set {
 
 func newRig(t *testing.T, seed uint64, mutate func(*Config)) *rig {
 	t.Helper()
+	return wireRig(t, seed, mutate, true)
+}
+
+// wireRig wires the rig; start runs the monitor's meters and the
+// engine's sample loop.
+func wireRig(t *testing.T, seed uint64, mutate func(*Config), start bool) *rig {
+	t.Helper()
 	s := sim.New(seed)
 	slCfg := serverless.DefaultConfig()
 	pool := serverless.New(s, slCfg)
 	vms := iaas.New(s, iaas.DefaultConfig())
 	mon := monitor.New(s, pool, flatCurves(), monitor.DefaultConfig())
-	mon.Start()
+	if start {
+		mon.Start()
+	}
 
 	prof := workload.Float()
 	r := &rig{sim: s, pool: pool, vms: vms, mon: mon}
@@ -86,7 +95,9 @@ func newRig(t *testing.T, seed uint64, mutate func(*Config)) *rig {
 		mutate(&cfg)
 	}
 	r.eng = New(s, pool, vms, prof, r.ctrl, mon, cfg)
-	r.eng.Start()
+	if start {
+		r.eng.Start()
+	}
 	return r
 }
 
@@ -193,6 +204,42 @@ func TestMinDwellPreventsFlapping(t *testing.T) {
 	switches := len(r.eng.Timeline.Switches)
 	if switches > 1 {
 		t.Errorf("%d switches within one dwell window", switches)
+	}
+}
+
+// TestZeroAllocHandleQuery routes queries in both modes, each run to
+// completion, with the shadow mirror taking every IaaS-mode query. The
+// routes were bound when the engine was wired, so routing builds no
+// name and allocates nothing. The engine's sample loop is not started:
+// its ticks are not the routing path.
+//
+//amoeba:alloctest engine.Engine.HandleQuery engine.Engine.maybeShadow
+func TestZeroAllocHandleQuery(t *testing.T) {
+	r := wireRig(t, 8, func(c *Config) { c.ShadowMaxQPS = 1e9 }, false)
+	e := r.eng
+	e.cfg.ShadowFraction = 1 // every IaaS-mode query mirrors (Validate caps a configured fraction at 0.5)
+	cycle := func() {
+		e.HandleQuery()
+		r.sim.Run(r.sim.Now() + 1)
+	}
+	const warm = 64 // cold starts, slabs and free lists
+	for _, mode := range []metrics.Backend{metrics.BackendIaaS, metrics.BackendServerless} {
+		e.mode = mode
+		for i := 0; i < warm; i++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			t.Errorf("%v mode: routing a query allocates %.2f objects, want 0", mode, allocs)
+		}
+	}
+	const routed = warm + 1001 // AllocsPerRun adds one warm-up run
+	for _, b := range []metrics.Backend{metrics.BackendIaaS, metrics.BackendServerless} {
+		if n := e.Collector.BackendCount(b); n != routed {
+			t.Errorf("%d queries completed on %v, want %d", n, b, routed)
+		}
+	}
+	if e.shadowComplete != routed {
+		t.Errorf("%d shadow queries completed, want one per IaaS-mode query (%d)", e.shadowComplete, routed)
 	}
 }
 

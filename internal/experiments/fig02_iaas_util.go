@@ -47,7 +47,8 @@ func fig02One(cfg Config, prof workload.Profile) Fig02Row {
 	lat := newQoSCheck(prof)
 	vms.Deploy(prof, lat.observe)
 
-	gen := arrival.New(s, cfg.diurnalFor(prof), func(sim.Time) { vms.Invoke(prof.Name) })
+	inv := vms.Bind(prof.Name)
+	gen := arrival.New(s, cfg.diurnalFor(prof), func(sim.Time) { inv.Invoke() })
 	gen.Start()
 
 	// Sample windowed utilisation: consumed core-seconds per window over

@@ -54,7 +54,8 @@ func fig03One(cfg Config, prof workload.Profile) Fig03Row {
 		vms := iaas.New(s, iaas.DefaultConfig())
 		q := newQoSCheck(prof)
 		vms.Deploy(prof, q.observe)
-		gen := arrival.New(s, trace.Constant{QPS: qps}, func(sim.Time) { vms.Invoke(prof.Name) })
+		inv := vms.Bind(prof.Name)
+		gen := arrival.New(s, trace.Constant{QPS: qps}, func(sim.Time) { inv.Invoke() })
 		gen.Start()
 		s.Run(sim.Time(dur))
 		return q.met()
@@ -67,7 +68,8 @@ func fig03One(cfg Config, prof workload.Profile) Fig03Row {
 		// Warm the pool first: peak-load capability is a warm-path
 		// question; Fig. 4 accounts the overheads separately.
 		pool.Prewarm(prof.Name, slots, nil)
-		gen := arrival.New(s, trace.Constant{QPS: qps}, func(sim.Time) { pool.Invoke(prof.Name) })
+		inv := pool.Bind(prof.Name)
+		gen := arrival.New(s, trace.Constant{QPS: qps}, func(sim.Time) { inv.Invoke() })
 		started := false
 		s.At(8, func() { gen.Start(); started = true })
 		s.Run(sim.Time(8 + dur))

@@ -53,7 +53,8 @@ func fig04One(cfg Config, prof workload.Profile) Fig04Row {
 
 	load := prof.PeakQPS * 0.3
 	pool.Prewarm(prof.Name, int(load*prof.ExecTime*3)+2, nil)
-	gen := arrival.New(s, trace.Constant{QPS: load}, func(sim.Time) { pool.Invoke(prof.Name) })
+	inv := pool.Bind(prof.Name)
+	gen := arrival.New(s, trace.Constant{QPS: load}, func(sim.Time) { inv.Invoke() })
 	s.At(8, func() { gen.Start() })
 	dur := 180.0
 	if cfg.Quick {

@@ -128,7 +128,8 @@ func fig15RealSwitchPoint(cfg Config, prof workload.Profile, slCfg serverless.Co
 			NetMbs:  pressure[2] * cap.NetMbs,
 		})
 		pool.Prewarm(prof.Name, nMax, nil)
-		gen := arrival.New(s, trace.Constant{QPS: qps}, func(sim.Time) { pool.Invoke(prof.Name) })
+		inv := pool.Bind(prof.Name)
+		gen := arrival.New(s, trace.Constant{QPS: qps}, func(sim.Time) { inv.Invoke() })
 		s.At(8, func() { gen.Start() })
 		s.Run(sim.Time(8 + dur))
 		return q.count() > 0 && q.met()

@@ -12,11 +12,12 @@ import (
 func BenchmarkQueryCycle(b *testing.B) {
 	s, p := newPlatform(1)
 	p.DeployWithVMs(workload.Float(), 1, nil)
+	float := p.Bind("float")
 	fired := s.Events()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Invoke("float")
+		float.Invoke()
 		s.Run(s.Now() + 1)
 	}
 	b.StopTimer()

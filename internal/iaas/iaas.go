@@ -231,12 +231,30 @@ func (p *Platform) mustSvc(name string) *service {
 	return svc
 }
 
-// Invoke submits one query to the named service. Invoking a stopped
-// service panics: the execution engine must only route to a running
-// backend.
-func (p *Platform) Invoke(name string) {
-	svc := p.mustSvc(name)
+// Invoker submits queries to one deployed service. Bind resolves the
+// service once, when the caller is wired, so a query pays for no name
+// lookup.
+type Invoker struct {
+	p   *Platform
+	svc *service
+}
+
+// Bind returns an invoker for the named service. It panics if the
+// service is not deployed: routing to a service that was never deployed
+// is a wiring bug, caught at wiring rather than at the first query.
+func (p *Platform) Bind(name string) Invoker {
+	return Invoker{p: p, svc: p.mustSvc(name)}
+}
+
+// Invoke submits one query. It panics if the service is stopped: the
+// execution engine must only route to a running backend.
+//
+//amoeba:noalloc
+func (i Invoker) Invoke() {
+	p, svc := i.p, i.svc
+	name := svc.profile.Name
 	if !svc.running {
+		//amoeba:allowalloc(cold panic path: message boxing fires only on a wiring bug)
 		panic(fmt.Sprintf("iaas: invoke on stopped service %q", name))
 	}
 	svc.inflight++
@@ -247,6 +265,7 @@ func (p *Platform) Invoke(name string) {
 	if svc.busy < svc.slots {
 		p.startQuery(svc, q)
 	} else {
+		//amoeba:allowalloc(backlog growth: the FIFO's array is reallocated only when full, amortised over the queries it holds)
 		svc.queue = append(svc.queue, q)
 	}
 }

@@ -49,7 +49,7 @@ func TestDeployAndServe(t *testing.T) {
 	if !p.Running("float") {
 		t.Fatal("service not running after Deploy")
 	}
-	s.At(1, func() { p.Invoke("float") })
+	s.At(1, func() { p.Bind("float").Invoke() })
 	s.Run(10)
 	if len(recs) != 1 {
 		t.Fatalf("completed %d, want 1", len(recs))
@@ -71,7 +71,7 @@ func TestQoSHeldAtPeakLoad(t *testing.T) {
 		s, p := newPlatform(2)
 		coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
 		p.Deploy(prof, coll.Observe)
-		g := arrival.New(s, trace.Constant{QPS: prof.PeakQPS}, func(sim.Time) { p.Invoke(prof.Name) })
+		g := arrival.New(s, trace.Constant{QPS: prof.PeakQPS}, func(sim.Time) { p.Bind(prof.Name).Invoke() })
 		g.Start()
 		s.Run(400)
 		if coll.Count() < 1000 {
@@ -93,7 +93,7 @@ func TestQueueingWhenSlotsExhausted(t *testing.T) {
 	slots := p.Slots("float")
 	s.At(1, func() {
 		for i := 0; i < slots+3; i++ {
-			p.Invoke("float")
+			p.Bind("float").Invoke()
 		}
 	})
 	s.Run(60)
@@ -136,7 +136,7 @@ func TestUtilizationLowAtTrough(t *testing.T) {
 	s, p := newPlatform(5)
 	prof := workload.Float()
 	p.Deploy(prof, nil)
-	g := arrival.New(s, trace.Constant{QPS: prof.PeakQPS * 0.2}, func(sim.Time) { p.Invoke(prof.Name) })
+	g := arrival.New(s, trace.Constant{QPS: prof.PeakQPS * 0.2}, func(sim.Time) { p.Bind(prof.Name).Invoke() })
 	g.Start()
 	s.Run(500)
 	allocated := p.UsageFor(prof.Name).CPU
@@ -156,7 +156,7 @@ func TestStopDrainsAndReleases(t *testing.T) {
 	p.Deploy(workload.Float(), func(metrics.QueryRecord) { done++ })
 	s.At(1, func() {
 		for i := 0; i < 5; i++ {
-			p.Invoke("float")
+			p.Bind("float").Invoke()
 		}
 	})
 	stopped := false
@@ -211,6 +211,19 @@ func TestStartAllocatesDuringBoot(t *testing.T) {
 	s.Run(100)
 }
 
+// TestUnknownServicePanics binds a service that was never deployed: the
+// wiring, not the first query, must panic.
+func TestUnknownServicePanics(t *testing.T) {
+	_, p := newPlatform(12)
+	p.Deploy(workload.Float(), nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("Bind of unknown service did not panic")
+		}
+	}()
+	p.Bind("ghost")
+}
+
 func TestInvokeStoppedPanics(t *testing.T) {
 	s, p := newPlatform(9)
 	p.Deploy(workload.Float(), nil)
@@ -221,7 +234,7 @@ func TestInvokeStoppedPanics(t *testing.T) {
 				t.Error("Invoke on stopped service did not panic")
 			}
 		}()
-		p.Invoke("float")
+		p.Bind("float").Invoke()
 	})
 	s.Run(10)
 }
@@ -254,13 +267,14 @@ func TestVMGroupGeometry(t *testing.T) {
 // worker allocates nothing in steady state: the running-query record and
 // its completion callback are recycled.
 //
-//amoeba:alloctest iaas.Platform.startQuery iaas.Platform.finishQuery
+//amoeba:alloctest iaas.Invoker.Invoke iaas.Platform.startQuery iaas.Platform.finishQuery
 func TestZeroAllocQueryCycle(t *testing.T) {
 	s, p := newPlatform(7)
 	done := 0
 	p.DeployWithVMs(workload.Float(), 1, func(metrics.QueryRecord) { done++ })
+	float := p.Bind("float")
 	cycle := func() {
-		p.Invoke("float")
+		float.Invoke()
 		s.Run(s.Now() + 1)
 	}
 	for i := 0; i < 16; i++ { // warm the slab and the record pool
@@ -281,7 +295,7 @@ func TestZeroAllocQueryCycle(t *testing.T) {
 // into recycled batches, so the cycle still allocates nothing once
 // every batch has grown.
 //
-//amoeba:alloctest iaas.Platform.startQuery iaas.Platform.finishQuery
+//amoeba:alloctest iaas.Invoker.Invoke iaas.Platform.startQuery iaas.Platform.finishQuery
 //amoeba:alloctest obs.Bus.Emit obs.JSONLWriter.Consume obs.MetricsSink.Consume obs.Tracer.End
 func TestZeroAllocQueryCycleObserved(t *testing.T) {
 	s, p := newPlatform(7)
@@ -293,8 +307,9 @@ func TestZeroAllocQueryCycleObserved(t *testing.T) {
 	p.SetTracer(obs.NewTracer(bus))
 	done := 0
 	p.DeployWithVMs(workload.Float(), 1, func(metrics.QueryRecord) { done++ })
+	float := p.Bind("float")
 	cycle := func() {
-		p.Invoke("float")
+		float.Invoke()
 		s.Run(s.Now() + 1)
 	}
 	const warm = 4096 // two events per query: every batch fills several times

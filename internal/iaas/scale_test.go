@@ -50,7 +50,7 @@ func TestScaleInImmediateAndInFlightFinish(t *testing.T) {
 	p.DeployWithVMs(prof, 3, func(metrics.QueryRecord) { done++ })
 	s.At(1, func() {
 		for i := 0; i < 12; i++ { // fill all 12 slots
-			p.Invoke(prof.Name)
+			p.Bind(prof.Name).Invoke()
 		}
 	})
 	s.At(2, func() { p.Scale(prof.Name, 1, nil) })
@@ -81,7 +81,7 @@ func TestScaleOutDrainsBacklog(t *testing.T) {
 	p.DeployWithVMs(prof, 1, func(metrics.QueryRecord) { done++ })
 	s.At(1, func() {
 		for i := 0; i < 20; i++ { // 4 run, 16 queue
-			p.Invoke(prof.Name)
+			p.Bind(prof.Name).Invoke()
 		}
 	})
 	s.At(2, func() { p.Scale(prof.Name, 5, nil) })

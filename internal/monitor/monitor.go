@@ -247,7 +247,7 @@ func (m *Monitor) Start() {
 		// Keep one container warm per meter so probes measure contention,
 		// not cold starts.
 		m.pool.Prewarm(name, 1, nil)
-		m.sim.Every(period.Raw(), func() { m.pool.Invoke(name) })
+		m.sim.Every(period.Raw(), m.pool.Bind(name).Invoke)
 	}
 	m.sim.Every(m.cfg.SamplePeriod.Raw(), m.refresh)
 }

@@ -269,7 +269,7 @@ func TestMonitorWithLiveBackground(t *testing.T) {
 	hog := workload.Float()
 	hog.Name = "hog"
 	pool.Register(hog, nil, serverless.WithNMax(64))
-	gen := arrival.New(s, trace.Constant{QPS: 100}, func(sim.Time) { pool.Invoke("hog") })
+	gen := arrival.New(s, trace.Constant{QPS: 100}, func(sim.Time) { pool.Bind("hog").Invoke() })
 	gen.Start()
 
 	p := averageEstimate(s, m, 400)

@@ -28,11 +28,12 @@ type Histogram struct {
 }
 
 // NewHistogram creates a histogram covering [lo, hi) with sub linear
-// buckets per octave. It panics unless 0 < lo < hi and sub ≥ 1 — the
-// bounds are compile-time constants at every call site, so a violation
-// is a programming bug, not bad input.
+// buckets per octave. It panics unless 0 < lo < hi, hi/lo is finite and
+// sub ≥ 1 — the bounds are compile-time constants at every call site,
+// so a violation is a programming bug, not bad input. The negated
+// comparisons reject a NaN bound too.
 func NewHistogram(lo, hi float64, sub int) *Histogram {
-	if lo <= 0 || hi <= lo || sub < 1 {
+	if !(lo > 0) || !(hi > lo) || math.IsInf(hi/lo, 1) || sub < 1 {
 		panic(fmt.Sprintf("obs: invalid histogram shape lo=%v hi=%v sub=%d", lo, hi, sub))
 	}
 	octaves := int(math.Ceil(math.Log2(hi / lo)))

@@ -11,12 +11,17 @@ import (
 	"amoeba/internal/units"
 )
 
+// TestHistogramPanicsOnBadShape covers every shape NewHistogram cannot
+// represent. A NaN bound, an infinite hi and a hi/lo that overflows
+// pass plain lo <= 0 and hi <= lo tests, and would get one octave.
 func TestHistogramPanicsOnBadShape(t *testing.T) {
 	for _, tc := range []struct {
 		lo, hi float64
 		sub    int
 	}{
 		{0, 1, 4}, {-1, 1, 4}, {1, 1, 4}, {2, 1, 4}, {1, 2, 0},
+		{math.NaN(), 1, 4}, {1, math.NaN(), 4}, {1, math.Inf(1), 4},
+		{5e-324, 1e300, 4},
 	} {
 		func() {
 			defer func() {

@@ -96,7 +96,8 @@ func measureCell(prof workload.Profile, idx int, pressure, loadQPS float64,
 	warm := int(loadQPS*(prof.ExecTime*4+prof.Overheads.Total())) + 2
 	p.Prewarm(prof.Name, warm, nil)
 
-	gen := arrival.New(s, trace.Constant{QPS: loadQPS}, func(sim.Time) { p.Invoke(prof.Name) })
+	inv := p.Bind(prof.Name)
+	gen := arrival.New(s, trace.Constant{QPS: loadQPS}, func(sim.Time) { inv.Invoke() })
 	// Start after the prewarm settles.
 	s.At(6, func() { gen.Start() })
 	s.Run(sim.Time(6 + cellSeconds))

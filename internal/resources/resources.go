@@ -98,6 +98,25 @@ func (v Vector) Max(o Vector) Vector {
 	}
 }
 
+// SnapResidue returns v with every component in (-1e-9, 0) set to +0:
+// the float residue that add/remove cycles of the same demand leave
+// behind. -0 and genuinely negative components are kept.
+func (v Vector) SnapResidue() Vector {
+	if v.CPU < 0 && v.CPU > -1e-9 {
+		v.CPU = 0
+	}
+	if v.MemMB < 0 && v.MemMB > -1e-9 {
+		v.MemMB = 0
+	}
+	if v.DiskMBs < 0 && v.DiskMBs > -1e-9 {
+		v.DiskMBs = 0
+	}
+	if v.NetMbs < 0 && v.NetMbs > -1e-9 {
+		v.NetMbs = 0
+	}
+	return v
+}
+
 // Fits reports whether v <= cap in every dimension.
 func (v Vector) Fits(cap Vector) bool {
 	return v.CPU <= cap.CPU && v.MemMB <= cap.MemMB &&

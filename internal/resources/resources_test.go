@@ -2,6 +2,7 @@ package resources
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -163,6 +164,113 @@ func TestUsageAdjust(t *testing.T) {
 	}
 	if u.Current() != vec(1, 256, 0, 0) {
 		t.Errorf("current = %v", u.Current())
+	}
+}
+
+// adjustOracle is Usage.Adjust as it was first written, a loop over
+// Kinds() through Get and Set. It reports whether it snapped a residue.
+func adjustOracle(u *Usage, t float64, delta Vector) (snapped bool) {
+	next := u.current.Add(delta)
+	for _, k := range Kinds() {
+		if v := next.Get(k); v < 0 && v > -1e-9 {
+			next = next.Set(k, 0)
+			snapped = true
+		}
+	}
+	u.Record(t, next)
+	if !u.current.NonNegative() {
+		panic("allocation went negative")
+	}
+	return snapped
+}
+
+// sameBits reports whether a and b agree bit for bit in every component,
+// so +0 and -0 differ.
+func sameBits(a, b Vector) bool {
+	return math.Float64bits(a.CPU) == math.Float64bits(b.CPU) &&
+		math.Float64bits(a.MemMB) == math.Float64bits(b.MemMB) &&
+		math.Float64bits(a.DiskMBs) == math.Float64bits(b.DiskMBs) &&
+		math.Float64bits(a.NetMbs) == math.Float64bits(b.NetMbs)
+}
+
+// TestUsageAdjustMatchesOracle drives Adjust and adjustOracle through
+// the same random add/remove cycles and requires current, integral and
+// peak to agree bit for bit after every step. Demands are sums of
+// decimal fractions, the platforms' shape, so removing them in another
+// order than they were added leaves residue for the snap to catch.
+func TestUsageAdjustMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 1))
+	component := func() float64 {
+		switch rng.IntN(4) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return float64(rng.IntN(50)) / 10
+		}
+		return rng.Float64() * 300
+	}
+	snaps := 0
+	for run := 0; run < 200; run++ {
+		got, want := NewUsage(0), NewUsage(0)
+		var live []Vector
+		now := 0.0
+		for step := 0; step < 500; step++ {
+			now += float64(rng.IntN(3)) * rng.Float64()
+			var delta Vector
+			if len(live) == 0 || rng.IntN(2) == 0 {
+				delta = Vector{component(), component(), component(), component()}
+				live = append(live, delta)
+			} else {
+				i := rng.IntN(len(live))
+				delta = live[i].Scale(-1)
+				live = append(live[:i], live[i+1:]...)
+			}
+			got.Adjust(now, delta)
+			if adjustOracle(want, now, delta) {
+				snaps++
+			}
+			if !sameBits(got.current, want.current) || !sameBits(got.integral, want.integral) ||
+				!sameBits(got.peak, want.peak) {
+				t.Fatalf("run %d step %d: Adjust gives current %v integral %v peak %v, oracle %v %v %v",
+					run, step, got.current, got.integral, got.peak, want.current, want.integral, want.peak)
+			}
+		}
+	}
+	if snaps == 0 {
+		t.Fatal("no step left residue to snap: the cycles do not exercise the snap")
+	}
+}
+
+// TestUsageAdjustSnapsResidue pins the snap per component: a residue in
+// (-1e-9, 0) becomes +0 and leaves the other components alone, -0 stays
+// -0, and -1e-9 itself is a negative allocation, which panics.
+func TestUsageAdjustSnapsResidue(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, k := range Kinds() {
+		u := NewUsage(0)
+		u.Adjust(0, vec(1, 2, 3, 4))
+		u.Adjust(1, vec(-1, -2, -3, -4).Set(k, -u.Current().Get(k)-5e-10))
+		if want := (Vector{}); !sameBits(u.Current(), want) {
+			t.Errorf("%v: residue -5e-10 left current %v, want +0 everywhere", k, u.Current())
+		}
+
+		u = NewUsage(0)
+		u.Record(0, Vector{}.Set(k, negZero))
+		u.Adjust(1, Vector{}.Set(k, negZero))
+		if got := u.Current().Get(k); math.Float64bits(got) != math.Float64bits(negZero) {
+			t.Errorf("%v: -0 + -0 became %v, want -0", k, got)
+		}
+
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: an allocation of -1e-9 did not panic", k)
+				}
+			}()
+			NewUsage(0).Adjust(1, Vector{}.Set(k, -1e-9))
+		}()
 	}
 }
 

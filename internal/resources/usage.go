@@ -42,13 +42,7 @@ func (u *Usage) Record(t float64, alloc Vector) {
 // Floating-point residue from repeated add/remove cycles (within -1e-9)
 // is snapped to zero; genuinely negative allocations panic.
 func (u *Usage) Adjust(t float64, delta Vector) {
-	next := u.current.Add(delta)
-	for _, k := range Kinds() {
-		if v := next.Get(k); v < 0 && v > -1e-9 {
-			next = next.Set(k, 0)
-		}
-	}
-	u.Record(t, next)
+	u.Record(t, u.current.Add(delta).SnapResidue())
 	if !u.current.NonNegative() {
 		panic(fmt.Sprintf("resources: allocation went negative: %v", u.current))
 	}

@@ -22,13 +22,14 @@ func BenchmarkInvokeBacklog(b *testing.B) {
 			s := sim.New(1)
 			p := New(s, DefaultConfig())
 			p.Register(workload.DD(), func(metrics.QueryRecord) { s.Halt() }, WithNMax(1))
+			dd := p.Bind("dd")
 			for i := 0; i <= depth; i++ { // one runs, depth wait
-				p.Invoke("dd")
+				dd.Invoke()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.Invoke("dd")
+				dd.Invoke()
 				s.Run(sim.Time(math.Inf(1)))
 			}
 			b.StopTimer()
@@ -51,12 +52,13 @@ func BenchmarkWarmReuse(b *testing.B) {
 	p.Register(workload.Float(), nil)
 	p.Prewarm("float", width, nil)
 	s.Run(10)
+	float := p.Bind("float")
 	fired, cancelled := s.Events(), s.Cancelled()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < width; j++ {
-			p.Invoke("float")
+			float.Invoke()
 		}
 		s.Run(s.Now() + 1)
 	}

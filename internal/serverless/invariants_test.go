@@ -32,7 +32,7 @@ func TestConservationProperty(t *testing.T) {
 		submitted := 0
 		gen := arrival.New(s, trace.Constant{QPS: qps}, func(sim.Time) {
 			submitted++
-			p.Invoke(prof.Name)
+			p.Bind(prof.Name).Invoke()
 		})
 		gen.Start()
 		s.Run(sim.Time(horizon))
@@ -92,7 +92,7 @@ func TestLatencyDecompositionProperty(t *testing.T) {
 			bad++
 		}
 	}, WithNMax(6))
-	gen := arrival.New(s, trace.Constant{QPS: 25}, func(sim.Time) { p.Invoke(prof.Name) })
+	gen := arrival.New(s, trace.Constant{QPS: 25}, func(sim.Time) { p.Bind(prof.Name).Invoke() })
 	gen.Start()
 	s.Run(300)
 	if bad != 0 {

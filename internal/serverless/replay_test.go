@@ -76,18 +76,18 @@ func runOverloadReplay(t *testing.T, h hash.Hash, setup func(*Platform)) replayS
 	burst := func(name string, n int) func() {
 		return func() {
 			for i := 0; i < n; i++ {
-				p.Invoke(name)
+				p.Bind(name).Invoke()
 			}
 		}
 	}
 	s.At(1, burst("mm", 6))
-	ddFast := arrival.New(s, trace.Constant{QPS: 14}, func(sim.Time) { p.Invoke("dd") })
+	ddFast := arrival.New(s, trace.Constant{QPS: 14}, func(sim.Time) { p.Bind("dd").Invoke() })
 	s.At(5, ddFast.Start)
 	s.At(25, ddFast.Stop)
-	ddSlow := arrival.New(s, trace.Constant{QPS: 5}, func(sim.Time) { p.Invoke("dd") })
+	ddSlow := arrival.New(s, trace.Constant{QPS: 5}, func(sim.Time) { p.Bind("dd").Invoke() })
 	s.At(45, ddSlow.Start)
 	s.At(80, ddSlow.Stop)
-	flGen := arrival.New(s, trace.Constant{QPS: 1.5}, func(sim.Time) { p.Invoke("fl") })
+	flGen := arrival.New(s, trace.Constant{QPS: 1.5}, func(sim.Time) { p.Bind("fl").Invoke() })
 	flGen.Start()
 	s.At(95, flGen.Stop)
 	s.At(20, burst("mm", 10))
@@ -235,7 +235,7 @@ func runTieReplay(t *testing.T, h hash.Hash) tieStats {
 		p.Register(prof, record)
 	}
 
-	s.At(62, func() { p.Invoke("b") }) // scheduled before b's container idles
+	s.At(62, func() { p.Bind("b").Invoke() }) // scheduled before b's container idles
 	for _, at := range []sim.Time{0, 3, 5} {
 		s.At(at, func() { p.Prewarm("f", 1, nil) })
 	}
@@ -244,18 +244,18 @@ func runTieReplay(t *testing.T, h hash.Hash) tieStats {
 		p.Prewarm("b", 1, nil)
 		p.Prewarm("d", 2, nil)
 	})
-	s.At(10, func() { s.At(62, func() { p.Invoke("a") }) })
-	s.At(20, func() { s.At(62, func() { p.Invoke("d") }) })
+	s.At(10, func() { s.At(62, func() { p.Bind("a").Invoke() }) })
+	s.At(20, func() { s.At(62, func() { p.Bind("d").Invoke() }) })
 	s.At(30, func() {
-		p.Invoke("c")
-		p.Invoke("c")
+		p.Bind("c").Invoke()
+		p.Bind("c").Invoke()
 	})
 	s.At(65, func() {
-		p.Invoke("f")
-		p.Invoke("f")
+		p.Bind("f").Invoke()
+		p.Bind("f").Invoke()
 	})
 	for i, name := range []string{"a", "b", "c", "d", "f"} {
-		g := arrival.New(s, trace.Constant{QPS: 0.4 + 0.3*float64(i)}, func(sim.Time) { p.Invoke(name) })
+		g := arrival.New(s, trace.Constant{QPS: 0.4 + 0.3*float64(i)}, func(sim.Time) { p.Bind(name).Invoke() })
 		s.At(130, g.Start)
 		s.At(400, g.Stop)
 	}

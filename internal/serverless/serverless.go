@@ -101,6 +101,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// backendName labels the platform's spans and events.
+var backendName = metrics.BackendServerless.String()
+
 type containerState int
 
 const (
@@ -305,16 +308,35 @@ func (p *Platform) mustFn(name string) *function {
 	return f
 }
 
-// Invoke submits one query for the named function.
-func (p *Platform) Invoke(name string) {
-	f := p.mustFn(name)
+// Invoker submits queries to one registered function. Bind resolves the
+// function once, when the caller is wired, so a query pays for no name
+// lookup.
+type Invoker struct {
+	p *Platform
+	f *function
+}
+
+// Bind returns an invoker for the named function. It panics if the
+// function is not registered: routing to a function that was never
+// registered is a wiring bug, caught at wiring rather than at the first
+// query.
+func (p *Platform) Bind(name string) Invoker {
+	return Invoker{p: p, f: p.mustFn(name)}
+}
+
+// Invoke submits one query.
+//
+//amoeba:noalloc
+func (i Invoker) Invoke() {
+	p, f := i.p, i.f
 	f.inflight++
+	//amoeba:allowalloc(pool miss: an activation is built once per in-flight high-water mark)
 	act := p.takeActivation(f)
 	p.seq++
 	act.seq = p.seq
-	act.qt = p.tracer.StartQuery(name)
+	act.qt = p.tracer.StartQuery(f.profile.Name)
 	act.queueH = p.tracer.Begin(units.Seconds(act.arrived), act.qt.Trace, act.qt.Span, 0,
-		obs.PhaseQueueWait, name, metrics.BackendServerless.String())
+		obs.PhaseQueueWait, f.profile.Name, backendName)
 	if p.queued == 0 {
 		// Nothing waits: a pump would try only this activation.
 		if !p.place(act) {
@@ -378,7 +400,7 @@ func (p *Platform) place(act *activation) bool {
 	p.tracer.End(nowS, act.queueH)
 	act.queueH = obs.SpanHandle{}
 	c.coldH = p.tracer.Begin(nowS, act.qt.Trace, act.qt.Span, 0,
-		obs.PhaseColdStart, f.profile.Name, metrics.BackendServerless.String())
+		obs.PhaseColdStart, f.profile.Name, backendName)
 	delay := p.sampleColdStart()
 	p.sim.After(delay, func() {
 		p.tracer.End(units.Seconds(p.sim.Now()), c.coldH)
@@ -528,7 +550,7 @@ func (p *Platform) startPrewarmOne(f *function, onWarm func()) bool {
 	// to the switch span that ordered the warming, if one is in progress.
 	coldH := p.tracer.Begin(units.Seconds(p.sim.Now()), p.tracer.StartTrace(), 0,
 		p.tracer.CauseFor(f.profile.Name), obs.PhaseColdStart,
-		f.profile.Name, metrics.BackendServerless.String())
+		f.profile.Name, backendName)
 	delay := p.sampleColdStart()
 	p.sim.After(delay, func() {
 		p.tracer.End(units.Seconds(p.sim.Now()), coldH)
@@ -563,7 +585,7 @@ func (p *Platform) sampleColdStart() float64 {
 // no closures and, in steady state, allocates nothing.
 func (p *Platform) execute(c *container, act *activation, coldDelay float64) {
 	f := c.fn
-	prof := f.profile
+	prof := &f.profile
 	c.state = stateBusy
 
 	now := p.sim.Now()
@@ -571,7 +593,7 @@ func (p *Platform) execute(c *container, act *activation, coldDelay float64) {
 	c.qt = act.qt
 	p.putActivation(act)
 	c.execH = p.tracer.Begin(units.Seconds(now), c.qt.Trace, c.qt.Span, 0,
-		obs.PhaseExec, prof.Name, metrics.BackendServerless.String())
+		obs.PhaseExec, prof.Name, backendName)
 	queueWait := float64(now-c.arrived) - coldDelay
 	if queueWait < 0 {
 		queueWait = 0
@@ -613,7 +635,7 @@ func (p *Platform) execute(c *container, act *activation, coldDelay float64) {
 // idle.
 func (p *Platform) finishExec(c *container) {
 	f := c.fn
-	prof := f.profile
+	prof := &f.profile
 	p.demand = p.demand.Sub(c.demand)
 	f.usage.Adjust(float64(p.sim.Now()), c.demand.Scale(-1))
 	f.inflight--
@@ -624,7 +646,7 @@ func (p *Platform) finishExec(c *container) {
 		p.done = obs.QueryComplete{
 			At:         units.Seconds(p.sim.Now()),
 			Service:    prof.Name,
-			Backend:    metrics.BackendServerless.String(),
+			Backend:    backendName,
 			Arrived:    units.Seconds(c.arrived),
 			Latency:    units.Seconds(p.sim.Now() - c.arrived),
 			Queue:      units.Seconds(c.bd.Queue),
@@ -698,13 +720,7 @@ func (p *Platform) ReleaseIdle(name string) int {
 // (Fig. 9). Pass a negative vector to remove previously injected demand.
 // It panics if removal drives the aggregate demand negative.
 func (p *Platform) InjectDemand(v resources.Vector) {
-	next := p.demand.Add(v)
-	for _, k := range resources.Kinds() {
-		if val := next.Get(k); val < 0 && val > -1e-9 {
-			next = next.Set(k, 0) // float residue from add/remove cycles
-		}
-	}
-	p.demand = next
+	p.demand = p.demand.Add(v).SnapResidue()
 	if !p.demand.NonNegative() {
 		panic(fmt.Sprintf("serverless: injected demand made aggregate negative: %v", p.demand))
 	}

@@ -22,7 +22,7 @@ func TestFirstInvocationColdStarts(t *testing.T) {
 	s, p := newPlatform(1)
 	var recs []metrics.QueryRecord
 	p.Register(workload.Float(), func(r metrics.QueryRecord) { recs = append(recs, r) })
-	s.At(1, func() { p.Invoke("float") })
+	s.At(1, func() { p.Bind("float").Invoke() })
 	s.Run(100)
 	if len(recs) != 1 {
 		t.Fatalf("completed %d queries, want 1", len(recs))
@@ -47,8 +47,8 @@ func TestWarmReuseAvoidsColdStart(t *testing.T) {
 	s, p := newPlatform(2)
 	var recs []metrics.QueryRecord
 	p.Register(workload.Float(), func(r metrics.QueryRecord) { recs = append(recs, r) })
-	s.At(1, func() { p.Invoke("float") })
-	s.At(20, func() { p.Invoke("float") }) // within the 60s idle window
+	s.At(1, func() { p.Bind("float").Invoke() })
+	s.At(20, func() { p.Bind("float").Invoke() }) // within the 60s idle window
 	s.Run(100)
 	if len(recs) != 2 {
 		t.Fatalf("completed %d queries, want 2", len(recs))
@@ -67,7 +67,7 @@ func TestWarmReuseAvoidsColdStart(t *testing.T) {
 func TestIdleTimeoutReclaims(t *testing.T) {
 	s, p := newPlatform(3)
 	p.Register(workload.Float(), nil)
-	s.At(1, func() { p.Invoke("float") })
+	s.At(1, func() { p.Bind("float").Invoke() })
 	s.Run(30)
 	if p.Containers("float") != 1 {
 		t.Fatalf("containers = %d before timeout", p.Containers("float"))
@@ -87,7 +87,7 @@ func TestReuseCancelsReclaim(t *testing.T) {
 	// Keep poking the container every 30s: it must survive far beyond 60s.
 	for i := 1; i <= 10; i++ {
 		tt := float64(i) * 30
-		s.At(sim.Time(tt), func() { p.Invoke("float") })
+		s.At(sim.Time(tt), func() { p.Bind("float").Invoke() })
 	}
 	s.Run(301)
 	if p.Containers("float") != 1 {
@@ -117,7 +117,7 @@ func TestPrewarmEliminatesColdStart(t *testing.T) {
 			t.Errorf("idle = %d after prewarm, want 3", p.IdleContainers("float"))
 		}
 		for i := 0; i < 3; i++ {
-			p.Invoke("float")
+			p.Bind("float").Invoke()
 		}
 	})
 	s.Run(100)
@@ -150,9 +150,9 @@ func TestQueueWhenAtNMax(t *testing.T) {
 	var recs []metrics.QueryRecord
 	p.Register(workload.Float(), func(r metrics.QueryRecord) { recs = append(recs, r) }, WithNMax(1))
 	s.At(1, func() {
-		p.Invoke("float")
-		p.Invoke("float")
-		p.Invoke("float")
+		p.Bind("float").Invoke()
+		p.Bind("float").Invoke()
+		p.Bind("float").Invoke()
 	})
 	s.At(5, func() {
 		if p.Containers("float") != 1 {
@@ -185,10 +185,10 @@ func TestContentionSlowsSensitiveService(t *testing.T) {
 			hog.Demand.CPU = 1.0
 			p.Register(hog, nil, WithNMax(200))
 			// 35 concurrent hog queries ≈ 35/40 CPU pressure.
-			g := arrival.New(s, trace.Constant{QPS: 140}, func(sim.Time) { p.Invoke("hog") })
+			g := arrival.New(s, trace.Constant{QPS: 140}, func(sim.Time) { p.Bind("hog").Invoke() })
 			g.Start()
 		}
-		gen := arrival.New(s, trace.Constant{QPS: 2}, func(sim.Time) { p.Invoke("float") })
+		gen := arrival.New(s, trace.Constant{QPS: 2}, func(sim.Time) { p.Bind("float").Invoke() })
 		gen.Start()
 		s.Run(600)
 		sum := 0.0
@@ -219,10 +219,10 @@ func TestInsensitiveServiceUnaffectedByWrongResource(t *testing.T) {
 			hog.Demand.CPU = 0.05 // negligible CPU
 			hog.Demand.NetMbs = 2000
 			p.Register(hog, nil, WithNMax(200))
-			g := arrival.New(s, trace.Constant{QPS: 40}, func(sim.Time) { p.Invoke("nethog") })
+			g := arrival.New(s, trace.Constant{QPS: 40}, func(sim.Time) { p.Bind("nethog").Invoke() })
 			g.Start()
 		}
-		gen := arrival.New(s, trace.Constant{QPS: 2}, func(sim.Time) { p.Invoke(prof.Name) })
+		gen := arrival.New(s, trace.Constant{QPS: 2}, func(sim.Time) { p.Bind(prof.Name).Invoke() })
 		gen.Start()
 		s.Run(400)
 		sum := 0.0
@@ -250,10 +250,10 @@ func TestEvictionOfOtherFunctionsIdleContainers(t *testing.T) {
 	b.Name = "b"
 	p.Register(a, nil)
 	p.Register(b, nil)
-	s.At(1, func() { p.Invoke("a") })
-	s.At(1, func() { p.Invoke("a") })  // two containers of a, both idle later
-	s.At(30, func() { p.Invoke("b") }) // must evict one idle a-container
-	s.Run(59)                          // before idle timeout
+	s.At(1, func() { p.Bind("a").Invoke() })
+	s.At(1, func() { p.Bind("a").Invoke() })  // two containers of a, both idle later
+	s.At(30, func() { p.Bind("b").Invoke() }) // must evict one idle a-container
+	s.Run(59)                                 // before idle timeout
 	if p.Evictions() != 1 {
 		t.Errorf("evictions = %d, want 1", p.Evictions())
 	}
@@ -265,7 +265,7 @@ func TestEvictionOfOtherFunctionsIdleContainers(t *testing.T) {
 func TestMemoryAccounting(t *testing.T) {
 	s, p := newPlatform(11)
 	p.Register(workload.Float(), nil)
-	s.At(1, func() { p.Invoke("float") })
+	s.At(1, func() { p.Bind("float").Invoke() })
 	s.At(10, func() {
 		if p.MemAllocatedMB() != 256 {
 			t.Errorf("pool mem = %v, want 256", p.MemAllocatedMB())
@@ -287,7 +287,7 @@ func TestMemoryAccounting(t *testing.T) {
 func TestUsageCPUOnlyWhileBusy(t *testing.T) {
 	s, p := newPlatform(12)
 	p.Register(workload.Float(), nil)
-	s.At(1, func() { p.Invoke("float") })
+	s.At(1, func() { p.Bind("float").Invoke() })
 	s.Run(300)
 	u := p.UsageFor("float")
 	// One query: CPU-seconds ≈ demand.CPU × busy duration (~0.12s).
@@ -300,7 +300,7 @@ func TestThroughputUnderSteadyLoad(t *testing.T) {
 	s, p := newPlatform(13)
 	var n int
 	p.Register(workload.Float(), func(metrics.QueryRecord) { n++ })
-	g := arrival.New(s, trace.Constant{QPS: 20}, func(sim.Time) { p.Invoke("float") })
+	g := arrival.New(s, trace.Constant{QPS: 20}, func(sim.Time) { p.Bind("float").Invoke() })
 	g.Start()
 	s.Run(500)
 	want := 20.0 * 500
@@ -335,7 +335,7 @@ func TestPressureReflectsRunningBodies(t *testing.T) {
 	p.Register(prof, nil, WithNMax(100))
 	s.At(1, func() {
 		for i := 0; i < 8; i++ {
-			p.Invoke("float")
+			p.Bind("float").Invoke()
 		}
 	})
 	s.At(10, func() {
@@ -350,14 +350,17 @@ func TestPressureReflectsRunningBodies(t *testing.T) {
 	}
 }
 
+// TestUnknownFunctionPanics binds a function that was never registered:
+// the wiring, not the first query, must panic.
 func TestUnknownFunctionPanics(t *testing.T) {
 	_, p := newPlatform(16)
+	p.Register(workload.Float(), nil)
 	defer func() {
 		if recover() == nil {
-			t.Error("Invoke of unknown function did not panic")
+			t.Error("Bind of unknown function did not panic")
 		}
 	}()
-	p.Invoke("ghost")
+	p.Bind("ghost")
 }
 
 func TestDuplicateRegisterPanics(t *testing.T) {
@@ -376,7 +379,7 @@ func TestDeterministicReplay(t *testing.T) {
 		s, p := newPlatform(99)
 		var lats []float64
 		p.Register(workload.DD(), func(r metrics.QueryRecord) { lats = append(lats, r.Latency()) })
-		g := arrival.New(s, trace.Constant{QPS: 10}, func(sim.Time) { p.Invoke("dd") })
+		g := arrival.New(s, trace.Constant{QPS: 10}, func(sim.Time) { p.Bind("dd").Invoke() })
 		g.Start()
 		s.Run(200)
 		return lats
@@ -414,7 +417,7 @@ func TestZeroAllocSampleColdStart(t *testing.T) {
 // finish callback is prebuilt, and going idle reserves a stamp and arms
 // the function's reclaim deadline without a closure.
 //
-//amoeba:alloctest serverless.Platform.armDeadline serverless.Platform.currentPressure
+//amoeba:alloctest serverless.Invoker.Invoke serverless.Platform.armDeadline serverless.Platform.currentPressure
 //amoeba:alloctest sim.Simulator.Reserve sim.Simulator.AtStamp sim.EventHandle.Cancel
 func TestZeroAllocWarmCycle(t *testing.T) {
 	// With one container every reuse takes the deadline's container;
@@ -425,9 +428,10 @@ func TestZeroAllocWarmCycle(t *testing.T) {
 		p.Register(workload.Float(), func(metrics.QueryRecord) { done++ })
 		p.Prewarm("float", warm, nil)
 		s.Run(10)
+		float := p.Bind("float")
 		cycle := func() { // reuses every container once, so none expires
 			for i := 0; i < warm; i++ {
-				p.Invoke("float")
+				float.Invoke()
 			}
 			s.Run(s.Now() + 1)
 		}
@@ -464,8 +468,9 @@ func TestZeroAllocWarmCycleObserved(t *testing.T) {
 	p.Register(workload.Float(), func(metrics.QueryRecord) { done++ })
 	p.Prewarm("float", 1, nil)
 	s.Run(10)
+	float := p.Bind("float")
 	cycle := func() {
-		p.Invoke("float")
+		float.Invoke()
 		s.Run(s.Now() + 1)
 	}
 	const warm = 4096 // two events per query: every batch fills several times
@@ -510,7 +515,7 @@ func TestEvictionVictimDeterministic(t *testing.T) {
 			p.Prewarm(first, 1, nil)  // container 1
 			p.Prewarm(second, 1, nil) // container 2, idle at the same instant
 		})
-		s.At(10, func() { p.Invoke("c") })
+		s.At(10, func() { p.Bind("c").Invoke() })
 		s.Run(20)
 		if p.Evictions() != 1 {
 			t.Fatalf("evictions = %d, want 1", p.Evictions())
