@@ -193,7 +193,8 @@ func DefaultScenarioOptions() ScenarioOptions {
 // tenants sharing the serverless pool. It returns an error if DayLength
 // or Days is not positive and finite, if TroughFraction is outside
 // [0, 1), or if the benchmark, its diurnal trace (DiurnalTrace) or the
-// built scenario fails validation.
+// built scenario fails validation; the last includes a horizon
+// DayLength × Days beyond a week of 86,400 s days.
 func NewScenario(v Variant, prof Benchmark, opts ScenarioOptions) (Scenario, error) {
 	for _, f := range []struct {
 		name string

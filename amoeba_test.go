@@ -110,6 +110,10 @@ func TestNewScenarioValidation(t *testing.T) {
 		{1, 3600, -0.1, false},
 		{1, 3600, 1, false},
 		{1, 3600, 1.5, false},
+		{1, 1e300, 0.2, false},
+		{1e300, 3600, 0.2, false},
+		{168.0000001, 3600, 0.2, false},
+		{7, 86400, 0.2, true},
 		{1, 3600, 0, true},
 		{1, 3600, 0.2, true},
 		{1, 3600, 0.99, true},

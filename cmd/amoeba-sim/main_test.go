@@ -46,7 +46,7 @@ func runSim(t *testing.T, args ...string) (int, string) {
 }
 
 // TestCheckHorizon pins the flags amoeba-sim rejects before a scenario
-// is built: each load-shape row would otherwise panic or run forever,
+// runs: each load-shape row would otherwise panic or run forever,
 // and a negative -shards would silently run the sequential kernel. A
 // rejected flag ends the run with exit status 2 and one line of error.
 // A run that finishes no query reports its latency as n/a and exits 0.
@@ -64,6 +64,8 @@ func TestCheckHorizon(t *testing.T) {
 		{"1", "3600", "-0.1"},
 		{"1", "3600", "1"},
 		{"1", "3600", "1.5"},
+		{"1", "1e300", "0.2"},
+		{"1e300", "3600", "0.2"},
 	}
 	for _, c := range bad {
 		code, stderr := runSim(t, "-bench", "float",

@@ -79,10 +79,20 @@ type Scenario struct {
 	Bus *obs.Bus
 }
 
+// MaxDuration caps a scenario's horizon at one week of uncompressed
+// days. The longest horizon any caller runs is the evaluation's one
+// compressed day of 3600 s (experiments.DefaultConfig and
+// amoeba.DefaultScenarioOptions); the paper's traces are wall-clock days
+// of 86,400 s. A week of those is 168 evaluation days: for dd beside the
+// background tenants, about 1.5×10⁸ kernel events and a minute of host
+// time. The cap admits every study the simulator is built for and
+// rejects a horizon that would never end, such as 1e300 s.
+const MaxDuration units.Seconds = 7 * 86400
+
 // Validate reports scenario errors: an unknown variant, no services, a
-// duration that is not positive and finite, an invalid or duplicate
-// profile, and a trace whose peak rate is NaN, infinite or negative. A
-// zero peak is valid and generates no arrivals.
+// duration that is not positive and finite or exceeds MaxDuration, an
+// invalid or duplicate profile, and a trace whose peak rate is NaN,
+// infinite or negative. A zero peak is valid and generates no arrivals.
 func (sc *Scenario) Validate() error {
 	if _, ok := variantNames[sc.Variant]; !ok {
 		return fmt.Errorf("core: unknown variant %v", sc.Variant)
@@ -92,6 +102,9 @@ func (sc *Scenario) Validate() error {
 	}
 	if d := sc.Duration.Raw(); !(d > 0) || math.IsInf(d, 1) {
 		return fmt.Errorf("core: duration %v is not positive and finite", sc.Duration)
+	}
+	if sc.Duration > MaxDuration {
+		return fmt.Errorf("core: duration %v s exceeds the %v s cap (a week of 86400 s days)", sc.Duration.Raw(), MaxDuration.Raw())
 	}
 	seen := map[string]bool{}
 	for _, group := range [2][]ServiceSpec{sc.Services, sc.Background} {

@@ -153,6 +153,8 @@ func TestScenarioValidation(t *testing.T) {
 		{"unknown variant", func(sc *Scenario) { sc.Variant = VariantAutoscale + 1 }},
 		{"NaN duration", func(sc *Scenario) { sc.Duration = units.Seconds(nan) }},
 		{"infinite duration", func(sc *Scenario) { sc.Duration = units.Seconds(inf) }},
+		{"duration past the cap", func(sc *Scenario) { sc.Duration = MaxDuration * 1.0000001 }},
+		{"duration of 1e300 s", func(sc *Scenario) { sc.Duration = 1e300 }},
 		{"NaN peak", func(sc *Scenario) { sc.Services[0].Trace = trace.Constant{QPS: nan} }},
 		{"infinite peak", func(sc *Scenario) { sc.Services[0].Trace = trace.Constant{QPS: inf} }},
 		{"negative peak", func(sc *Scenario) { sc.Services[0].Trace = trace.Constant{QPS: -1} }},

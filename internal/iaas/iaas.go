@@ -15,6 +15,7 @@ import (
 	"math"
 
 	"amoeba/internal/cluster"
+	"amoeba/internal/fifo"
 	"amoeba/internal/metrics"
 	"amoeba/internal/obs"
 	"amoeba/internal/queueing"
@@ -101,8 +102,8 @@ type service struct {
 	vms        int              // VM count in the group
 	slots      int              // total worker slots (vms × VMCores)
 	busy       int
-	queue      []pending // waiting queries in arrival order
-	running    bool      // VMs up and taking traffic
+	queue      fifo.Ring[pending] // waiting queries in arrival order
+	running    bool               // VMs up and taking traffic
 	inflight   int
 	usage      *resources.Usage // allocated (rented) resources
 	busyUsage  *resources.Usage // consumed CPU: demand of executing queries
@@ -265,8 +266,7 @@ func (i Invoker) Invoke() {
 	if svc.busy < svc.slots {
 		p.startQuery(svc, q)
 	} else {
-		//amoeba:allowalloc(backlog growth: the FIFO's array is reallocated only when full, amortised over the queries it holds)
-		svc.queue = append(svc.queue, q)
+		svc.queue.Push(q)
 	}
 }
 
@@ -351,9 +351,9 @@ func (p *Platform) finishQuery(r *execution) {
 	p.free = r
 	// After a scale-in, busy can exceed slots until the excess
 	// drains; only then does the queue resume.
-	if len(svc.queue) > 0 && svc.busy < svc.slots {
-		next := svc.queue[0]
-		svc.queue = svc.queue[1:]
+	if svc.queue.Len() > 0 && svc.busy < svc.slots {
+		next := svc.queue.Front()
+		svc.queue.Pop()
 		p.startQuery(svc, next)
 	}
 }
@@ -380,9 +380,9 @@ func (p *Platform) Scale(name string, vms int, onReady func()) {
 		p.sim.After(p.cfg.BootDelay, func() {
 			svc.slots = svc.vms * svc.profile.VMCores
 			// Newly online workers drain any backlog.
-			for len(svc.queue) > 0 && svc.busy < svc.slots {
-				next := svc.queue[0]
-				svc.queue = svc.queue[1:]
+			for svc.queue.Len() > 0 && svc.busy < svc.slots {
+				next := svc.queue.Front()
+				svc.queue.Pop()
 				p.startQuery(svc, next)
 			}
 			if onReady != nil {
@@ -458,7 +458,7 @@ func (p *Platform) VMs(name string) int { return p.mustSvc(name).vms }
 func (p *Platform) Busy(name string) int { return p.mustSvc(name).busy }
 
 // QueueLength returns the waiting queries of the service.
-func (p *Platform) QueueLength(name string) int { return len(p.mustSvc(name).queue) }
+func (p *Platform) QueueLength(name string) int { return p.mustSvc(name).queue.Len() }
 
 // Inflight returns submitted-but-incomplete queries of the service.
 func (p *Platform) Inflight(name string) int { return p.mustSvc(name).inflight }

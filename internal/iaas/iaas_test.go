@@ -288,6 +288,37 @@ func TestZeroAllocQueryCycle(t *testing.T) {
 	}
 }
 
+// TestZeroAllocIaaSBacklog: queries that find every worker busy wait in
+// a ring, so once the backlog has reached its high-water mark, filling
+// it and draining it again allocates nothing. A slice used as the FIFO
+// would reallocate as its start walks forward through the array.
+//
+//amoeba:alloctest iaas.Invoker.Invoke iaas.Platform.startQuery iaas.Platform.finishQuery
+//amoeba:alloctest fifo.Ring.Push fifo.Ring.Pop
+func TestZeroAllocIaaSBacklog(t *testing.T) {
+	s, p := newPlatform(7)
+	done := 0
+	p.DeployWithVMs(workload.Float(), 1, func(metrics.QueryRecord) { done++ })
+	float := p.Bind("float")
+	const depth = 100 // queries waiting behind the busy workers
+	burst := func() {
+		for i := 0; i < p.Slots("float")+depth; i++ {
+			float.Invoke()
+		}
+		if n := p.QueueLength("float"); n != depth {
+			t.Fatalf("backlog of %d queries, want %d", n, depth)
+		}
+		s.Run(s.Now() + 1000)
+	}
+	burst() // the backlog reaches its high-water mark
+	if allocs := testing.AllocsPerRun(50, burst); allocs != 0 {
+		t.Errorf("a backlog of %d queries allocates %.2f objects per fill and drain, want 0", depth, allocs)
+	}
+	if want := 52 * (p.Slots("float") + depth); done != want || p.QueueLength("float") != 0 {
+		t.Fatalf("completed %d queries with %d waiting, want %d and none", done, p.QueueLength("float"), want)
+	}
+}
+
 // TestZeroAllocQueryCycleObserved is the query cycle with the telemetry
 // an observed run carries: a tracer, and a bus with a JSONL writer and
 // a metrics sink. The platform lends one reused QueryComplete and the

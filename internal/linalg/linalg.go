@@ -1,8 +1,12 @@
-// Package linalg implements the small dense linear algebra needed by the
-// contention monitor: covariance matrices, a Jacobi eigensolver for
-// symmetric matrices (PCA), and least squares via normal equations
-// (principal-component regression). Matrices here are tiny (3-10
-// dimensions), so clarity wins over blocking or SIMD tricks.
+// Package linalg implements small dense linear algebra: covariance
+// matrices, a Jacobi eigensolver for symmetric matrices (PCA), and least
+// squares via normal equations (principal-component regression).
+// Matrices here are tiny (3-10 dimensions), so clarity wins over
+// blocking or SIMD tricks.
+//
+// No program code imports it. It is the matrix layer of the generic
+// regression in pca's tests, the oracle the monitor's in-place refit
+// (pca.Window.Refit) is held to bit for bit.
 package linalg
 
 import (

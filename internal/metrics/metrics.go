@@ -47,8 +47,10 @@ type Breakdown struct {
 	Post       float64 // result posting
 }
 
-// Total returns the end-to-end latency.
-func (b Breakdown) Total() float64 {
+// Total returns the end-to-end latency. The receiver is a pointer so
+// the hot path reads a record's breakdown in place rather than copying
+// it.
+func (b *Breakdown) Total() float64 {
 	return b.Queue + b.ColdStart + b.Processing + b.CodeLoad + b.Exec + b.Post
 }
 
@@ -61,7 +63,7 @@ type QueryRecord struct {
 }
 
 // Latency returns the query's end-to-end latency.
-func (r QueryRecord) Latency() float64 { return r.Breakdown.Total() }
+func (r *QueryRecord) Latency() float64 { return r.Breakdown.Total() }
 
 // Collector accumulates per-service latency statistics and QoS accounting.
 type Collector struct {
@@ -97,7 +99,7 @@ func (c *Collector) Observe(r QueryRecord) {
 	if inRange(r.Backend) {
 		c.byBackend[r.Backend]++
 	}
-	b := r.Breakdown
+	b := &r.Breakdown
 	c.breakdown.Queue += b.Queue
 	c.breakdown.ColdStart += b.ColdStart
 	c.breakdown.Processing += b.Processing

@@ -17,7 +17,6 @@ package monitor
 import (
 	"fmt"
 
-	"amoeba/internal/linalg"
 	"amoeba/internal/meters"
 	"amoeba/internal/metrics"
 	"amoeba/internal/obs"
@@ -115,10 +114,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// sampleWindow is one service's heartbeat samples: degradation
+// features and the observed slowdown − 1, in a ring of Config.Window.
 type sampleWindow struct {
-	features [][3]float64
-	targets  []float64 // observed slowdown − 1
-	weights  Weights
+	samples *pca.Window
+	weights Weights
 }
 
 // Monitor is the contention-monitor daemon.
@@ -290,23 +290,20 @@ func (m *Monitor) MeterCPUSeconds() float64 { return m.meterCPUs }
 // Heartbeat ingests one calibration sample for a service: the degradation
 // features the surfaces predicted and the slowdown actually observed.
 // This is the "heartbeat package ... sent from the execution engine to
-// contention monitor" of §VI-A.
+// contention monitor" of §VI-A. A service's first heartbeat allocates
+// its window; later ones, and the refits they trigger, allocate nothing
+// on an unobserved monitor.
 func (m *Monitor) Heartbeat(service string, features [3]float64, observedSlowdown float64) {
 	if observedSlowdown < 1 {
 		observedSlowdown = 1
 	}
 	win, ok := m.services[service]
 	if !ok {
-		win = &sampleWindow{weights: InitialWeights()}
+		win = &sampleWindow{samples: pca.NewWindow(m.cfg.Window), weights: InitialWeights()}
 		m.services[service] = win
 	}
-	win.features = append(win.features, features)
-	win.targets = append(win.targets, observedSlowdown-1)
-	if len(win.features) > m.cfg.Window {
-		win.features = win.features[1:]
-		win.targets = win.targets[1:]
-	}
-	if m.cfg.UsePCA && len(win.features) >= m.cfg.MinSamples {
+	win.samples.Push(features, observedSlowdown-1)
+	if m.cfg.UsePCA && win.samples.Len() >= m.cfg.MinSamples {
 		m.recalibrate(win)
 	}
 	if m.bus.Active() {
@@ -315,7 +312,7 @@ func (m *Monitor) Heartbeat(service string, features [3]float64, observedSlowdow
 			Service:   service,
 			Features:  features,
 			Observed:  observedSlowdown,
-			Window:    len(win.features),
+			Window:    win.samples.Len(),
 			Weights:   win.weights.W,
 			Intercept: win.weights.Intercept,
 			Learned:   win.weights.Learned,
@@ -328,24 +325,21 @@ func (m *Monitor) Heartbeat(service string, features [3]float64, observedSlowdow
 
 // recalibrate refits the PCA regression for one service's window,
 // updating w₀ → w_n (§VI-A).
+//
+//amoeba:noalloc
 func (m *Monitor) recalibrate(win *sampleWindow) {
-	rows := make([][]float64, len(win.features))
 	informative := false
-	for i, f := range win.features {
-		rows[i] = []float64{f[0], f[1], f[2]}
-		if f[0] > 1e-6 || f[1] > 1e-6 || f[2] > 1e-6 {
-			informative = true
-		}
+	for i := 0; i < win.samples.Len() && !informative; i++ {
+		f := win.samples.Row(i)
+		informative = f[0] > 1e-6 || f[1] > 1e-6 || f[2] > 1e-6
 	}
 	if !informative {
 		// All-zero features (no contention observed yet): keep w₀, any
 		// fit would be degenerate.
 		return
 	}
-	reg := pca.FitRegression(linalg.FromRows(rows), win.targets, 0)
 	var w Weights
-	copy(w.W[:], reg.Weights)
-	w.Intercept = reg.Intercept
+	w.W, w.Intercept = win.samples.Refit()
 	// Clamp against wild extrapolation from a noisy window: weights far
 	// outside [0, w0] have no physical reading (a resource cannot undo
 	// more degradation than exists, nor amplify it several-fold).
@@ -380,7 +374,7 @@ func (m *Monitor) WeightsFor(service string) Weights {
 // service.
 func (m *Monitor) SampleCount(service string) int {
 	if win, ok := m.services[service]; ok {
-		return len(win.features)
+		return win.samples.Len()
 	}
 	return 0
 }

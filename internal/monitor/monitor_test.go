@@ -281,3 +281,32 @@ func TestMonitorWithLiveBackground(t *testing.T) {
 		t.Errorf("IO pressure estimate %v for a CPU-only hog", p[1])
 	}
 }
+
+// TestZeroAllocHeartbeat: on an unobserved monitor, a heartbeat into a
+// full window, with the refit it triggers, allocates nothing. The window
+// is a ring allocated at the service's first heartbeat, and the refit
+// computes on fixed-size arrays.
+//
+//amoeba:alloctest monitor.Monitor.recalibrate pca.Window.Push pca.Window.Refit
+func TestZeroAllocHeartbeat(t *testing.T) {
+	cfg := DefaultConfig()
+	m := NewReplica(sim.New(10), cfg)
+	rng := sim.NewRNG(11)
+	beat := func() {
+		e := [3]float64{0.3 * rng.Float64(), 0.2 * rng.Float64(), 0.1 * rng.Float64()}
+		m.Heartbeat("svc", e, 1+0.8*e[0]+0.5*e[1]+0.3*e[2]+0.01*rng.Float64())
+	}
+	for i := 0; i < cfg.Window; i++ {
+		beat()
+	}
+	before := m.WeightsFor("svc")
+	if !before.Learned || m.SampleCount("svc") != cfg.Window {
+		t.Fatalf("window of %d samples, weights %+v: want a full, calibrated window", m.SampleCount("svc"), before)
+	}
+	if avg := testing.AllocsPerRun(200, beat); avg != 0 {
+		t.Errorf("a heartbeat with its refit allocates %.2f objects, want 0", avg)
+	}
+	if after := m.WeightsFor("svc"); after == before {
+		t.Errorf("weights %+v did not move over 201 refits", after)
+	}
+}

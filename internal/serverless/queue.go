@@ -1,53 +1,14 @@
 package serverless
 
 // The activation queue (DESIGN.md §17). Waiting activations live in one
-// FIFO ring per function, stamped with a platform-wide arrival sequence
-// number at Invoke; pump serves them in global arrival order by merging
-// the per-function heads. A function whose head fails to place is blocked
-// for the rest of the pump: within one pump it cannot become placeable,
-// so the activations behind it need not be tried. A pump therefore costs
-// O(placements + waiting functions) place attempts, however deep the
-// backlog is, and places exactly what a full scan of one shared FIFO
-// would, in the same order.
-
-// actRing is a growable FIFO ring buffer of activations. Its capacity is
-// a power of two so the wrap is a mask; it doubles when full and never
-// shrinks, so a queue allocates only when its backlog reaches a new
-// high-water mark.
-type actRing struct {
-	buf  []*activation
-	head int
-	n    int
-}
-
-func (r *actRing) push(act *activation) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = act
-	r.n++
-}
-
-// front returns the oldest activation; the ring must be non-empty.
-func (r *actRing) front() *activation { return r.buf[r.head] }
-
-// pop drops the oldest activation; the ring must be non-empty.
-func (r *actRing) pop() {
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-}
-
-func (r *actRing) grow() {
-	size := 2 * len(r.buf)
-	if size == 0 {
-		size = 8
-	}
-	buf := make([]*activation, size)
-	k := copy(buf, r.buf[r.head:])
-	copy(buf[k:], r.buf[:r.head])
-	r.buf, r.head = buf, 0
-}
+// FIFO ring (fifo.Ring) per function, stamped with a platform-wide
+// arrival sequence number at Invoke; pump serves them in global arrival
+// order by merging the per-function heads. A function whose head fails
+// to place is blocked for the rest of the pump: within one pump it
+// cannot become placeable, so the activations behind it need not be
+// tried. A pump therefore costs O(placements + waiting functions) place
+// attempts, however deep the backlog is, and places exactly what a full
+// scan of one shared FIFO would, in the same order.
 
 // enqueue appends the activation to its function's queue, listing the
 // function among the waiting ones (kept in registration order) if its
@@ -63,7 +24,7 @@ func (p *Platform) enqueue(act *activation) {
 		}
 		p.waiting[i] = f
 	}
-	f.queue.push(act)
+	f.queue.Push(act)
 	p.queued++
 }
 
@@ -83,10 +44,10 @@ func (p *Platform) pump() {
 		var next *function
 		var nextSeq uint64
 		for _, f := range p.waiting {
-			if f.blockedGen == gen || f.queue.n == 0 {
+			if f.blockedGen == gen || f.queue.Len() == 0 {
 				continue
 			}
-			if seq := f.queue.front().seq; next == nil || seq < nextSeq {
+			if seq := f.queue.Front().seq; next == nil || seq < nextSeq {
 				next, nextSeq = f, seq
 			}
 		}
@@ -94,17 +55,17 @@ func (p *Platform) pump() {
 			break
 		}
 		attempts++
-		if !p.place(next.queue.front()) {
+		if !p.place(next.queue.Front()) {
 			next.blockedGen = gen
 			continue
 		}
-		next.queue.pop()
+		next.queue.Pop()
 		p.queued--
 		placed++
 	}
 	live := p.waiting[:0]
 	for _, f := range p.waiting {
-		if f.queue.n > 0 {
+		if f.queue.Len() > 0 {
 			live = append(live, f)
 		} else {
 			f.waiting = false

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"amoeba/internal/arrival"
+	"amoeba/internal/fifo"
 	"amoeba/internal/metrics"
 	"amoeba/internal/obs"
 	"amoeba/internal/sim"
@@ -283,33 +284,33 @@ func TestTieReplayGolden(t *testing.T) {
 	}
 }
 
-// TestActRingFIFO checks the ring against a slice model across growth
-// with a wrapped head: interleaved pushes and pops must come out in
-// push order.
+// TestActRingFIFO checks the activation queue's ring against a slice
+// model across growth with a wrapped head: interleaved pushes and pops
+// must come out in push order.
 func TestActRingFIFO(t *testing.T) {
-	var r actRing
+	var r fifo.Ring[*activation]
 	var model []*activation
 	for i := 0; i < 500; i++ {
 		act := &activation{seq: uint64(i)}
-		r.push(act)
+		r.Push(act)
 		model = append(model, act)
 		if i%3 == 2 { // pop two of every three: the ring grows while its head wraps
-			for k := 0; k < 2 && r.n > 0; k++ {
-				if r.front() != model[0] {
-					t.Fatalf("front seq %d, want %d", r.front().seq, model[0].seq)
+			for k := 0; k < 2 && r.Len() > 0; k++ {
+				if r.Front() != model[0] {
+					t.Fatalf("front seq %d, want %d", r.Front().seq, model[0].seq)
 				}
-				r.pop()
+				r.Pop()
 				model = model[1:]
 			}
 		}
 	}
-	if r.n != len(model) {
-		t.Fatalf("ring holds %d, model %d", r.n, len(model))
+	if r.Len() != len(model) {
+		t.Fatalf("ring holds %d, model %d", r.Len(), len(model))
 	}
-	for ; r.n > 0; model = model[1:] {
-		if r.front() != model[0] {
-			t.Fatalf("front seq %d, want %d", r.front().seq, model[0].seq)
+	for ; r.Len() > 0; model = model[1:] {
+		if r.Front() != model[0] {
+			t.Fatalf("front seq %d, want %d", r.Front().seq, model[0].seq)
 		}
-		r.pop()
+		r.Pop()
 	}
 }

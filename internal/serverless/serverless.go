@@ -25,6 +25,7 @@ import (
 
 	"amoeba/internal/cluster"
 	"amoeba/internal/contention"
+	"amoeba/internal/fifo"
 	"amoeba/internal/metrics"
 	"amoeba/internal/obs"
 	"amoeba/internal/queueing"
@@ -161,9 +162,9 @@ type function struct {
 	usage      *resources.Usage
 	inflight   int
 
-	queue      actRing // waiting activations, oldest first
-	waiting    bool    // listed in Platform.waiting
-	blockedGen uint64  // pump generation in which the head failed to place
+	queue      fifo.Ring[*activation] // waiting activations, oldest first
+	waiting    bool                   // listed in Platform.waiting
+	blockedGen uint64                 // pump generation in which the head failed to place
 }
 
 // Platform is the simulated serverless computing platform.

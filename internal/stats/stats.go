@@ -10,46 +10,79 @@ import (
 )
 
 // Sample collects observations and answers quantile/CDF queries exactly.
-// Observations are kept unsorted until a query arrives; queries sort
-// lazily and cache until the next out-of-order Add: an append that keeps
-// the data sorted (monotone streams, or adds after a query) preserves the
+//
+// Until the first query, observations are written into fixed blocks, so
+// a growing sample never copies what it holds; the first query joins
+// the blocks once into one exactly sized slice, and from then on Add
+// appends to that slice. Queries sort lazily and cache until the next
+// out-of-order Add: an Add that keeps the data sorted (monotone streams,
+// or adds after a query at or above the sorted tail) preserves the
 // cache, so alternating Add/Quantile on ordered data never re-sorts.
 type Sample struct {
+	// data is the block being filled until the first query, and every
+	// observation from then on.
 	data   []float64
+	full   [][]float64 // blocks filled before the first query, oldest first
+	held   int         // observations in full
+	joined bool        // a query has joined the blocks into data
 	sorted bool
 }
 
-// NewSample returns an empty sample, optionally pre-sized.
+// blockLen is the length of every block after the first.
+const blockLen = 4096
+
+// NewSample returns an empty sample whose first block holds capacity
+// observations.
 func NewSample(capacity int) *Sample {
 	return &Sample{data: make([]float64, 0, capacity), sorted: true}
 }
 
-// Add records one observation.
+// Add records one observation. Before the first query, a full block is
+// set aside and a new one started; after it, the joined slice grows.
+//
+//amoeba:noalloc
 func (s *Sample) Add(v float64) {
-	if s.sorted && len(s.data) > 0 && v < s.data[len(s.data)-1] {
+	n := len(s.data)
+	if s.sorted && n > 0 && v < s.data[n-1] {
 		s.sorted = false
 	}
+	if n == cap(s.data) && !s.joined {
+		if n > 0 {
+			//amoeba:allowalloc(block list growth: one slice header per 4096 observations, amortised)
+			s.full = append(s.full, s.data)
+			s.held += n
+		}
+		//amoeba:allowalloc(block growth: a new block of 4096 observations once the last is full)
+		s.data = make([]float64, 0, blockLen)
+	}
+	//amoeba:allowalloc(joined growth: after a query the sample grows as one slice; before it, the block has room)
 	s.data = append(s.data, v)
 }
 
-// AddAll records a batch of observations. Empty batches are a no-op (and
-// keep the sort cache); singletons take the Add path.
-func (s *Sample) AddAll(vs []float64) {
-	switch len(vs) {
-	case 0:
-		return
-	case 1:
-		s.Add(vs[0])
+// Len returns the number of observations.
+func (s *Sample) Len() int { return s.held + len(s.data) }
+
+// join gathers the blocks into one exactly sized slice, in the order the
+// observations were added. Every query calls it first; only the first
+// call copies.
+func (s *Sample) join() {
+	if s.joined {
 		return
 	}
-	s.data = append(s.data, vs...)
-	s.sorted = false
+	s.joined = true
+	if len(s.full) == 0 && len(s.data) == cap(s.data) {
+		return
+	}
+	data := make([]float64, 0, s.Len())
+	for _, b := range s.full {
+		data = append(data, b...)
+	}
+	s.data = append(data, s.data...)
+	s.full, s.held = nil, 0
 }
 
-// Len returns the number of observations.
-func (s *Sample) Len() int { return len(s.data) }
-
 func (s *Sample) ensureSorted() {
+	s.join()
 	if !s.sorted {
 		sort.Float64s(s.data)
 		s.sorted = true
@@ -59,7 +92,7 @@ func (s *Sample) ensureSorted() {
 // Quantile returns the q-quantile (0 <= q <= 1) using linear interpolation
 // between closest ranks. It panics on an empty sample or q outside [0,1].
 func (s *Sample) Quantile(q float64) float64 {
-	if len(s.data) == 0 {
+	if s.Len() == 0 {
 		panic("stats: Quantile of empty sample")
 	}
 	if q < 0 || q > 1 {
@@ -84,42 +117,15 @@ func (s *Sample) P95() float64 { return s.Quantile(0.95) }
 
 // Mean returns the arithmetic mean. It panics on an empty sample.
 func (s *Sample) Mean() float64 {
-	if len(s.data) == 0 {
+	if s.Len() == 0 {
 		panic("stats: Mean of empty sample")
 	}
+	s.join()
 	sum := 0.0
 	for _, v := range s.data {
 		sum += v
 	}
 	return sum / float64(len(s.data))
-}
-
-// Min returns the smallest observation. It panics on an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.data) == 0 {
-		panic("stats: Min of empty sample")
-	}
-	s.ensureSorted()
-	return s.data[0]
-}
-
-// Max returns the largest observation. It panics on an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.data) == 0 {
-		panic("stats: Max of empty sample")
-	}
-	s.ensureSorted()
-	return s.data[len(s.data)-1]
-}
-
-// FractionBelow returns the empirical CDF at x: the fraction of
-// observations <= x.
-func (s *Sample) FractionBelow(x float64) float64 {
-	if len(s.data) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.fractionBelow(x, 1)
 }
 
 // fractionBelow returns the fraction of observations v with v/div <= x.
@@ -144,7 +150,7 @@ func (s *Sample) ScaledCDF(n int, div float64) (xs, fs []float64) {
 	if !(div > 0) {
 		panic(fmt.Sprintf("stats: CDF divisor %v is not positive", div))
 	}
-	if len(s.data) == 0 || n < 2 {
+	if s.Len() == 0 || n < 2 {
 		return nil, nil
 	}
 	s.ensureSorted()

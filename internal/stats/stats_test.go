@@ -53,26 +53,34 @@ func TestSampleQuantileOutOfRangePanics(t *testing.T) {
 	s.Quantile(1.5)
 }
 
+// addAll records vs in order.
+func addAll(s *Sample, vs ...float64) {
+	for _, v := range vs {
+		s.Add(v)
+	}
+}
+
 func TestSampleMinMaxMean(t *testing.T) {
 	s := NewSample(0)
-	s.AddAll([]float64{5, 1, 9, 3})
-	if s.Min() != 1 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
+	addAll(s, 5, 1, 9, 3)
 	if s.Mean() != 4.5 {
 		t.Errorf("Mean = %v, want 4.5", s.Mean())
+	}
+	if lo, hi := s.Quantile(0), s.Quantile(1); lo != 1 || hi != 9 {
+		t.Errorf("Quantile(0)/Quantile(1) = %v/%v, want 1/9", lo, hi)
 	}
 }
 
 func TestSampleFractionBelow(t *testing.T) {
 	s := NewSample(0)
-	s.AddAll([]float64{1, 2, 3, 4})
+	addAll(s, 1, 2, 3, 4)
+	s.ensureSorted()
 	cases := []struct{ x, want float64 }{
 		{0, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {10, 1},
 	}
 	for _, c := range cases {
-		if got := s.FractionBelow(c.x); got != c.want {
-			t.Errorf("FractionBelow(%v) = %v, want %v", c.x, got, c.want)
+		if got := s.fractionBelow(c.x, 1); got != c.want {
+			t.Errorf("fractionBelow(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
 }
@@ -105,11 +113,13 @@ func TestScaledCDFMatchesQuotientSample(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		div := 0.01 + 10*rng.Float64()
 		s, oracle := NewSample(0), NewSample(0)
+		var added []float64
 		for i := 0; i < 1+rng.Intn(60); i++ {
 			v := float64(rng.Intn(20)) * (0.001 + rng.Float64()) // ties at 0 and repeats
-			if rng.Intn(3) == 0 && s.Len() > 0 {
-				v = s.data[rng.Intn(s.Len())]
+			if rng.Intn(3) == 0 && len(added) > 0 {
+				v = added[rng.Intn(len(added))]
 			}
+			added = append(added, v)
 			s.Add(v)
 			oracle.Add(v / div)
 		}
@@ -144,11 +154,11 @@ func TestScaledCDFRejectsNonPositiveDivisor(t *testing.T) {
 
 func TestSampleAddAfterQuery(t *testing.T) {
 	s := NewSample(0)
-	s.AddAll([]float64{3, 1, 2})
+	addAll(s, 3, 1, 2)
 	_ = s.Quantile(0.5)
 	s.Add(0)
-	if s.Min() != 0 {
-		t.Error("Add after query not reflected in Min")
+	if s.Quantile(0) != 0 {
+		t.Error("Add after query not reflected in Quantile(0)")
 	}
 }
 
@@ -163,7 +173,7 @@ func TestSampleQuantileProperty(t *testing.T) {
 		}
 		q := float64(qRaw) / 255
 		got := s.Quantile(q)
-		return got >= s.Min() && got <= s.Max()
+		return got >= s.Quantile(0) && got <= s.Quantile(1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -172,13 +182,13 @@ func TestSampleQuantileProperty(t *testing.T) {
 
 func TestSampleValuesSortedCopy(t *testing.T) {
 	s := NewSample(0)
-	s.AddAll([]float64{3, 1, 2})
+	addAll(s, 3, 1, 2)
 	vs := s.Values()
 	if !sort.Float64sAreSorted(vs) {
 		t.Error("Values not sorted")
 	}
 	vs[0] = -100
-	if s.Min() == -100 {
+	if s.Quantile(0) == -100 {
 		t.Error("Values returned internal slice, not a copy")
 	}
 }
