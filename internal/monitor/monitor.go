@@ -140,6 +140,11 @@ type Monitor struct {
 	// causal source of every pressure reading handed downstream until
 	// the next refresh.
 	lastMeterSpan obs.SpanID
+
+	// The events the monitor lends to the bus, one reused struct of
+	// each kind: sinks copy what they keep (DESIGN.md §21).
+	meterEv obs.MeterSample
+	beatEv  obs.HeartbeatSample
 }
 
 // New creates a monitor against the given platform. The meter functions
@@ -265,7 +270,7 @@ func (m *Monitor) refresh() {
 		if span != 0 {
 			m.lastMeterSpan = span
 		}
-		m.bus.Emit(&obs.MeterSample{
+		m.meterEv = obs.MeterSample{
 			At: units.Seconds(m.sim.Now()),
 			Latency: [3]units.Seconds{
 				units.Seconds(m.meterLat[0].Value()),
@@ -275,7 +280,8 @@ func (m *Monitor) refresh() {
 			Pressure: m.pressure,
 			Trace:    trace,
 			Span:     span,
-		})
+		}
+		m.bus.Emit(&m.meterEv)
 	}
 }
 
@@ -291,8 +297,8 @@ func (m *Monitor) MeterCPUSeconds() float64 { return m.meterCPUs }
 // features the surfaces predicted and the slowdown actually observed.
 // This is the "heartbeat package ... sent from the execution engine to
 // contention monitor" of §VI-A. A service's first heartbeat allocates
-// its window; later ones, and the refits they trigger, allocate nothing
-// on an unobserved monitor.
+// its window; later ones, and the refits they trigger, allocate nothing,
+// observed or not.
 func (m *Monitor) Heartbeat(service string, features [3]float64, observedSlowdown float64) {
 	if observedSlowdown < 1 {
 		observedSlowdown = 1
@@ -307,7 +313,7 @@ func (m *Monitor) Heartbeat(service string, features [3]float64, observedSlowdow
 		m.recalibrate(win)
 	}
 	if m.bus.Active() {
-		m.bus.Emit(&obs.HeartbeatSample{
+		m.beatEv = obs.HeartbeatSample{
 			At:        units.Seconds(m.sim.Now()),
 			Service:   service,
 			Features:  features,
@@ -319,7 +325,8 @@ func (m *Monitor) Heartbeat(service string, features [3]float64, observedSlowdow
 			Trace:     m.tracer.StartTrace(),
 			Span:      m.tracer.NextSpan(),
 			MeterSpan: m.lastMeterSpan,
-		})
+		}
+		m.bus.Emit(&m.beatEv)
 	}
 }
 

@@ -1,12 +1,14 @@
 package monitor
 
 import (
+	"io"
 	"math"
 	"testing"
 
 	"amoeba/internal/arrival"
 	"amoeba/internal/contention"
 	"amoeba/internal/meters"
+	"amoeba/internal/obs"
 	"amoeba/internal/resources"
 	"amoeba/internal/serverless"
 	"amoeba/internal/sim"
@@ -308,5 +310,46 @@ func TestZeroAllocHeartbeat(t *testing.T) {
 	}
 	if after := m.WeightsFor("svc"); after == before {
 		t.Errorf("weights %+v did not move over 201 refits", after)
+	}
+}
+
+// TestZeroAllocHeartbeatObserved: on a monitor whose bus carries a
+// tracer, a JSONL writer and a metrics sink, a heartbeat into a full
+// window, with its refit, and a pressure refresh allocate nothing once
+// the writer's batches have grown. The monitor lends one reused event of
+// each kind, and the writer copies them.
+//
+//amoeba:alloctest monitor.Monitor.recalibrate pca.Window.Push pca.Window.Refit
+//amoeba:alloctest obs.Bus.Emit obs.JSONLWriter.Consume obs.MetricsSink.Consume
+func TestZeroAllocHeartbeatObserved(t *testing.T) {
+	cfg := DefaultConfig()
+	m := NewReplica(sim.New(10), cfg)
+	bus := obs.NewBus()
+	w := obs.NewJSONLWriter(io.Discard)
+	bus.Attach(w)
+	bus.Attach(obs.NewMetricsSink(obs.NewRegistry()))
+	m.SetBus(bus)
+	m.SetTracer(obs.NewTracer(bus))
+	rng := sim.NewRNG(11)
+	cycle := func() {
+		e := [3]float64{0.3 * rng.Float64(), 0.2 * rng.Float64(), 0.1 * rng.Float64()}
+		m.Heartbeat("svc", e, 1+0.8*e[0]+0.5*e[1]+0.3*e[2]+0.01*rng.Float64())
+		m.refresh()
+	}
+	const warm = 4096 // two events per cycle: every batch fills several times
+	for i := 0; i < warm; i++ {
+		cycle()
+	}
+	if !m.WeightsFor("svc").Learned || m.SampleCount("svc") != cfg.Window {
+		t.Fatalf("window of %d samples, weights %+v: want a full, calibrated window", m.SampleCount("svc"), m.WeightsFor("svc"))
+	}
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Errorf("an observed heartbeat with its refit and a refresh allocate %.2f objects, want 0", avg)
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.Count(); n != 2*(warm+1001) {
+		t.Fatalf("wrote %d events, want a heartbeat and a meter sample for each of %d cycles", n, warm+1001)
 	}
 }

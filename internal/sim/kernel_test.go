@@ -132,7 +132,7 @@ func (k simKernel) KHalt()                                  { k.s.Halt() }
 // refEvent and refKernel are a deliberately naive reimplementation of
 // the kernel's documented semantics: an unsorted slice scanned for the
 // (at, seq) minimum. O(n²) and allocation-happy, but obviously correct —
-// the slab/radix-heap kernel must match its visible behaviour exactly.
+// the slab kernel and its queue must match its visible behaviour exactly.
 type refEvent struct {
 	at     float64
 	seq    uint64
@@ -230,7 +230,11 @@ type logEntry struct {
 // event), equal-time bursts whose stamps arrive out of seq order,
 // self-stopping Every tickers, Halt, horizon clamping with resume,
 // scheduling from outside a run between the clock and the next pending
-// event, and times from −0 and subnormals up to ~1e308.
+// event, and times from −0 and subnormals up to ~1e308. For the ring of
+// time slots it adds bursts one ulp either side of slot boundaries and
+// of the window's end, far events that migrate into the ring, a horizon
+// stop inside a slot followed by events in the clock's own slot, and
+// times at and above the slot clamp.
 func driveKernel(k kernelAPI, seed uint64) []logEntry {
 	rng := NewRNG(seed)
 	var log []logEntry
@@ -251,7 +255,7 @@ func driveKernel(k kernelAPI, seed uint64) []logEntry {
 		return func() {
 			log = append(log, logEntry{id, k.KNow()})
 			fired++
-			switch rng.Intn(12) {
+			switch rng.Intn(14) {
 			case 0, 1, 2: // spawn future events
 				n := 1 + rng.Intn(2)
 				for j := 0; j < n; j++ {
@@ -304,6 +308,24 @@ func driveKernel(k kernelAPI, seed uint64) []logEntry {
 				for j := len(sts) - 1; j >= 0; j-- {
 					cancels = append(cancels, k.KAtStamp(at, sts[j], leaf()))
 				}
+			case 11: // a slot boundary ahead, or the window's end: one ulp either side
+				slot := math.Floor(k.KNow()*slotRate) + 1 + float64(rng.Intn(3))
+				if rng.Intn(2) == 0 {
+					slot += ringSlots - 2
+				}
+				for _, at := range ulpAround(slot / slotRate) {
+					cancels = append(cancels, k.KAt(notBefore(k.KNow(), at), leaf()))
+				}
+			case 12: // a far event, a deadline that migrates into the ring
+				id := nextID
+				nextID++
+				cancels = append(cancels, k.KAt(k.KNow()+2+rng.Exp(0.2), body(id)))
+			case 13: // stamps reserved now, queued in one slot ahead, newest first
+				sts := [2]Stamp{k.KReserve(), k.KReserve()}
+				at := notBefore(k.KNow(), (math.Floor(k.KNow()*slotRate)+1)/slotRate)
+				cancels = append(cancels, k.KAt(at, leaf()))
+				cancels = append(cancels, k.KAtStamp(notBefore(k.KNow(), math.Nextafter(at, 0)), sts[1], leaf()))
+				cancels = append(cancels, k.KAtStamp(at, sts[0], leaf()))
 			}
 		}
 	}
@@ -320,7 +342,10 @@ func driveKernel(k kernelAPI, seed uint64) []logEntry {
 	}
 	// −0 and +0 tie; then the smallest subnormal, the smallest normal, and
 	// times that only the final drain reaches.
-	for _, at := range []float64{math.Copysign(0, -1), 0, 5e-324, 0x1p-1022, 1e-300, 1e300, 1e308} {
+	// The slot clamp sits at 2^52 s: times just below, at and above it
+	// share or split slots only the final drain reaches.
+	for _, at := range []float64{math.Copysign(0, -1), 0, 5e-324, 0x1p-1022, 1e-300,
+		math.Nextafter(0x1p52, 0), 0x1p52, math.Nextafter(0x1p52, math.Inf(1)), 0x1p53, 1e300, 1e308} {
 		id := nextID
 		nextID++
 		cancels = append(cancels, k.KAt(at, body(id)))
@@ -364,6 +389,20 @@ func driveKernel(k kernelAPI, seed uint64) []logEntry {
 	log = append(log, logEntry{-2, k.KNow()})
 	k.KRun(15)
 	log = append(log, logEntry{-3, k.KNow()})
+	// Stop inside a slot, then schedule into the clock's own slot, at its
+	// end and at the window's end: a queue whose cursor passed the clock
+	// at the horizon fires these late.
+	k.KRun(15 + 0.37/slotRate)
+	log = append(log, logEntry{-200, k.KNow()})
+	now = k.KNow()
+	slot := math.Floor(now * slotRate)
+	for _, at := range append(ulpAround((slot+1)/slotRate), now, (slot+ringSlots)/slotRate) {
+		id := nextID
+		nextID++
+		cancels = append(cancels, k.KAt(notBefore(now, at), body(id)))
+	}
+	k.KRun(16)
+	log = append(log, logEntry{-201, k.KNow()})
 	stopLong()
 	// Drain to the largest finite time, resuming after halts. The
 	// script's events spawn fewer than one event each on average, so the
@@ -373,6 +412,188 @@ func driveKernel(k kernelAPI, seed uint64) []logEntry {
 		log = append(log, logEntry{-4 - i, k.KNow()})
 	}
 	return log
+}
+
+// ulpAround returns t and its two float neighbours.
+func ulpAround(t float64) []float64 {
+	return []float64{math.Nextafter(t, 0), t, math.Nextafter(t, math.Inf(1))}
+}
+
+// notBefore returns t, or the clock now where t precedes it or is not
+// finite (slot arithmetic overflows near the largest floats).
+func notBefore(now, t float64) float64 {
+	if t >= now && !math.IsInf(t, 0) {
+		return t
+	}
+	return now
+}
+
+// driveSparse runs the daemon cell's shape: one ticker, and deadlines
+// far past the ring's window that are queued, cancelled and re-queued
+// under reserved stamps, like the serverless pool's reclaim deadlines.
+// Each reaches the ring through a migration, with the ticker in the ring
+// or with the ring empty.
+func driveSparse(k kernelAPI, seed uint64) []logEntry {
+	rng := NewRNG(seed)
+	var log []logEntry
+	var cancels []func()
+	nextID := 0
+	deadline := func(at float64) {
+		id := nextID
+		nextID++
+		fire := func() { log = append(log, logEntry{id, k.KNow()}) }
+		if rng.Intn(2) == 0 {
+			cancels = append(cancels, k.KAt(at, fire))
+		} else {
+			cancels = append(cancels, k.KAtStamp(at, k.KReserve(), fire))
+		}
+	}
+	stop := k.KEvery(0.25, func() {
+		log = append(log, logEntry{-1, k.KNow()})
+		switch rng.Intn(4) {
+		case 0:
+			deadline(k.KNow() + 2 + 60*rng.Float64())
+		case 1:
+			if len(cancels) > 0 {
+				cancels[rng.Intn(len(cancels))]()
+			}
+			deadline(k.KNow() + ringSlots/slotRate) // the window's end
+		}
+	})
+	for h := 10.0; h < 200; h += 10 + 17*rng.Float64() {
+		k.KRun(h)
+		log = append(log, logEntry{-2, k.KNow()})
+	}
+	stop()
+	k.KRun(math.MaxFloat64)
+	return append(log, logEntry{-3, k.KNow()})
+}
+
+// TestRingWindowEdges fires events at the ring's edges in the order the
+// reference kernel does: far events at the window's end of the cursor,
+// and one slot either side, that migrate as the cursor moves one slot,
+// beside events a callback puts in the same slots; and events scheduled
+// after horizon stops, between the clock and the next pending event,
+// with that event far and the ring empty, and with it in the ring.
+func TestRingWindowEdges(t *testing.T) {
+	const w = 1.0 / slotRate
+	script := func(k kernelAPI) []logEntry {
+		var log []logEntry
+		id := 0
+		mark := func() func() {
+			id++
+			n := id
+			return func() { log = append(log, logEntry{n, k.KNow()}) }
+		}
+		edges := func(base float64) {
+			for _, sl := range []float64{ringSlots, ringSlots + 1, ringSlots + 2} {
+				for _, at := range ulpAround(base + sl*w) {
+					k.KAt(at, mark())
+				}
+			}
+		}
+		edges(0) // far from slot 0; within reach once the cursor is at slot 1
+		k.KAt(w, func() {
+			log = append(log, logEntry{0, k.KNow()})
+			edges(w / 2) // the same slots, later in each
+		})
+		k.KRun(3)
+		log = append(log, logEntry{-1, k.KNow()})
+
+		// A far event one slot short of the window's end once the cursor
+		// is at slot 3073: it must migrate then, for the callback puts a
+		// later event in its slot, and nothing lies between the two.
+		far := (3073 + ringSlots - 1) * w
+		k.KAt(3073*w, func() {
+			log = append(log, logEntry{0, k.KNow()})
+			k.KAt(far+w/2, mark())
+		})
+		k.KAt(far, mark())
+		k.KRun(6)
+		log = append(log, logEntry{-1, k.KNow()})
+
+		k.KAt(10, mark()) // far, and the ring is empty
+		k.KRun(7.5)
+		log = append(log, logEntry{-2, k.KNow()})
+		k.KAt(10+w/2, mark()) // in the far event's slot
+		k.KAt(8, mark())      // between the clock and both
+		k.KRun(9)
+		log = append(log, logEntry{-3, k.KNow()})
+		k.KAt(9.5, mark()) // the next pending event is now in the ring
+		k.KRun(9.25)
+		log = append(log, logEntry{-4, k.KNow()})
+		k.KAt(9.25, mark()) // in the clock's own slot
+		k.KRun(11)
+		return append(log, logEntry{-5, k.KNow()})
+	}
+	got, want := script(simKernel{New(1)}), script(&refKernel{})
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("step %d: fired %+v, want %+v (whole run %v)", i, got[i], want[i], got)
+		}
+	}
+}
+
+// TestCompactionKeepsOrder fires what compaction sweeps leave in the
+// order the reference kernel does: sweeps that empty the first occupied
+// ring slot, queued from outside a run and from a callback in the
+// clock's own slot, with later ring slots and a far entry left, and one
+// that empties the whole ring.
+func TestCompactionKeepsOrder(t *testing.T) {
+	script := func(k kernelAPI, swept func()) []logEntry {
+		var log []logEntry
+		id := 0
+		mark := func() func() {
+			id++
+			n := id
+			return func() { log = append(log, logEntry{n, k.KNow()}) }
+		}
+		// burst queues 16 events at one time and cancels them all: with
+		// fewer than 16 live events queued, the last cancel sweeps.
+		burst := func(at float64) {
+			var cancels []func()
+			for i := 0; i < 16; i++ {
+				cancels = append(cancels, k.KAt(at, mark()))
+			}
+			for _, cancel := range cancels {
+				cancel()
+			}
+			swept()
+		}
+		k.KAt(1.2, mark())
+		k.KAt(1.5, mark())
+		k.KAt(1.5, mark())
+		k.KAt(4, mark()) // far
+		burst(1)
+		k.KAt(1.3, func() {
+			log = append(log, logEntry{0, k.KNow()})
+			burst(k.KNow())
+		})
+		k.KRun(2)
+		log = append(log, logEntry{-1, k.KNow()})
+		burst(2.5) // the ring's only slot
+		k.KAt(3, mark())
+		k.KRun(10)
+		return append(log, logEntry{-2, k.KNow()})
+	}
+	s := New(1)
+	got := script(simKernel{s}, func() {
+		if s.deadQueued != 0 {
+			t.Fatalf("%d cancelled entries still queued: the burst did not sweep", s.deadQueued)
+		}
+	})
+	want := script(&refKernel{}, func() {})
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("step %d: fired %+v, want %+v (whole run %v)", i, got[i], want[i], got)
+		}
+	}
 }
 
 // wholeSecondAfter returns one of the next two whole seconds after now,
@@ -388,16 +609,21 @@ func wholeSecondAfter(now float64, rng *RNG) float64 {
 
 func TestKernelDifferentialRandomized(t *testing.T) {
 	for seed := uint64(1); seed <= 30; seed++ {
-		got := driveKernel(simKernel{New(999)}, seed)
-		want := driveKernel(&refKernel{}, seed)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: trajectory lengths differ: kernel %d vs reference %d",
-				seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: trajectories diverge at step %d: kernel %+v vs reference %+v",
-					seed, i, got[i], want[i])
+		for _, drive := range []struct {
+			name string
+			run  func(kernelAPI, uint64) []logEntry
+		}{{"mixed", driveKernel}, {"sparse", driveSparse}} {
+			got := drive.run(simKernel{New(999)}, seed)
+			want := drive.run(&refKernel{}, seed)
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: trajectory lengths differ: kernel %d vs reference %d",
+					drive.name, seed, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s seed %d: trajectories diverge at step %d: kernel %+v vs reference %+v",
+						drive.name, seed, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -409,7 +635,9 @@ func TestKernelDifferentialRandomized(t *testing.T) {
 // the next op from inside the run, Reserve, AtStamp, Cancel or
 // Run(horizon). Times are the clock plus a decoded offset: zero, −0
 // (which stays −0 at a zero clock), a subnormal, a small fraction, whole
-// seconds, a huge value, or any finite non-negative float. Ops the
+// seconds, a huge value, or any finite non-negative float; or a time at
+// a slot boundary or the ring window's end, one ulp either side, a far
+// time that migrates into the ring, or one near the slot clamp. Ops the
 // kernel would reject as model bugs (a time that overflows, a stamp
 // sorting before the event last fired) are skipped, and a final Run
 // drains the queue.
@@ -440,7 +668,12 @@ func driveBytes(k kernelAPI, data []byte) []logEntry {
 	at := func() (float64, bool) {
 		now := k.KNow()
 		var off float64
-		switch next() % 8 {
+		// around returns the neighbour of t that the next byte picks,
+		// or the clock where that precedes it.
+		around := func(t float64) (float64, bool) {
+			return notBefore(now, ulpAround(t)[next()%3]), true
+		}
+		switch next() % 16 {
 		case 1:
 			if off = math.Copysign(0, -1); now == 0 {
 				return off, true
@@ -462,6 +695,14 @@ func driveBytes(k kernelAPI, data []byte) []logEntry {
 			if math.IsNaN(off) || math.IsInf(off, 0) {
 				off = 0
 			}
+		case 8: // a slot boundary at or after the clock's slot
+			return around((math.Floor(now*slotRate) + float64(next()%4)) / slotRate)
+		case 9: // the window's end of a cursor at the clock's slot
+			return around((math.Floor(now*slotRate) + ringSlots - 1 + float64(next()%3)) / slotRate)
+		case 10:
+			off = 2 + float64(next())/8
+		case 11: // the slot clamp, 2^52 s, and a few spacings past it
+			return around(0x1p52 + float64(next()%4))
 		}
 		t := now + off
 		return t, !math.IsInf(t, 0)
@@ -521,8 +762,9 @@ func driveBytes(k kernelAPI, data []byte) []logEntry {
 // FuzzEventQueue requires the kernel to fire every fuzzed schedule in the
 // order the naive reference kernel does. The seeds stop a run at its
 // horizon and then schedule between the clock and the next pending event,
-// tie −0 with +0, queue stamps newest first at one time, and mix
-// subnormal with huge times.
+// tie −0 with +0, queue stamps newest first at one time, mix subnormal
+// with huge times, straddle slot boundaries and the window's end, and
+// stop inside a slot before scheduling into it.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{
 		0, 4, 9, 0, 4, 30, 0, 5, 0, // At +9/64 s, +30/64 s, +1 s
@@ -545,6 +787,14 @@ func FuzzEventQueue(f *testing.F) {
 		0, 7, 0x7f, 0xef, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // MaxFloat64
 		5, 3, 255, // Run to ~4 s
 		1, 6, 1, 1, 0, 6, 1, 1, // huge ties, the first scheduling at its firing time
+	})
+	f.Add([]byte{
+		0, 9, 1, 0, 0, 9, 1, 1, 0, 9, 1, 2, // the window's end, one ulp either side
+		0, 10, 40, 0, 10, 41, // far: 7 s and 7.125 s, migrating
+		5, 3, 100, // Run to ~1.6 s: stops inside a slot
+		0, 0, 0, 8, 0, 0, 0, 8, 1, 0, // At the clock, at its slot's start (the clock)
+		0, 8, 1, 2, 2, 3, 0, 8, 1, 1, // next boundary + ulp; Reserve; AtStamp on it
+		0, 11, 0, 1, 0, 11, 0, 0, // the clamp and the float below it
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got := driveBytes(simKernel{New(1)}, data)
@@ -670,29 +920,35 @@ func TestAtStampPanics(t *testing.T) {
 // --- Zero-allocation contracts (DESIGN.md §10) ---
 
 // TestZeroAllocSchedule asserts the steady-state schedule+fire path
-// allocates nothing: slot from the free list, buckets in place, callback
-// invoked, slot released — for fresh and reserved keys alike.
+// allocates nothing: slot from the free list, ring slot or far bucket in
+// place, callback invoked, slot released — for fresh and reserved keys
+// alike, and for far events that migrate into the ring.
 //
 //amoeba:alloctest sim.Simulator.At sim.Simulator.After sim.Simulator.schedule
 //amoeba:alloctest sim.Simulator.Run sim.Simulator.alloc sim.Simulator.release
-//amoeba:alloctest sim.before sim.Simulator.push sim.Simulator.pushSeq sim.Simulator.pop
-//amoeba:alloctest sim.Simulator.place sim.Simulator.settle0 sim.keyOf sim.Simulator.checkTime
+//amoeba:alloctest sim.Simulator.push sim.Simulator.pushSeq sim.Simulator.pop
+//amoeba:alloctest sim.Simulator.file sim.Simulator.nextSlot
+//amoeba:alloctest sim.Simulator.migrate sim.slotOf sim.Simulator.checkTime
+//amoeba:alloctest sim.farTier.put sim.farTier.bounds
 //amoeba:alloctest sim.Simulator.Reserve sim.Simulator.AtStamp
 func TestZeroAllocSchedule(t *testing.T) {
 	s := New(1)
 	fn := func() {}
-	for i := 0; i < 256; i++ { // warm the slab, free list and buckets
-		s.After(1, fn)
-	}
-	s.Run(1e6)
-
-	allocs := testing.AllocsPerRun(1000, func() {
+	batch := func() {
 		st := s.Reserve()
 		s.After(1, fn)
 		s.At(s.Now()+2, fn)
 		s.AtStamp(s.Now()+2, st, fn)
-		s.Run(s.Now() + 3)
-	})
+		for i := 0; i < 3; i++ { // far, tied
+			s.After(5, fn)
+		}
+		s.Run(s.Now() + 6)
+	}
+	for i := 0; i < 64; i++ { // warm the slab and free list
+		batch()
+	}
+
+	allocs := testing.AllocsPerRun(1000, batch)
 	if allocs != 0 {
 		t.Errorf("schedule+fire allocates %.1f objects per event in steady state, want 0", allocs)
 	}
@@ -707,7 +963,7 @@ func TestZeroAllocEveryTick(t *testing.T) {
 	s := New(1)
 	stop := s.Every(1, func() {})
 	defer stop()
-	s.Run(64) // warm up: buckets sized, slot in place
+	s.Run(64) // warm up: slot in place
 
 	horizon := s.Now()
 	allocs := testing.AllocsPerRun(100, func() {
@@ -722,10 +978,11 @@ func TestZeroAllocEveryTick(t *testing.T) {
 // TestZeroAllocCancel asserts the cancel path is allocation-free in
 // steady state, including the bulk compaction sweep: cancelling 64 of 64
 // queued events trips maybeCompact's dead-majority threshold on every
-// run, so compact's bucket filter and slot releases execute inside the
+// run, so compact's list sweeps and slot releases execute inside the
 // AllocsPerRun window.
 //
 //amoeba:alloctest sim.EventHandle.Cancel sim.Simulator.maybeCompact sim.Simulator.compact
+//amoeba:alloctest sim.Simulator.sweep
 func TestZeroAllocCancel(t *testing.T) {
 	s := New(1)
 	fn := func() {}
@@ -739,7 +996,7 @@ func TestZeroAllocCancel(t *testing.T) {
 		}
 		s.Run(s.Now() + 128)
 	}
-	for i := 0; i < 4; i++ { // warm slab, free list and bucket capacity
+	for i := 0; i < 4; i++ { // warm slab and free list
 		churn()
 	}
 	if s.Cancelled() == 0 {

@@ -15,11 +15,14 @@
 // component consumes in the order they were drawn.
 //
 // The kernel is allocation-free in steady state: events live in a
-// generation-counted slab behind a monotone radix heap whose entries
-// carry their (at, seq) keys inline (eventheap.go), recurring tickers
-// reuse their slot across ticks, and cancellation is an O(1) dead mark
-// with a lazy compaction sweep. The performance contracts are documented
-// in DESIGN.md §10 and pinned by BENCH_sim.json.
+// generation-counted slab, and the pending queue files each event once,
+// by its time, in a ring of 1/1024 s slots spanning the next 2 s, or,
+// past that window, in a radix heap of slot numbers that feeds the ring
+// as the window slides (eventheap.go). Both tiers thread their lists
+// through the slab. Recurring tickers reuse their slot across ticks, and
+// cancellation is an O(1) dead mark with a lazy compaction sweep. The
+// performance contracts are documented in DESIGN.md §10 and pinned by
+// BENCH_sim.json.
 package sim
 
 import (
@@ -76,19 +79,23 @@ type Stamp struct {
 // Simulator owns the virtual clock and the pending-event queue.
 type Simulator struct {
 	now  Time
-	slab []event // all event slots; indexed by the buckets and the free list
+	slab []event // all event slots; indexed by the queue and the free list
 	free []int32 // released slots available for reuse
 	seq  uint64
 	cur  entry // the event now firing, or the last one fired
 	rng  *RNG
 
-	// The pending events: a monotone radix heap by (at, seq)
-	// (eventheap.go).
-	buckets [64][]entry // buckets[b]: entries whose key first differs from last at bit b-1
-	mask    uint64      // bit b set iff buckets[b] holds an entry
-	last    uint64      // base key: the last popped; at most the clock's key whenever a push can come
-	head0   int         // buckets[0][:head0] have been popped
-	pending int         // queued entries, cancelled ones included
+	// The pending events, in two tiers by time (eventheap.go). The near
+	// tier is a ring of time slots from the cursor; each occupied slot
+	// lists its entries through the slab's next links.
+	heads   [ringSlots]int32  // first entry of each occupied ring slot
+	occ     [ringWords]uint64 // bit p&63 of occ[p>>6]: ring slot p is occupied
+	summary uint64            // bit w: occ[w] is non-zero
+	cursor  uint64            // the window's start, the last popped entry's slot or farNext; at most the clock's slot whenever a push can come
+	low     uint64            // the first occupied ring slot while the ring is non-empty
+	far     farTier           // entries at or past the window's end, slot cursor+ringSlots
+	farNext uint64            // at most the far tier's first slot; noSlot when it is empty
+	pending int               // queued entries, cancelled ones included
 
 	fired      uint64
 	cancelled  uint64
@@ -99,7 +106,7 @@ type Simulator struct {
 
 // New returns a simulator with its clock at zero, seeded with seed.
 func New(seed uint64) *Simulator {
-	return &Simulator{rng: NewRNG(seed)}
+	return &Simulator{rng: NewRNG(seed), farNext: noSlot}
 }
 
 // Now returns the current virtual time.
