@@ -269,6 +269,9 @@ type (
 	EventJSONLWriter = obs.JSONLWriter
 	// EventRing keeps copies of the most recent events in memory.
 	EventRing = obs.Ring
+	// AuditLog keeps copies of every DecisionEvent and SwitchSpan of a
+	// run, the events DecisionAuditTable and SwitchSpanTable read.
+	AuditLog = obs.AuditLog
 	// MetricsRegistry holds counters, gauges, and bounded histograms with
 	// Prometheus-text exposition.
 	MetricsRegistry = obs.Registry
@@ -319,6 +322,9 @@ func NewEventJSONLWriter(w io.Writer) *EventJSONLWriter { return obs.NewJSONLWri
 // NewEventRing returns a bounded in-memory sink keeping the last n
 // events. It panics if n is not positive.
 func NewEventRing(n int) *EventRing { return obs.NewRing(n) }
+
+// NewAuditLog returns an empty audit log.
+func NewAuditLog() *AuditLog { return new(obs.AuditLog) }
 
 // NewMetricsRegistry returns an empty metric registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }

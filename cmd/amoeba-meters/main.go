@@ -13,10 +13,8 @@ import (
 	"fmt"
 	"os"
 
-	"amoeba/internal/core"
 	"amoeba/internal/experiments"
 	"amoeba/internal/report"
-	"amoeba/internal/serverless"
 	"amoeba/internal/workload"
 )
 
@@ -26,20 +24,12 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := serverless.DefaultConfig()
 	fmt.Println("profiling contention meters (Fig. 8)...")
-	curves := core.MeterCurves(cfg)
-	fig := &report.Figure{
-		Title:  "Fig. 8: contention meter profiling curves",
-		XLabel: "pressure", YLabel: "meter latency (s)",
-	}
-	for _, c := range curves {
-		fig.Series = append(fig.Series, report.Series{
-			Name: c.Meter.Profile.Name, X: c.Pressures, Y: c.Latencies,
-		})
+	res := experiments.Fig08(experiments.DefaultConfig())
+	for _, c := range res.Curves {
 		fmt.Printf("  %-10s %s\n", c.Meter.Profile.Name, report.Sparkline(c.Latencies))
 	}
-	fmt.Print(fig.String())
+	fmt.Print(res.Render().String())
 
 	if *surfacesFor != "" {
 		prof, err := workload.ByName(*surfacesFor)

@@ -32,38 +32,52 @@ var variants = map[string]amoeba.Variant{
 	"autoscale":  amoeba.Autoscale,
 }
 
-func main() {
-	var (
-		benchName = flag.String("bench", "dd", "benchmark: float, matmul, linpack, dd, cloud_stor")
-		variant   = flag.String("variant", "amoeba", "system: amoeba, amoeba-nom, amoeba-nop, nameko, openwhisk, autoscale")
-		days      = flag.Float64("days", 1, "virtual days to simulate")
-		dayLength = flag.Float64("day-length", 3600, "virtual seconds per day")
-		trough    = flag.Float64("trough", 0.2, "night trough as a fraction of peak load")
-		seed      = flag.Uint64("seed", 0xA0EBA, "simulation seed")
-		noBG      = flag.Bool("no-background", false, "disable the background co-tenants")
-		timeline  = flag.Bool("timeline", false, "print the deploy-mode switch timeline")
-		events    = flag.String("events", "", "write the telemetry event stream as JSON lines to this file")
-		dumpReg   = flag.Bool("metrics-dump", false, "print Prometheus-text metrics after the run")
-		audit     = flag.Bool("audit", false, "print the decision-audit and switch-span tables")
-		shards    = flag.Int("shards", 0, "run on the sharded kernel with this many workers (0 = sequential kernel); output is identical for every positive value")
-	)
-	flag.Parse()
+// simRun is what one amoeba-sim command line asks for: the scenario
+// its flags build, and how to run and report it.
+type simRun struct {
+	sc        amoeba.Scenario
+	variant   string
+	days      float64
+	dayLength float64
+	shards    int
+	timeline  bool
+	events    string
+	dumpReg   bool
+	audit     bool
+}
 
+// parseFlags parses args on fs into a run, or returns the error that
+// rejects them: a flag fs cannot parse, a negative -shards, an unknown
+// benchmark or variant, or a load shape NewScenario refuses.
+func parseFlags(fs *flag.FlagSet, args []string) (simRun, error) {
+	var (
+		benchName = fs.String("bench", "dd", "benchmark: float, matmul, linpack, dd, cloud_stor")
+		variant   = fs.String("variant", "amoeba", "system: amoeba, amoeba-nom, amoeba-nop, nameko, openwhisk, autoscale")
+		days      = fs.Float64("days", 1, "virtual days to simulate")
+		dayLength = fs.Float64("day-length", 3600, "virtual seconds per day")
+		trough    = fs.Float64("trough", 0.2, "night trough as a fraction of peak load")
+		seed      = fs.Uint64("seed", 0xA0EBA, "simulation seed")
+		noBG      = fs.Bool("no-background", false, "disable the background co-tenants")
+		timeline  = fs.Bool("timeline", false, "print the deploy-mode switch timeline")
+		events    = fs.String("events", "", "write the telemetry event stream as JSON lines to this file")
+		dumpReg   = fs.Bool("metrics-dump", false, "print Prometheus-text metrics after the run")
+		audit     = fs.Bool("audit", false, "print the decision-audit and switch-span tables")
+		shards    = fs.Int("shards", 0, "run on the sharded kernel with this many workers (0 = sequential kernel); output is identical for every positive value")
+	)
+	if err := fs.Parse(args); err != nil {
+		return simRun{}, err
+	}
 	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "-shards %d is negative (0 runs the sequential kernel)\n", *shards)
-		os.Exit(2)
+		return simRun{}, fmt.Errorf("-shards %d is negative (0 runs the sequential kernel)", *shards)
 	}
 	prof, err := amoeba.BenchmarkByName(*benchName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return simRun{}, err
 	}
 	v, ok := variants[*variant]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown variant %q\n", *variant)
-		os.Exit(2)
+		return simRun{}, fmt.Errorf("unknown variant %q", *variant)
 	}
-
 	opts := amoeba.DefaultScenarioOptions()
 	opts.Days = *days
 	opts.DayLength = amoeba.Seconds(*dayLength)
@@ -72,26 +86,41 @@ func main() {
 	opts.Background = !*noBG
 	sc, err := amoeba.NewScenario(v, prof, opts)
 	if err != nil {
+		return simRun{}, err
+	}
+	return simRun{
+		sc: sc, variant: *variant, days: *days, dayLength: *dayLength, shards: *shards,
+		timeline: *timeline, events: *events, dumpReg: *dumpReg, audit: *audit,
+	}, nil
+}
+
+func main() {
+	// The command line's flag set exits with status 2 on a flag it
+	// cannot parse; the other rejections exit the same way here.
+	run, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	sc := run.sc
+	prof := sc.Services[0].Profile
 
 	// Telemetry: build one bus carrying every requested sink.
 	var (
 		bus     *amoeba.EventBus
 		jsonl   *amoeba.EventJSONLWriter
-		ring    *amoeba.EventRing
+		audits  *amoeba.AuditLog
 		reg     *amoeba.MetricsRegistry
 		flushFn func() error
 	)
-	if *events != "" || *dumpReg || *audit {
+	if run.events != "" || run.dumpReg || run.audit {
 		bus = amoeba.NewEventBus()
 	}
-	if *events != "" {
+	if run.events != "" {
 		// Write-only: opened read-write, a pipe such as /dev/fd/3 would
 		// keep a read end in this process, and a write after the reader
 		// exits would block forever instead of failing.
-		f, err := os.OpenFile(*events, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
+		f, err := os.OpenFile(run.events, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -106,21 +135,21 @@ func main() {
 			return f.Close()
 		}
 	}
-	if *dumpReg {
+	if run.dumpReg {
 		reg = amoeba.NewMetricsRegistry()
 		bus.Attach(amoeba.NewMetricsSink(reg))
 	}
-	if *audit {
-		ring = amoeba.NewEventRing(1 << 18)
-		bus.Attach(ring)
+	if run.audit {
+		audits = amoeba.NewAuditLog()
+		bus.Attach(audits)
 	}
 
 	sc.Bus = bus
 	fmt.Printf("running %s under %s for %.1f day(s) of %.0fs...\n",
-		prof.Name, *variant, *days, *dayLength)
+		prof.Name, run.variant, run.days, run.dayLength)
 	var res *amoeba.Result
-	if *shards > 0 {
-		res = amoeba.RunSharded(sc, *shards)
+	if run.shards > 0 {
+		res = amoeba.RunSharded(sc, run.shards)
 	} else {
 		res = amoeba.Run(sc)
 	}
@@ -151,22 +180,19 @@ func main() {
 	t.AddRow("simulated events (excl. rejected arrivals)", res.Events)
 	fmt.Print(t.String())
 
-	if *timeline {
+	if run.timeline {
 		tl := report.NewTable("switch timeline", "t_seconds", "to", "load_qps")
 		for _, sw := range sr.Timeline.Switches {
 			tl.AddRow(fmt.Sprintf("%.0f", sw.At), sw.To.String(), fmt.Sprintf("%.1f", sw.LoadQPS))
 		}
 		fmt.Print(tl.String())
 	}
-	if *audit {
-		evs := ring.Events()
+	if run.audit {
+		evs := audits.Events()
 		fmt.Print(amoeba.DecisionAuditTable(evs).String())
 		fmt.Print(amoeba.SwitchSpanTable(evs).String())
-		if ring.Seen() > ring.Len() {
-			fmt.Printf("(audit ring kept the last %d of %d events)\n", ring.Len(), ring.Seen())
-		}
 	}
-	if *dumpReg {
+	if run.dumpReg {
 		fmt.Println("metrics:")
 		if err := reg.WritePrometheus(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -182,6 +208,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "event stream: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d events to %s\n", jsonl.Count(), *events)
+		fmt.Printf("wrote %d events to %s\n", jsonl.Count(), run.events)
 	}
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"io"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
 	"time"
+
+	"amoeba"
 )
 
 // TestMain runs the command itself when the test binary is re-executed
@@ -121,4 +124,59 @@ func TestEventsToClosedPipe(t *testing.T) {
 	if ctx.Err() != nil || !errors.As(err, &exit) || exit.ExitCode() <= 0 {
 		t.Fatalf("amoeba-sim writing to a closed pipe: %v (deadline %v); want a non-zero exit", err, ctx.Err())
 	}
+}
+
+// fuzzHorizon caps the simulated time of each scenario FuzzSimFlags
+// runs, so a fuzzed day of a week costs what a short one does.
+const fuzzHorizon amoeba.Seconds = 30
+
+// FuzzSimFlags feeds amoeba-sim's flag handling command lines split at
+// white space. Each must end in an error, or in a scenario that
+// validates and, its horizon capped at fuzzHorizon, runs to completion
+// on the kernel the flags select. Neither may panic. The flags that
+// name output files are parsed but never opened here.
+func FuzzSimFlags(f *testing.F) {
+	for _, line := range []string{
+		"",
+		"-bench float -day-length 60",
+		"-bench dd -variant openwhisk -days 0.01 -day-length 600 -trough 0",
+		"-bench linpack -shards 2 -no-background -seed 7",
+		"-bench cloud_stor -variant autoscale -timeline -audit -metrics-dump",
+		"-bench matmul -variant amoeba-nop -day-length 1e-3 -days 1e6",
+		"-days NaN",
+		"-day-length +Inf",
+		"-trough 1",
+		"-days 1e300",
+		"-shards -1",
+		"-bench nope",
+		"-variant nope",
+		"-days one",
+		"-no-such-flag",
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		fs := flag.NewFlagSet("amoeba-sim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		run, err := parseFlags(fs, strings.Fields(line))
+		if err != nil {
+			return
+		}
+		sc := run.sc
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("%q built a scenario that fails validation: %v", line, err)
+		}
+		if sc.Duration > fuzzHorizon {
+			sc.Duration = fuzzHorizon
+		}
+		var res *amoeba.Result
+		if run.shards > 0 {
+			res = amoeba.RunSharded(sc, run.shards)
+		} else {
+			res = amoeba.Run(sc)
+		}
+		if name := sc.Services[0].Profile.Name; res.Services[name] == nil {
+			t.Fatalf("%q: the run reports no result for %s", line, name)
+		}
+	})
 }

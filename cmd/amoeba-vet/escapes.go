@@ -68,12 +68,14 @@ func analyzerJSON(modRoot string, d analysis.Diagnostic) jsonFinding {
 }
 
 // escapePipeline runs the steps -escapes and -stale share: the
-// toolchain check, `go build -gcflags=-m=2` of the patterns, and the
-// noalloc geometry of the module. ok is false when the running
-// toolchain is not the pinned one: the escape wording belongs to one
-// compiler release, so the pipeline warns that what (the mode's work)
-// is skipped instead of judging diagnostics the parser was never
-// validated against.
+// toolchain check, `go build -trimpath -gcflags=-m=2` of the patterns,
+// and the noalloc geometry of the module. -trimpath makes the compiler
+// print import-path-qualified files, the same in a fresh build and in
+// output the go command replays from its cache (escapecheck.TrimModule).
+// ok is false when the running toolchain is not the pinned one: the
+// escape wording belongs to one compiler release, so the pipeline warns
+// that what (the mode's work) is skipped instead of judging diagnostics
+// the parser was never validated against.
 func escapePipeline(modRoot string, patterns []string, what string) (src *escapecheck.Source, diags []escapecheck.Diag, ok bool, err error) {
 	pinned, err := escapecheck.GoModToolchain(modRoot)
 	if err != nil {
@@ -84,17 +86,21 @@ func escapePipeline(modRoot string, patterns []string, what string) (src *escape
 			what, running, pinned)
 		return nil, nil, false, nil
 	}
-	cmd := exec.Command("go", append([]string{"build", "-gcflags=-m=2"}, patterns...)...)
+	modPath, err := analysis.ModulePath(modRoot)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	cmd := exec.Command("go", append([]string{"build", "-trimpath", "-gcflags=-m=2"}, patterns...)...)
 	cmd.Dir = modRoot
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("go build -gcflags=-m=2: %v\n%s", err, out)
+		return nil, nil, false, fmt.Errorf("go build -trimpath -gcflags=-m=2: %v\n%s", err, out)
 	}
 	src, err = escapecheck.LoadSource(modRoot)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	return src, escapecheck.ParseDiags(string(out)), true, nil
+	return src, escapecheck.TrimModule(escapecheck.ParseDiags(string(out)), modPath), true, nil
 }
 
 // escapeAllowsUsed runs the escapecheck pipeline for the -stale audit

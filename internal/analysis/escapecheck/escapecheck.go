@@ -6,10 +6,11 @@
 // capturing by reference, values the optimizer decides must live on the
 // heap. It is not a superset: the compiler never reports append growth,
 // which only alloccheck flags, so the two checks stay side by side
-// (DESIGN.md §7). This package parses the
-// diagnostics of `go build -gcflags=-m=2`, intersects them with the
-// source ranges of every noalloc function, and reports compiler-proven
-// allocations the syntactic pass missed. //amoeba:allowalloc(reason)
+// (DESIGN.md §7). This package parses the diagnostics of
+// `go build -trimpath -gcflags=-m=2`, maps their import-path-qualified
+// files to module-relative ones, intersects them with the source ranges
+// of every noalloc function, and reports compiler-proven allocations the
+// syntactic pass missed. //amoeba:allowalloc(reason)
 // annotations suppress findings on their line or the line below, exactly
 // as they do for alloccheck, and the driver reports the suppressed count
 // so the escape inventory stays auditable.
@@ -101,6 +102,26 @@ func parseDiagLine(line string) (Diag, bool) {
 	// Root-package files print as "./main.go"; Clean aligns them with
 	// the module-relative paths LoadSource records.
 	return Diag{File: path.Clean(file), Line: lineno, Col: col, Message: msg}, true
+}
+
+// TrimModule maps the files of diagnostics from a -trimpath build, which
+// the compiler qualifies with their import path
+// ("amoeba/internal/sim/sim.go"), to the module-relative paths
+// LoadSource records ("internal/sim/sim.go"). A -trimpath build prints
+// the same paths wherever it runs, and the go command replays them
+// unchanged from its cache; without -trimpath, a cached package's output
+// comes back with the paths of the build that filled the cache, such as
+// "./sim.go" after a build inside internal/sim. Files outside the
+// module, such as inlined standard-library positions, keep their paths
+// and match no noalloc range.
+func TrimModule(diags []Diag, modPath string) []Diag {
+	prefix := modPath + "/"
+	for i := range diags {
+		if rel, ok := strings.CutPrefix(diags[i].File, prefix); ok {
+			diags[i].File = rel
+		}
+	}
+	return diags
 }
 
 // isAllocMessage recognizes the compiler's heap-allocation wording. The

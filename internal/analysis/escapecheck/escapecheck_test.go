@@ -73,6 +73,28 @@ func TestParseDiagsTolerance(t *testing.T) {
 	}
 }
 
+// TestTrimModule pins the mapping from a -trimpath build's
+// import-path-qualified files to the module-relative paths LoadSource
+// records: module packages, the module root and positions inlined from
+// another module package lose the module path; standard-library
+// positions and a path that only shares the module's prefix keep theirs.
+func TestTrimModule(t *testing.T) {
+	in := []Diag{
+		{File: "amoeba/internal/sim/sim.go", Line: 1},
+		{File: "amoeba/amoeba.go", Line: 2},
+		{File: "amoeba/internal/fifo/fifo.go", Line: 3},
+		{File: "sort/sort.go", Line: 4},
+		{File: "amoebax/a.go", Line: 5},
+	}
+	want := []string{"internal/sim/sim.go", "amoeba.go", "internal/fifo/fifo.go", "sort/sort.go", "amoebax/a.go"}
+	got := TrimModule(in, "amoeba")
+	for i, d := range got {
+		if d.File != want[i] || d.Line != i+1 {
+			t.Errorf("diag %d: %s:%d, want %s:%d", i, d.File, d.Line, want[i], i+1)
+		}
+	}
+}
+
 func TestSeries(t *testing.T) {
 	cases := map[string]string{
 		"go1.24.0": "go1.24",
@@ -195,7 +217,8 @@ func Free() {}
 }
 
 // TestLiveEscapeDiags compiles a scratch module with the pinned
-// toolchain and checks the parser against the compiler's real output.
+// toolchain, with -trimpath as amoeba-vet does, and checks the parser
+// and TrimModule against the compiler's real output.
 // Skips with a warning when the running toolchain is not the pinned one.
 func TestLiveEscapeDiags(t *testing.T) {
 	pinned := repoToolchain(t)
@@ -227,13 +250,13 @@ func main() {
 			t.Fatal(err)
 		}
 	}
-	cmd := exec.Command("go", "build", "-gcflags=-m=2", "./...")
+	cmd := exec.Command("go", "build", "-trimpath", "-gcflags=-m=2", "./...")
 	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("go build -gcflags=-m=2: %v\n%s", err, out)
+		t.Fatalf("go build -trimpath -gcflags=-m=2: %v\n%s", err, out)
 	}
-	for _, d := range ParseDiags(string(out)) {
+	for _, d := range TrimModule(ParseDiags(string(out)), "scratch") {
 		if d.File == "main.go" && d.Message == "moved to heap: i" {
 			return
 		}

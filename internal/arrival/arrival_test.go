@@ -69,19 +69,6 @@ func TestInterarrivalsExponential(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := sim.New(4)
-	var n int
-	g := New(s, trace.Constant{QPS: 100}, func(sim.Time) { n++ })
-	g.Start()
-	s.At(10, func() { g.Stop() })
-	s.Run(100)
-	// ~1000 arrivals in the first 10s, none after.
-	if n < 800 || n > 1200 {
-		t.Fatalf("arrivals after Stop: n=%d, want ~1000", n)
-	}
-}
-
 func TestZeroTraceGeneratesNothing(t *testing.T) {
 	s := sim.New(5)
 	g := New(s, trace.Constant{QPS: 0}, func(sim.Time) { t.Error("arrival from zero trace") })

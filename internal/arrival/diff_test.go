@@ -18,7 +18,6 @@ type refGen struct {
 	rng       *sim.RNG
 	trace     trace.Trace
 	onArrival func(t sim.Time)
-	stopped   bool
 	count     uint64
 	peak      float64
 }
@@ -29,28 +28,20 @@ func newRef(s *sim.Simulator, tr trace.Trace, onArrival func(t sim.Time)) *refGe
 
 func (g *refGen) Start() {
 	g.peak = g.trace.Peak()
-	if g.peak <= 0 || g.stopped {
+	if g.peak <= 0 {
 		return
 	}
 	g.sim.After(g.rng.Exp(g.peak), g.fire)
 }
 
 func (g *refGen) fire() {
-	if g.stopped {
-		return
-	}
 	now := g.sim.Now()
 	if g.rng.Float64() < g.trace.Rate(float64(now))/g.peak {
 		g.count++
 		g.onArrival(now)
 	}
-	if g.stopped {
-		return
-	}
 	g.sim.After(g.rng.Exp(g.peak), g.fire)
 }
-
-func (g *refGen) Stop() { g.stopped = true }
 
 // rateCalls counts Rate calls. Embedding the interface hides any
 // envelope methods of the inner trace, so the generator under test takes
@@ -68,37 +59,26 @@ func (r *rateCalls) Rate(t float64) float64 {
 // gen is the surface both generators share.
 type gen interface {
 	Start()
-	Stop()
 }
 
-// diffCase drives one generator through horizon cuts and stop rules and
-// records every arrival time.
+// diffCase drives one generator through horizon cuts and records every
+// arrival time.
 type diffCase struct {
-	name    string
-	trace   func() trace.Trace
-	cuts    []sim.Time // successive Run horizons
-	stopAt  sim.Time   // external Stop event time (0 = none)
-	stopNth int        // Stop inside onArrival at this arrival (0 = never)
+	name  string
+	trace func() trace.Trace
+	cuts  []sim.Time // successive Run horizons
 }
 
 func (c diffCase) run(seed uint64, mk func(*sim.Simulator, trace.Trace, func(sim.Time)) gen, tr trace.Trace) (arrivals [][]sim.Time, count uint64) {
 	s := sim.New(seed)
 	var cur []sim.Time
-	var n int
-	var g gen
-	g = mk(s, tr, func(t sim.Time) {
+	g := mk(s, tr, func(t sim.Time) {
 		if t != s.Now() {
 			panic(fmt.Sprintf("arrival at %v delivered at %v", t, s.Now()))
 		}
 		cur = append(cur, t)
-		if n++; n == c.stopNth {
-			g.Stop()
-		}
 	})
 	g.Start()
-	if c.stopAt > 0 {
-		s.At(c.stopAt, g.Stop)
-	}
 	for _, h := range c.cuts {
 		s.Run(h)
 		arrivals = append(arrivals, cur)
@@ -143,8 +123,6 @@ func diffCases() []diffCase {
 		{name: "scaled-diurnal", trace: func() trace.Trace {
 			return trace.Scaled{Inner: trace.NewDiurnal(60, 6, 150, 10), Factor: 0.5}
 		}, cuts: cuts},
-		{name: "diurnal-stop-in-callback", trace: diurnal(11, -1), cuts: cuts, stopNth: 1234},
-		{name: "diurnal-stop-event", trace: diurnal(12, -1), cuts: cuts, stopAt: 88.125},
 	}
 	for _, seed := range []uint64{1, 2, 3, 4} {
 		cases = append(cases, diffCase{name: fmt.Sprintf("diurnal-seed-%d", seed), trace: diurnal(seed, -1), cuts: cuts})
@@ -155,9 +133,8 @@ func diffCases() []diffCase {
 // TestGeneratorMatchesReference is the exactness contract of the
 // thinning fast path: for every trace shape, the generator delivers the
 // same arrivals at bit-identical times as the reference loop, between
-// every pair of horizon cuts, under Stop inside the callback and Stop
-// from another event. Where nothing stops early, it also evaluates the
-// rate of exactly as many candidates through a counting wrapper.
+// every pair of horizon cuts, and evaluates the rate of exactly as many
+// candidates through a counting wrapper.
 func TestGeneratorMatchesReference(t *testing.T) {
 	mkGen := func(s *sim.Simulator, tr trace.Trace, f func(sim.Time)) gen { return New(s, tr, f) }
 	mkRef := func(s *sim.Simulator, tr trace.Trace, f func(sim.Time)) gen { return newRef(s, tr, f) }
@@ -186,9 +163,6 @@ func TestGeneratorMatchesReference(t *testing.T) {
 			}
 			if total == 0 {
 				t.Errorf("%s/seed=%d: reference produced no arrivals", c.name, seed)
-			}
-			if c.stopAt != 0 || c.stopNth != 0 {
-				continue
 			}
 			refCalls, genCalls := &rateCalls{Trace: c.trace()}, &rateCalls{Trace: c.trace()}
 			c.run(seed, mkRef, refCalls)

@@ -82,7 +82,6 @@ type Autoscaler struct {
 	util    *stats.EWMA
 	last    float64 // time of the last scaling action
 	scaling bool    // a scale-out is booting
-	actions int
 	started bool
 }
 
@@ -111,12 +110,6 @@ func (a *Autoscaler) Start() {
 	a.started = true
 	a.sim.Every(a.cfg.Period, a.evaluate)
 }
-
-// Actions returns the number of scaling actions taken.
-func (a *Autoscaler) Actions() int { return a.actions }
-
-// Utilization returns the smoothed utilisation estimate.
-func (a *Autoscaler) Utilization() float64 { return a.util.Value() }
 
 func (a *Autoscaler) evaluate() {
 	name := a.prof.Name
@@ -155,7 +148,6 @@ func (a *Autoscaler) evaluate() {
 	if desired == cur {
 		return
 	}
-	a.actions++
 	a.last = now
 	// The signal is stale the moment the group resizes.
 	a.util = stats.NewEWMA(a.cfg.UtilAlpha)

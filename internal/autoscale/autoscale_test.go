@@ -31,13 +31,10 @@ func TestScalesOutUnderLoad(t *testing.T) {
 	gen.Start()
 	s.Run(600)
 	if vms.VMs("float") <= cfg.MinVMs {
-		t.Fatalf("never scaled out: %d VMs, util %v", vms.VMs("float"), a.Utilization())
-	}
-	if a.Actions() == 0 {
-		t.Error("no actions recorded")
+		t.Fatalf("never scaled out: %d VMs, util %v", vms.VMs("float"), a.util.Value())
 	}
 	// Post-scale utilisation near target.
-	if u := a.Utilization(); u > cfg.ScaleOutThreshold+0.1 {
+	if u := a.util.Value(); u > cfg.ScaleOutThreshold+0.1 {
 		t.Errorf("still overloaded after scaling: util %v", u)
 	}
 }
@@ -74,13 +71,24 @@ func TestRespectsBounds(t *testing.T) {
 func TestCooldownLimitsActionRate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cooldown = 300
-	s, vms, a, _ := rig(4, cfg)
+	s, vms, _, _ := rig(4, cfg)
 	gen := arrival.New(s, trace.Constant{QPS: 80}, func(sim.Time) { vms.Bind("float").Invoke() })
 	gen.Start()
+	// Every action resizes the group at once, so the actions are the
+	// changes of its VM count.
+	actions, last := 0, vms.VMs("float")
+	s.Every(1, func() {
+		if n := vms.VMs("float"); n != last {
+			actions, last = actions+1, n
+		}
+	})
 	s.Run(600)
+	if actions == 0 {
+		t.Fatal("never scaled under 80 QPS")
+	}
 	// At most two actions fit in 600s with a 300s cooldown (plus boot).
-	if a.Actions() > 3 {
-		t.Errorf("%d actions despite 300s cooldown", a.Actions())
+	if actions > 3 {
+		t.Errorf("%d actions despite 300s cooldown", actions)
 	}
 }
 

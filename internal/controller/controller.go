@@ -126,8 +126,6 @@ func (p *Predictor) AdmissibleLoad(w monitor.Weights, pressure [3]float64) units
 
 // Config tunes the deployment controller.
 type Config struct {
-	// DecisionPeriod is how often the controller re-evaluates.
-	DecisionPeriod units.Seconds
 	// LoadAlpha is the EWMA factor of the load estimator.
 	LoadAlpha units.Fraction
 	// SwitchInMargin: switch to serverless only when the load is below
@@ -152,7 +150,6 @@ type Config struct {
 // DefaultConfig returns the evaluation configuration.
 func DefaultConfig() Config {
 	return Config{
-		DecisionPeriod:        20,
 		LoadAlpha:             0.35,
 		SwitchInMargin:        0.80,
 		SwitchOutMargin:       0.95,
@@ -162,9 +159,6 @@ func DefaultConfig() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.DecisionPeriod <= 0 {
-		return fmt.Errorf("controller: non-positive decision period")
-	}
 	if c.LoadAlpha <= 0 || c.LoadAlpha > 1 {
 		return fmt.Errorf("controller: load alpha %v out of (0,1]", c.LoadAlpha)
 	}
@@ -238,14 +232,12 @@ type Controller struct {
 	predictor *Predictor
 	loadEWMA  units.QPS
 	loadInit  bool
-	mode      metrics.Backend
 	tracer    *obs.Tracer
 	decisions []Decision
 }
 
-// New creates a controller starting in IaaS mode (the paper's step 1:
-// IaaS by default to guarantee QoS). The configuration is user-supplied,
-// so validation failures are reported as errors.
+// New creates a controller. The configuration is user-supplied, so
+// validation failures are reported as errors.
 func New(cfg Config, pred *Predictor) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -253,7 +245,7 @@ func New(cfg Config, pred *Predictor) (*Controller, error) {
 	if pred == nil {
 		return nil, fmt.Errorf("controller: nil predictor")
 	}
-	return &Controller{cfg: cfg, predictor: pred, mode: metrics.BackendIaaS}, nil
+	return &Controller{cfg: cfg, predictor: pred}, nil
 }
 
 // Predictor exposes the prediction core.
@@ -273,35 +265,30 @@ func (c *Controller) ObserveLoad(qps units.QPS) {
 // Load returns the current load estimate V_u.
 func (c *Controller) Load() units.QPS { return c.loadEWMA }
 
-// Mode returns the mode the controller currently targets.
-func (c *Controller) Mode() metrics.Backend { return c.mode }
-
-// SetMode overrides the tracked mode (the engine confirms transitions).
-func (c *Controller) SetMode(m metrics.Backend) { c.mode = m }
-
 // SetTracer attaches the causal tracer; every decision then carries a
 // fresh trace and span ID. A nil tracer (the default) leaves decisions
 // untraced.
 func (c *Controller) SetTracer(t *obs.Tracer) { c.tracer = t }
 
-// Decide runs one decision period. postSwitchPressure predicts the
-// platform pressure if this service's serverless demand were added — the
-// runtime computes it from the service's demand vector and the monitor's
-// estimate; the controller vetoes switch-ins that would push any
-// dimension past the safety bound. Decide panics if the tracked mode is
-// outside the Backend enum — a decision from corrupted state must not
-// reach the engine.
-func (c *Controller) Decide(now units.Seconds, w monitor.Weights, pressure [3]float64,
-	postSwitchPressure [3]float64) Decision {
+// Decide runs one decision period for a service deployed in mode, which
+// the engine owns: it flips the mode when a switch completes.
+// postSwitchPressure predicts the platform pressure if this service's
+// serverless demand were added — the runtime computes it from the
+// service's demand vector and the monitor's estimate; the controller
+// vetoes switch-ins that would push any dimension past the safety bound.
+// Decide panics if mode is outside the Backend enum — a decision from
+// corrupted state must not reach the engine.
+func (c *Controller) Decide(now units.Seconds, mode metrics.Backend, w monitor.Weights,
+	pressure [3]float64, postSwitchPressure [3]float64) Decision {
 
 	adm := c.predictor.AdmissibleLoad(w, pressure)
 	mu := c.predictor.Mu(w, pressure, c.loadEWMA)
 	d := Decision{
 		At: now, LoadQPS: c.loadEWMA, AdmissibleQPS: adm, Mu: mu,
-		Pressure: pressure, WeightsLearned: w.Learned, Target: c.mode,
+		Pressure: pressure, WeightsLearned: w.Learned, Target: mode,
 		Trace: c.tracer.StartTrace(), Span: c.tracer.NextSpan(),
 	}
-	switch c.mode {
+	switch mode {
 	case metrics.BackendIaaS:
 		bound := units.Scale(adm, c.cfg.SwitchInMargin)
 		if c.loadEWMA <= bound {
@@ -340,7 +327,7 @@ func (c *Controller) Decide(now units.Seconds, w monitor.Weights, pressure [3]fl
 				c.loadEWMA.Raw(), bound.Raw(), c.cfg.SwitchOutMargin*100, adm.Raw())
 		}
 	default:
-		panic(fmt.Sprintf("controller: invalid mode %v", c.mode))
+		panic(fmt.Sprintf("controller: invalid mode %v", mode))
 	}
 	c.decisions = append(c.decisions, d)
 	return d

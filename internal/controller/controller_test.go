@@ -137,17 +137,10 @@ func TestClosedFormNearBisection(t *testing.T) {
 	}
 }
 
-func TestControllerStartsInIaaS(t *testing.T) {
-	c := mustNew(t, DefaultConfig(), testPredictor(t))
-	if c.Mode() != metrics.BackendIaaS {
-		t.Errorf("initial mode = %v, want iaas (paper step 1)", c.Mode())
-	}
-}
-
 func TestControllerSwitchInAtLowLoad(t *testing.T) {
 	c := mustNew(t, DefaultConfig(), testPredictor(t))
 	c.ObserveLoad(5) // far below λ*
-	d := c.Decide(100, monitor.InitialWeights(), [3]float64{}, [3]float64{0.1, 0, 0})
+	d := c.Decide(100, metrics.BackendIaaS, monitor.InitialWeights(), [3]float64{}, [3]float64{0.1, 0, 0})
 	if d.Target != metrics.BackendServerless {
 		t.Errorf("did not switch in at load 5 (adm %v)", d.AdmissibleQPS)
 	}
@@ -160,7 +153,7 @@ func TestControllerSafetyVeto(t *testing.T) {
 	c := mustNew(t, DefaultConfig(), testPredictor(t))
 	c.ObserveLoad(5)
 	// Post-switch pressure above the bound on one dimension: veto.
-	d := c.Decide(100, monitor.InitialWeights(), [3]float64{}, [3]float64{0.1, 0.95, 0})
+	d := c.Decide(100, metrics.BackendIaaS, monitor.InitialWeights(), [3]float64{}, [3]float64{0.1, 0.95, 0})
 	if d.Target != metrics.BackendIaaS {
 		t.Errorf("switched in despite co-tenant danger (target %v)", d.Target)
 	}
@@ -171,10 +164,9 @@ func TestControllerSafetyVeto(t *testing.T) {
 
 func TestControllerSwitchOutAtHighLoad(t *testing.T) {
 	c := mustNew(t, DefaultConfig(), testPredictor(t))
-	c.SetMode(metrics.BackendServerless)
 	adm := c.Predictor().AdmissibleLoad(monitor.InitialWeights(), [3]float64{})
 	c.ObserveLoad(adm * 1.2)
-	d := c.Decide(100, monitor.InitialWeights(), [3]float64{}, [3]float64{})
+	d := c.Decide(100, metrics.BackendServerless, monitor.InitialWeights(), [3]float64{}, [3]float64{})
 	if d.Target != metrics.BackendIaaS {
 		t.Errorf("did not switch out at load %v > adm %v", c.Load(), adm)
 	}
@@ -189,13 +181,12 @@ func TestControllerHysteresisBand(t *testing.T) {
 
 	c := mustNew(t, cfg, pred)
 	c.ObserveLoad(mid)
-	if d := c.Decide(0, monitor.InitialWeights(), [3]float64{}, [3]float64{}); d.Target != metrics.BackendIaaS {
+	if d := c.Decide(0, metrics.BackendIaaS, monitor.InitialWeights(), [3]float64{}, [3]float64{}); d.Target != metrics.BackendIaaS {
 		t.Error("switched in inside the hysteresis band")
 	}
 	c2 := mustNew(t, cfg, pred)
-	c2.SetMode(metrics.BackendServerless)
 	c2.ObserveLoad(mid)
-	if d := c2.Decide(0, monitor.InitialWeights(), [3]float64{}, [3]float64{}); d.Target != metrics.BackendServerless {
+	if d := c2.Decide(0, metrics.BackendServerless, monitor.InitialWeights(), [3]float64{}, [3]float64{}); d.Target != metrics.BackendServerless {
 		t.Error("switched out inside the hysteresis band")
 	}
 }
@@ -216,8 +207,8 @@ func TestObserveLoadEWMA(t *testing.T) {
 func TestDecisionsRecorded(t *testing.T) {
 	c := mustNew(t, DefaultConfig(), testPredictor(t))
 	c.ObserveLoad(5)
-	c.Decide(10, monitor.InitialWeights(), [3]float64{}, [3]float64{})
-	c.Decide(20, monitor.InitialWeights(), [3]float64{}, [3]float64{})
+	c.Decide(10, metrics.BackendIaaS, monitor.InitialWeights(), [3]float64{}, [3]float64{})
+	c.Decide(20, metrics.BackendIaaS, monitor.InitialWeights(), [3]float64{}, [3]float64{})
 	ds := c.Decisions()
 	if len(ds) != 2 || ds[0].At != 10 || ds[1].At != 20 {
 		t.Errorf("decisions = %+v", ds)
@@ -271,11 +262,6 @@ func TestConfigValidation(t *testing.T) {
 	bad.SwitchInMargin = good.SwitchOutMargin // must be strictly below
 	if bad.Validate() == nil {
 		t.Error("in-margin == out-margin accepted")
-	}
-	bad = good
-	bad.DecisionPeriod = 0
-	if bad.Validate() == nil {
-		t.Error("zero decision period accepted")
 	}
 	bad = good
 	bad.LoadAlpha = 1.5

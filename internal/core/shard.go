@@ -183,7 +183,7 @@ func RunSharded(sc Scenario, shards int) *Result {
 	defer sc.Bus.Flush() // a writer keeps its error for its own Err
 
 	monCfg := monitorConfig(sc.Variant)
-	epoch := monCfg.SamplePeriod.Raw() // Eq. 8's T is the natural barrier period
+	epoch := monCfg.SamplePeriod.Raw() // the monitor's refresh period is the natural barrier period
 	// Namespace layout: 0 is the monitor daemon (reserved even when the
 	// variant runs none), 1..S the managed services in scenario order,
 	// S+1..S+B the background tenants.

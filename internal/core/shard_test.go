@@ -190,40 +190,13 @@ func barrierFixture() *shardRun {
 // backing the //amoeba:noalloc annotations on the shard hot loop.
 //
 //amoeba:alloctest core.shardRun.barrier serverless.Platform.SetSharedPressure
-//amoeba:alloctest serverless.Platform.currentPressure monitor.Monitor.PushSample
+//amoeba:alloctest monitor.Monitor.PushSample
 func TestShardBarrierZeroAlloc(t *testing.T) {
 	r := barrierFixture()
 	if allocs := testing.AllocsPerRun(200, func() {
 		r.barrier()
-		_ = r.cells[1].pool.Pressure() // currentPressure in shared mode
 	}); allocs != 0 {
 		t.Fatalf("epoch barrier allocates %.1f times per run, want 0", allocs)
-	}
-}
-
-// TestSharedPressureFreezesSlowdownInput pins the shared-pressure mode:
-// once installed, the platform reports the external pressure regardless
-// of its own demand, until the next install.
-func TestSharedPressureFreezesSlowdownInput(t *testing.T) {
-	s := sim.New(1)
-	p := serverless.New(s, serverless.DefaultConfig())
-	if got := p.Pressure(); got != (contention.Pressure{}) {
-		t.Fatalf("idle platform pressure = %+v, want zero", got)
-	}
-	want := contention.Pressure{CPU: 0.25, IO: 0.5, Net: 0.125}
-	p.SetSharedPressure(want)
-	if got := p.Pressure(); got != want {
-		t.Fatalf("shared pressure = %+v, want %+v", got, want)
-	}
-	// Self-derived demand no longer feeds the reading.
-	p.InjectDemand(serverless.DefaultConfig().Node.Capacity().Scale(0.5))
-	if got := p.Pressure(); got != want {
-		t.Fatalf("pressure after demand injection = %+v, want frozen %+v", got, want)
-	}
-	next := contention.Pressure{CPU: 0.75}
-	p.SetSharedPressure(next)
-	if got := p.Pressure(); got != next {
-		t.Fatalf("refreshed shared pressure = %+v, want %+v", got, next)
 	}
 }
 

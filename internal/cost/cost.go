@@ -89,13 +89,3 @@ func ForService(p Pricing, sr *core.ServiceResult) Bill {
 	b.ServerlessInvocations = float64(sr.Collector.BackendCount(metrics.BackendServerless)) * p.ServerlessInvocation
 	return b
 }
-
-// Compare prices the same service under two system results (e.g. Amoeba
-// vs Nameko) and returns the saving fraction of a relative to b.
-func Compare(p Pricing, a, b *core.ServiceResult) (billA, billB Bill, savedFrac float64) {
-	billA, billB = ForService(p, a), ForService(p, b)
-	if billB.Total() > 0 {
-		savedFrac = 1 - billA.Total()/billB.Total()
-	}
-	return billA, billB, savedFrac
-}

@@ -16,7 +16,7 @@ func serviceResult(iaasCPU, iaasMemMB, slMemMBs float64, slQueries int) *core.Se
 	coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
 	for i := 0; i < slQueries; i++ {
 		coll.Observe(metrics.QueryRecord{
-			Service: prof.Name, Backend: metrics.BackendServerless,
+			Backend:   metrics.BackendServerless,
 			Breakdown: metrics.Breakdown{Exec: 0.1},
 		})
 	}
@@ -70,10 +70,9 @@ func TestDefaultPricingSane(t *testing.T) {
 
 func TestCompareSavings(t *testing.T) {
 	p := DefaultPricing()
-	amoeba := serviceResult(1000, 100*1024, 50*1024, 1000) // part-time IaaS
-	nameko := serviceResult(5000, 500*1024, 0, 0)          // always-on IaaS
-	_, _, saved := Compare(p, amoeba, nameko)
-	if saved <= 0 || saved >= 1 {
+	amoeba := ForService(p, serviceResult(1000, 100*1024, 50*1024, 1000)) // part-time IaaS
+	nameko := ForService(p, serviceResult(5000, 500*1024, 0, 0))          // always-on IaaS
+	if saved := 1 - amoeba.Total()/nameko.Total(); saved <= 0 || saved >= 1 {
 		t.Errorf("saving fraction %v out of (0,1)", saved)
 	}
 }
@@ -116,7 +115,8 @@ func TestEndToEndCostSaving(t *testing.T) {
 		return core.Run(sc).Services[prof.Name]
 	}
 	am, nk := mk(core.VariantAmoeba), mk(core.VariantNameko)
-	billA, billN, saved := Compare(DefaultPricing(), am, nk)
+	billA, billN := ForService(DefaultPricing(), am), ForService(DefaultPricing(), nk)
+	saved := 1 - billA.Total()/billN.Total()
 	if saved <= 0.15 {
 		t.Errorf("cost saving %.1f%% too small (amoeba $%.4f vs nameko $%.4f)",
 			saved*100, billA.Total(), billN.Total())

@@ -68,7 +68,7 @@ func TestSafetyVetoBlocksSwitchIn(t *testing.T) {
 	slCfg := serverless.DefaultConfig()
 	pool := serverless.New(s, slCfg)
 	vms := iaas.New(s, iaas.DefaultConfig())
-	mon := monitor.New(s, pool, modelCurves(pool), monitor.DefaultConfig())
+	mon := monitor.New(s, pool, modelCurves(slCfg), monitor.DefaultConfig())
 	mon.Start()
 
 	prof := workload.Float()
@@ -116,19 +116,19 @@ func TestSafetyVetoBlocksSwitchIn(t *testing.T) {
 	gen.Start()
 	s.Run(900)
 
-	if eng.Mode() != metrics.BackendIaaS {
-		t.Fatalf("switched into an almost-saturated pool (mode %v)", eng.Mode())
+	if eng.mode != metrics.BackendIaaS {
+		t.Fatalf("switched into an almost-saturated pool (mode %v)", eng.mode)
 	}
 	if eng.BlockedSwitches() == 0 {
 		t.Error("no blocked switch-ins recorded despite the veto pressure")
 	}
 }
 
-// modelCurves builds meter curves that exactly match the pool's ground
-// truth, so the monitor's estimate is unbiased (profiling does the same
-// thing empirically).
-func modelCurves(pool *serverless.Platform) [3]*meters.Curve {
-	model := pool.Model()
+// modelCurves builds meter curves that exactly match the ground truth of
+// a pool built from cfg, so the monitor's estimate is unbiased
+// (profiling does the same thing empirically).
+func modelCurves(cfg serverless.Config) [3]*meters.Curve {
+	model := contention.NewModel(cfg.Node.Capacity())
 	var out [3]*meters.Curve
 	for _, mt := range meters.All() {
 		grid := []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2}

@@ -142,13 +142,12 @@ type Engine struct {
 	// "this decision kept being re-made until the dwell expired".
 	retryH obs.SpanHandle
 
-	arrivals       int     // since last tick
-	ticks          int     // sample periods elapsed
-	shadowSent     float64 // shadow tokens spent this period (count)
-	execSum        float64 // warm serverless body time since last tick
-	execN          int
-	switchBlocked  int
-	shadowComplete int
+	arrivals      int     // since last tick
+	ticks         int     // sample periods elapsed
+	shadowSent    float64 // shadow tokens spent this period (count)
+	execSum       float64 // warm serverless body time since last tick
+	execN         int
+	switchBlocked int
 }
 
 // New wires an engine for one service. The service must already be
@@ -176,10 +175,7 @@ func New(s *sim.Simulator, pool *serverless.Platform, vms *iaas.Platform,
 	if cfg.ShadowFraction > 0 {
 		shadow := prof
 		shadow.Name = prof.Name + ShadowSuffix
-		pool.Register(shadow, func(r metrics.QueryRecord) {
-			e.shadowComplete++
-			e.observeServerlessBody(r)
-		}, serverless.WithNMax(4))
+		pool.Register(shadow, e.observeServerlessBody, serverless.WithNMax(4))
 		e.toShadow = pool.Bind(shadow.Name)
 		e.shadowName = shadow.Name
 	}
@@ -261,9 +257,6 @@ func (e *Engine) maybeShadow() {
 	}
 }
 
-// Mode returns the current routing mode.
-func (e *Engine) Mode() metrics.Backend { return e.mode }
-
 // Controller exposes the service's deployment controller.
 func (e *Engine) Controller() *controller.Controller { return e.ctrl }
 
@@ -312,7 +305,7 @@ func (e *Engine) tick() {
 		post[i] += own
 	}
 	w := e.mon.WeightsFor(e.prof.Name)
-	d := e.ctrl.Decide(now, w, ambient, post)
+	d := e.ctrl.Decide(now, e.mode, w, ambient, post)
 	if d.Blocked {
 		e.switchBlocked++
 	}
@@ -438,7 +431,6 @@ func (e *Engine) startSwitch(target metrics.Backend, load units.QPS, dTrace obs.
 		// S_pw: prewarm per Eq. 7 plus headroom, flip on acknowledgement.
 		flip := func() {
 			e.mode = metrics.BackendServerless
-			e.ctrl.SetMode(target)
 			e.switching = false
 			e.Timeline.RecordSwitch(float64(e.sim.Now()), target, load.Raw())
 			// The IaaS side drains its in-flight queries, then releases
@@ -471,7 +463,6 @@ func (e *Engine) startSwitch(target metrics.Backend, load units.QPS, dTrace obs.
 		// acknowledgement arrives.
 		e.vms.Start(e.prof.Name, func() {
 			e.mode = metrics.BackendIaaS
-			e.ctrl.SetMode(target)
 			e.switching = false
 			e.Timeline.RecordSwitch(float64(e.sim.Now()), target, load.Raw())
 			var drainH obs.SpanHandle

@@ -9,6 +9,7 @@ import (
 	"amoeba/internal/meters"
 	"amoeba/internal/metrics"
 	"amoeba/internal/monitor"
+	"amoeba/internal/obs"
 	"amoeba/internal/serverless"
 	"amoeba/internal/sim"
 	"amoeba/internal/surfaces"
@@ -55,6 +56,25 @@ func flatSet(prof workload.Profile) *surfaces.Set {
 		set.Surfaces[r] = &surfaces.Surface{Service: prof.Name, Resource: r, Pressures: grid, Loads: loads, Lat: lat}
 	}
 	return set
+}
+
+// shadowCounter counts the shadow twin's completions among the pool's
+// QueryComplete events.
+type shadowCounter struct{ n int }
+
+func (c *shadowCounter) Consume(ev obs.Event) {
+	if q, ok := ev.(*obs.QueryComplete); ok && q.Service == "float"+ShadowSuffix {
+		c.n++
+	}
+}
+
+// countShadows attaches a shadowCounter to the rig's pool.
+func (r *rig) countShadows() *shadowCounter {
+	c := &shadowCounter{}
+	bus := obs.NewBus()
+	bus.Attach(c)
+	r.pool.SetBus(bus)
+	return c
 }
 
 func newRig(t *testing.T, seed uint64, mutate func(*Config)) *rig {
@@ -115,8 +135,8 @@ func TestSwitchInPrewarmsBeforeFlipping(t *testing.T) {
 	gen := arrival.New(r.sim, trace.Constant{QPS: 4}, func(sim.Time) { r.eng.HandleQuery() })
 	gen.Start()
 	r.sim.Run(600)
-	if r.eng.Mode() != metrics.BackendServerless {
-		t.Fatalf("engine never switched to serverless at low load (mode %v)", r.eng.Mode())
+	if r.eng.mode != metrics.BackendServerless {
+		t.Fatalf("engine never switched to serverless at low load (mode %v)", r.eng.mode)
 	}
 	if r.eng.Timeline.SwitchCount(metrics.BackendServerless) == 0 {
 		t.Fatal("switch not recorded on timeline")
@@ -139,7 +159,7 @@ func TestNoPrewarmVariantColdStarts(t *testing.T) {
 		gen := arrival.New(r.sim, trace.Constant{QPS: 4}, func(sim.Time) { r.eng.HandleQuery() })
 		gen.Start()
 		r.sim.Run(600)
-		if r.eng.Mode() != metrics.BackendServerless {
+		if r.eng.mode != metrics.BackendServerless {
 			t.Fatalf("never switched (prewarm=%v)", prewarm)
 		}
 		return r.eng.Collector.ViolationFraction()
@@ -163,12 +183,12 @@ func TestSwitchBackToIaaSOnLoadRise(t *testing.T) {
 	if r.eng.Timeline.SwitchCount(metrics.BackendIaaS) == 0 {
 		t.Fatal("never switched back out on the surge")
 	}
-	if r.eng.Mode() != metrics.BackendIaaS {
-		t.Errorf("mode %v after surge, want iaas", r.eng.Mode())
+	if r.eng.mode != metrics.BackendIaaS {
+		t.Errorf("mode %v after surge, want iaas", r.eng.mode)
 	}
 	// Serverless containers released after the drain.
-	if n := r.pool.Containers("float"); n != 0 {
-		t.Errorf("%d serverless containers linger after switch-out", n)
+	if mem := r.pool.AllocFor("float").MemMB; mem != 0 {
+		t.Errorf("%v MB of serverless containers linger after switch-out", mem)
 	}
 }
 
@@ -179,10 +199,11 @@ func TestShadowQueriesFlowDuringIaaSMode(t *testing.T) {
 	})
 	// Keep the controller in IaaS by setting a load above the margin:
 	// feed a high constant load.
+	shadows := r.countShadows()
 	gen := arrival.New(r.sim, trace.Constant{QPS: 50}, func(sim.Time) { r.eng.HandleQuery() })
 	gen.Start()
 	r.sim.Run(120)
-	if r.eng.shadowComplete == 0 {
+	if shadows.n == 0 {
 		t.Error("no shadow queries completed during IaaS mode")
 	}
 	// Shadow queries never pollute the user-facing collector.
@@ -191,8 +212,8 @@ func TestShadowQueriesFlowDuringIaaSMode(t *testing.T) {
 		t.Errorf("%d serverless records in the user collector while IaaS-pinned", total)
 	}
 	// Shadow rate is capped: at most ShadowMaxQPS × horizon.
-	if float64(r.eng.shadowComplete) > 1.0*120*1.2 {
-		t.Errorf("shadow count %d exceeds the cap", r.eng.shadowComplete)
+	if float64(shadows.n) > 1.0*120*1.2 {
+		t.Errorf("shadow count %d exceeds the cap", shadows.n)
 	}
 }
 
@@ -218,6 +239,7 @@ func TestZeroAllocHandleQuery(t *testing.T) {
 	r := wireRig(t, 8, func(c *Config) { c.ShadowMaxQPS = 1e9 }, false)
 	e := r.eng
 	e.cfg.ShadowFraction = 1 // every IaaS-mode query mirrors (Validate caps a configured fraction at 0.5)
+	shadows := r.countShadows()
 	cycle := func() {
 		e.HandleQuery()
 		r.sim.Run(r.sim.Now() + 1)
@@ -238,8 +260,8 @@ func TestZeroAllocHandleQuery(t *testing.T) {
 			t.Errorf("%d queries completed on %v, want %d", n, b, routed)
 		}
 	}
-	if e.shadowComplete != routed {
-		t.Errorf("%d shadow queries completed, want one per IaaS-mode query (%d)", e.shadowComplete, routed)
+	if shadows.n != routed {
+		t.Errorf("%d shadow queries completed, want one per IaaS-mode query (%d)", shadows.n, routed)
 	}
 }
 

@@ -13,27 +13,24 @@ import (
 type DecisionAuditResult struct {
 	Decisions *report.Table
 	Switches  *report.Table
-	// Events is the total event count the run emitted into the ring.
-	Events int
 }
 
-// DecisionAudit runs one benchmark under full Amoeba with a telemetry
-// ring attached and renders the decision-audit and switch-span tables —
+// DecisionAudit runs one benchmark under full Amoeba with an audit log
+// attached and renders the decision-audit and switch-span tables —
 // the "why did it switch at t=437s?" answer, derived from the event
 // stream alone. It deliberately runs a fresh scenario rather than a
 // Suite-memoised one: memoised results are shared across figures (and
 // prefetched concurrently), so they run unobserved.
 func DecisionAudit(cfg Config, prof workload.Profile) *DecisionAuditResult {
 	bus := obs.NewBus()
-	ring := obs.NewRing(1 << 18)
-	bus.Attach(ring)
+	audits := new(obs.AuditLog)
+	bus.Attach(audits)
 	sc := cfg.scenario(prof, core.VariantAmoeba)
 	sc.Bus = bus
 	core.Run(sc)
-	evs := ring.Events()
+	evs := audits.Events()
 	return &DecisionAuditResult{
 		Decisions: obs.AuditTable(evs),
 		Switches:  obs.SwitchTable(evs),
-		Events:    len(evs),
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"amoeba/internal/arrival"
 	"amoeba/internal/iaas"
+	"amoeba/internal/metrics"
 	"amoeba/internal/report"
 	"amoeba/internal/sim"
 	"amoeba/internal/workload"
@@ -44,8 +45,8 @@ func Fig02(cfg Config) *Fig02Result {
 func fig02One(cfg Config, prof workload.Profile) Fig02Row {
 	s := sim.New(cfg.Seed ^ hash(prof.Name))
 	vms := iaas.New(s, iaas.DefaultConfig())
-	lat := newQoSCheck(prof)
-	vms.Deploy(prof, lat.observe)
+	coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
+	vms.Deploy(prof, coll.Observe)
 
 	inv := vms.Bind(prof.Name)
 	gen := arrival.New(s, cfg.diurnalFor(prof), func(sim.Time) { inv.Invoke() })
@@ -73,15 +74,18 @@ func fig02One(cfg Config, prof workload.Profile) Fig02Row {
 	})
 	s.Run(sim.Time(cfg.horizon()))
 
-	return Fig02Row{
-		Benchmark:     prof.Name,
-		Slots:         vms.Slots(prof.Name),
-		Lowest:        lo,
-		Average:       sum / float64(n),
-		Highest:       hi,
-		QoSMet:        lat.met(),
-		P95OverTarget: lat.p95() / prof.QoSTarget,
+	row := Fig02Row{
+		Benchmark: prof.Name,
+		Slots:     vms.Slots(prof.Name),
+		Lowest:    lo,
+		Average:   sum / float64(n),
+		Highest:   hi,
 	}
+	if coll.Count() > 0 {
+		row.QoSMet = coll.QoSMet()
+		row.P95OverTarget = coll.P95() / prof.QoSTarget
+	}
+	return row
 }
 
 // Render formats the result as a table.

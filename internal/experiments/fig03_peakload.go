@@ -3,6 +3,7 @@ package experiments
 import (
 	"amoeba/internal/arrival"
 	"amoeba/internal/iaas"
+	"amoeba/internal/metrics"
 	"amoeba/internal/report"
 	"amoeba/internal/serverless"
 	"amoeba/internal/sim"
@@ -52,19 +53,19 @@ func fig03One(cfg Config, prof workload.Profile) Fig03Row {
 	iaasOK := func(qps float64) bool {
 		s := sim.New(cfg.Seed ^ hash(prof.Name+"/iaas"))
 		vms := iaas.New(s, iaas.DefaultConfig())
-		q := newQoSCheck(prof)
-		vms.Deploy(prof, q.observe)
+		coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
+		vms.Deploy(prof, coll.Observe)
 		inv := vms.Bind(prof.Name)
 		gen := arrival.New(s, trace.Constant{QPS: qps}, func(sim.Time) { inv.Invoke() })
 		gen.Start()
 		s.Run(sim.Time(dur))
-		return q.met()
+		return coll.Count() > 0 && coll.QoSMet()
 	}
 	svlessOK := func(qps float64) bool {
 		s := sim.New(cfg.Seed ^ hash(prof.Name+"/svless"))
 		pool := serverless.New(s, serverless.DefaultConfig())
-		q := newQoSCheck(prof)
-		pool.Register(prof, q.observe, serverless.WithNMax(slots))
+		coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
+		pool.Register(prof, coll.Observe, serverless.WithNMax(slots))
 		// Warm the pool first: peak-load capability is a warm-path
 		// question; Fig. 4 accounts the overheads separately.
 		pool.Prewarm(prof.Name, slots, nil)
@@ -79,7 +80,7 @@ func fig03One(cfg Config, prof workload.Profile) Fig03Row {
 			//amoeba:allow panic a simulator that drops a scheduled event is a bug, not a config error
 			panic("fig03: load generator never started before the run horizon")
 		}
-		return q.met()
+		return coll.Count() > 0 && coll.QoSMet()
 	}
 
 	hi := prof.PeakQPS * 3

@@ -6,6 +6,7 @@ import (
 	"amoeba/internal/arrival"
 	"amoeba/internal/controller"
 	"amoeba/internal/core"
+	"amoeba/internal/metrics"
 	"amoeba/internal/monitor"
 	"amoeba/internal/report"
 	"amoeba/internal/resources"
@@ -120,8 +121,8 @@ func fig15RealSwitchPoint(cfg Config, prof workload.Profile, slCfg serverless.Co
 	ok := func(qps float64) bool {
 		s := sim.New(cfg.Seed ^ hash(prof.Name+"/fig15"))
 		pool := serverless.New(s, slCfg)
-		q := newQoSCheck(prof)
-		pool.Register(prof, q.observe, serverless.WithNMax(nMax))
+		coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
+		pool.Register(prof, coll.Observe, serverless.WithNMax(nMax))
 		pool.InjectDemand(resources.Vector{
 			CPU:     pressure[0] * cap.CPU,
 			DiskMBs: pressure[1] * cap.DiskMBs,
@@ -132,7 +133,7 @@ func fig15RealSwitchPoint(cfg Config, prof workload.Profile, slCfg serverless.Co
 		gen := arrival.New(s, trace.Constant{QPS: qps}, func(sim.Time) { inv.Invoke() })
 		s.At(8, func() { gen.Start() })
 		s.Run(sim.Time(8 + dur))
-		return q.count() > 0 && q.met()
+		return coll.Count() > 0 && coll.QoSMet()
 	}
 	return bisectPeak(ok, prof.PeakQPS*2)
 }

@@ -1,35 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"amoeba/internal/metrics"
-	"amoeba/internal/stats"
-	"amoeba/internal/workload"
-)
-
-// qosCheck is a lightweight latency recorder for single-platform runs.
-type qosCheck struct {
-	target float64
-	sample *stats.Sample
-}
-
-func newQoSCheck(prof workload.Profile) *qosCheck {
-	return &qosCheck{target: prof.QoSTarget, sample: stats.NewSample(4096)}
-}
-
-func (q *qosCheck) observe(r metrics.QueryRecord) { q.sample.Add(r.Latency()) }
-
-func (q *qosCheck) p95() float64 {
-	if q.sample.Len() == 0 {
-		return 0
-	}
-	return q.sample.P95()
-}
-
-func (q *qosCheck) met() bool { return q.sample.Len() > 0 && q.p95() <= q.target }
-
-func (q *qosCheck) count() int { return q.sample.Len() }
+import "fmt"
 
 // pct renders a fraction as a percentage string.
 func pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }

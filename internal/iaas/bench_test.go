@@ -21,8 +21,8 @@ func BenchmarkQueryCycle(b *testing.B) {
 		s.Run(s.Now() + 1)
 	}
 	b.StopTimer()
-	if p.Inflight("float") != 0 {
-		b.Fatalf("%d queries still in flight", p.Inflight("float"))
+	if p.mustSvc("float").inflight != 0 {
+		b.Fatalf("%d queries still in flight", p.mustSvc("float").inflight)
 	}
 	b.ReportMetric(float64(s.Events()-fired)/float64(b.N), "events/op")
 }

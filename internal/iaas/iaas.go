@@ -338,9 +338,7 @@ func (p *Platform) finishQuery(r *execution) {
 	}
 	if svc.onComplete != nil {
 		svc.onComplete(metrics.QueryRecord{
-			Service:   name,
 			Backend:   metrics.BackendIaaS,
-			ArrivedAt: float64(r.arrived),
 			Breakdown: r.bd,
 		})
 	}
@@ -445,9 +443,6 @@ func (p *Platform) Start(name string, onReady func()) {
 	})
 }
 
-// Running reports whether the service can take traffic.
-func (p *Platform) Running(name string) bool { return p.mustSvc(name).running }
-
 // Slots returns the service's provisioned worker count.
 func (p *Platform) Slots(name string) int { return p.mustSvc(name).slots }
 
@@ -459,9 +454,6 @@ func (p *Platform) Busy(name string) int { return p.mustSvc(name).busy }
 
 // QueueLength returns the waiting queries of the service.
 func (p *Platform) QueueLength(name string) int { return p.mustSvc(name).queue.Len() }
-
-// Inflight returns submitted-but-incomplete queries of the service.
-func (p *Platform) Inflight(name string) int { return p.mustSvc(name).inflight }
 
 // UsageFor returns the service's accumulated allocated resource-time: the
 // rented cores and memory integrated over the time its VMs were up.

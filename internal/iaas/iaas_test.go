@@ -46,7 +46,7 @@ func TestDeployAndServe(t *testing.T) {
 	s, p := newPlatform(1)
 	var recs []metrics.QueryRecord
 	p.Deploy(workload.Float(), func(r metrics.QueryRecord) { recs = append(recs, r) })
-	if !p.Running("float") {
+	if !p.mustSvc("float").running {
 		t.Fatal("service not running after Deploy")
 	}
 	s.At(1, func() { p.Bind("float").Invoke() })
@@ -173,7 +173,7 @@ func TestStopDrainsAndReleases(t *testing.T) {
 	if alloc := p.AllocFor("float"); !alloc.IsZero() {
 		t.Errorf("allocation after stop = %v", alloc)
 	}
-	if p.Running("float") {
+	if p.mustSvc("float").running {
 		t.Error("service reports running after Stop")
 	}
 }
@@ -190,7 +190,7 @@ func TestStartPaysBootDelay(t *testing.T) {
 	if math.Abs(readyAt-40) > 1e-9 { // 10 + 30s boot
 		t.Errorf("ready at %v, want 40", readyAt)
 	}
-	if !p.Running("float") {
+	if !p.mustSvc("float").running {
 		t.Error("not running after Start")
 	}
 }
@@ -204,7 +204,7 @@ func TestStartAllocatesDuringBoot(t *testing.T) {
 		if p.AllocFor("float").CPU == 0 {
 			t.Error("booting VMs hold no allocation")
 		}
-		if p.Running("float") {
+		if p.mustSvc("float").running {
 			t.Error("running mid-boot")
 		}
 	})

@@ -22,8 +22,7 @@ import (
 
 // Meter is one contention probe.
 type Meter struct {
-	Profile  workload.Profile
-	Resource resources.Kind // the single resource this meter measures
+	Profile workload.Profile
 	// Index is the position in the pressure/weight vectors (0 = CPU,
 	// 1 = IO, 2 = Net), matching contention.Pressure.Get.
 	Index int
@@ -33,8 +32,7 @@ type Meter struct {
 // compute kernel pinned to one core.
 func CPUMeter() Meter {
 	return Meter{
-		Resource: resources.CPU,
-		Index:    0,
+		Index: 0,
 		Profile: workload.Profile{
 			Name:        "meter_cpu",
 			ExecTime:    0.080,
@@ -54,8 +52,7 @@ func CPUMeter() Meter {
 // read/write burst.
 func IOMeter() Meter {
 	return Meter{
-		Resource: resources.DiskIO,
-		Index:    1,
+		Index: 1,
 		Profile: workload.Profile{
 			Name:        "meter_io",
 			ExecTime:    0.080,
@@ -75,8 +72,7 @@ func IOMeter() Meter {
 // transfer through the NIC.
 func NetMeter() Meter {
 	return Meter{
-		Resource: resources.Network,
-		Index:    2,
+		Index: 2,
 		Profile: workload.Profile{
 			Name:        "meter_net",
 			ExecTime:    0.080,
@@ -124,24 +120,6 @@ func (c *Curve) Validate() error {
 		}
 	}
 	return nil
-}
-
-// LatencyAt interpolates the meter latency at the given pressure,
-// clamping outside the profiled range.
-func (c *Curve) LatencyAt(p float64) units.Seconds {
-	n := len(c.Pressures)
-	if p <= c.Pressures[0] {
-		return units.Seconds(c.Latencies[0])
-	}
-	if p >= c.Pressures[n-1] {
-		return units.Seconds(c.Latencies[n-1])
-	}
-	i := sort.SearchFloat64s(c.Pressures, p)
-	// Pressures[i-1] < p <= Pressures[i]
-	x0, x1 := c.Pressures[i-1], c.Pressures[i]
-	y0, y1 := c.Latencies[i-1], c.Latencies[i]
-	f := (p - x0) / (x1 - x0)
-	return units.Seconds(y0 + f*(y1-y0))
 }
 
 // PressureFor inverts the curve: the pressure whose profiled latency

@@ -56,9 +56,7 @@ func (b *Breakdown) Total() float64 {
 
 // QueryRecord is one completed query.
 type QueryRecord struct {
-	Service   string
 	Backend   Backend
-	ArrivedAt float64
 	Breakdown Breakdown
 }
 

@@ -7,8 +7,8 @@ import (
 	"amoeba/internal/stats"
 )
 
-func rec(service string, b Backend, bd Breakdown) QueryRecord {
-	return QueryRecord{Service: service, Backend: b, Breakdown: bd}
+func rec(b Backend, bd Breakdown) QueryRecord {
+	return QueryRecord{Backend: b, Breakdown: bd}
 }
 
 func TestBreakdownTotal(t *testing.T) {
@@ -22,9 +22,9 @@ func TestCollectorQoSAccounting(t *testing.T) {
 	c := NewCollector("svc", 1.0)
 	// 19 fast queries, 1 slow: p95 sits right at the boundary region.
 	for i := 0; i < 19; i++ {
-		c.Observe(rec("svc", BackendIaaS, Breakdown{Exec: 0.5}))
+		c.Observe(rec(BackendIaaS, Breakdown{Exec: 0.5}))
 	}
-	c.Observe(rec("svc", BackendServerless, Breakdown{Exec: 2.0}))
+	c.Observe(rec(BackendServerless, Breakdown{Exec: 2.0}))
 	if c.Count() != 20 {
 		t.Fatalf("Count = %d", c.Count())
 	}
@@ -44,13 +44,13 @@ func TestCollectorQoSAccounting(t *testing.T) {
 func TestCollectorQoSMet(t *testing.T) {
 	c := NewCollector("svc", 1.0)
 	for i := 0; i < 100; i++ {
-		c.Observe(rec("svc", BackendIaaS, Breakdown{Exec: 0.9}))
+		c.Observe(rec(BackendIaaS, Breakdown{Exec: 0.9}))
 	}
 	if !c.QoSMet() {
 		t.Error("QoS should be met with all queries at 0.9")
 	}
 	for i := 0; i < 20; i++ { // 1/6 of queries slow: p95 now above target
-		c.Observe(rec("svc", BackendIaaS, Breakdown{Exec: 3}))
+		c.Observe(rec(BackendIaaS, Breakdown{Exec: 3}))
 	}
 	if c.QoSMet() {
 		t.Errorf("QoS met with p95 = %v", c.P95())
@@ -59,8 +59,8 @@ func TestCollectorQoSMet(t *testing.T) {
 
 func TestCollectorMeanBreakdown(t *testing.T) {
 	c := NewCollector("svc", 1.0)
-	c.Observe(rec("svc", BackendServerless, Breakdown{Processing: 0.1, Exec: 0.4, Post: 0.1}))
-	c.Observe(rec("svc", BackendServerless, Breakdown{Processing: 0.3, Exec: 0.6, Post: 0.1}))
+	c.Observe(rec(BackendServerless, Breakdown{Processing: 0.1, Exec: 0.4, Post: 0.1}))
+	c.Observe(rec(BackendServerless, Breakdown{Processing: 0.3, Exec: 0.6, Post: 0.1}))
 	mb := c.MeanBreakdown()
 	if math.Abs(mb.Processing-0.2) > 1e-12 || math.Abs(mb.Exec-0.5) > 1e-12 {
 		t.Errorf("MeanBreakdown = %+v", mb)
@@ -70,7 +70,7 @@ func TestCollectorMeanBreakdown(t *testing.T) {
 func TestCollectorNormalizedCDF(t *testing.T) {
 	c := NewCollector("svc", 2.0)
 	for i := 1; i <= 100; i++ {
-		c.Observe(rec("svc", BackendIaaS, Breakdown{Exec: float64(i) * 0.02}))
+		c.Observe(rec(BackendIaaS, Breakdown{Exec: float64(i) * 0.02}))
 	}
 	xs, fs := c.NormalizedCDF(10)
 	if len(xs) != 10 {
@@ -99,7 +99,7 @@ func TestNormalizedCDFMatchesQuotientSample(t *testing.T) {
 		if i%7 == 0 {
 			l = target // ties exactly at the target
 		}
-		c.Observe(rec("svc", BackendIaaS, Breakdown{Exec: l}))
+		c.Observe(rec(BackendIaaS, Breakdown{Exec: l}))
 		oracle.Add(l / target)
 	}
 	for _, n := range []int{2, 40} {

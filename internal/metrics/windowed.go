@@ -61,15 +61,3 @@ func (t *WindowedViolations) Windows(now float64) []ViolationWindow {
 	copy(out, t.closed)
 	return out
 }
-
-// WorstWindow returns the closed window with the highest violation rate
-// (zero value if none closed yet).
-func (t *WindowedViolations) WorstWindow(now float64) ViolationWindow {
-	var worst ViolationWindow
-	for _, w := range t.Windows(now) {
-		if w.Rate() > worst.Rate() {
-			worst = w
-		}
-	}
-	return worst
-}

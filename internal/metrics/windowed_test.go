@@ -9,12 +9,12 @@ func TestWindowedViolationsBuckets(t *testing.T) {
 	w := NewWindowedViolations(10, 1.0)
 	// Window [0,10): 3 fast, 1 slow.
 	for i := 0; i < 3; i++ {
-		w.Observe(2, rec("s", BackendServerless, Breakdown{Exec: 0.5}))
+		w.Observe(2, rec(BackendServerless, Breakdown{Exec: 0.5}))
 	}
-	w.Observe(5, rec("s", BackendServerless, Breakdown{Exec: 2.0}))
+	w.Observe(5, rec(BackendServerless, Breakdown{Exec: 2.0}))
 	// Window [10,20): all slow.
 	for i := 0; i < 2; i++ {
-		w.Observe(15, rec("s", BackendServerless, Breakdown{Exec: 3.0}))
+		w.Observe(15, rec(BackendServerless, Breakdown{Exec: 3.0}))
 	}
 	ws := w.Windows(25)
 	if len(ws) != 2 {
@@ -26,12 +26,8 @@ func TestWindowedViolationsBuckets(t *testing.T) {
 	if math.Abs(ws[0].Rate()-0.25) > 1e-12 {
 		t.Errorf("window 0 rate %v", ws[0].Rate())
 	}
-	if ws[1].Rate() != 1.0 {
-		t.Errorf("window 1 rate %v", ws[1].Rate())
-	}
-	worst := w.WorstWindow(25)
-	if worst.Start != 10 {
-		t.Errorf("worst window starts at %v, want 10", worst.Start)
+	if ws[1].Start != 10 || ws[1].Rate() != 1.0 {
+		t.Errorf("window 1 = %+v, want start 10 and rate 1", ws[1])
 	}
 }
 
@@ -43,7 +39,7 @@ func checkWindows(t *testing.T, qs []timedQuery, want []ViolationWindow) {
 	t.Helper()
 	w := NewWindowedViolations(5, 1.0)
 	for _, q := range qs {
-		w.Observe(q.at, rec("s", BackendIaaS, Breakdown{Exec: q.latency}))
+		w.Observe(q.at, rec(BackendIaaS, Breakdown{Exec: q.latency}))
 	}
 	ws := w.Windows(30)
 	if len(ws) != len(want) {

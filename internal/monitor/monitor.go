@@ -74,8 +74,11 @@ func (w Weights) Predict(e [3]float64) float64 {
 type Config struct {
 	// MeterQPS is the probing rate per meter (paper: 1 QPS).
 	MeterQPS units.QPS
-	// SamplePeriod is the heartbeat/calibration period T (Eq. 8 decides
-	// its floor; core computes it per deployment).
+	// SamplePeriod is how often the monitor refreshes its pressure
+	// estimate from the meters' latencies, a fixed 10 s, and the epoch at
+	// which core.RunSharded's shards exchange pressure. The heartbeat and
+	// decision period T that Eq. 8 bounds is another value: the engine's
+	// SamplePeriod, which core computes per service.
 	SamplePeriod units.Seconds
 	// Window is the number of heartbeat samples kept per service.
 	Window int
@@ -375,13 +378,4 @@ func (m *Monitor) WeightsFor(service string) Weights {
 		return win.weights
 	}
 	return InitialWeights()
-}
-
-// SampleCount returns the heartbeat samples currently windowed for a
-// service.
-func (m *Monitor) SampleCount(service string) int {
-	if win, ok := m.services[service]; ok {
-		return win.samples.Len()
-	}
-	return 0
 }

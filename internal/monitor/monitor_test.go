@@ -64,7 +64,7 @@ func TestPressureEstimationTracksInjectedDemand(t *testing.T) {
 	s := sim.New(2)
 	cfg := serverless.DefaultConfig()
 	pool := serverless.New(s, cfg)
-	curves := syntheticCurvesFromModel(pool, cfg)
+	curves := syntheticCurvesFromModel(cfg)
 	m := New(s, pool, curves, DefaultConfig())
 	m.Start()
 
@@ -107,10 +107,11 @@ func averageEstimate(s *sim.Simulator, m *Monitor, duration float64) [3]float64 
 	return sum
 }
 
-// syntheticCurvesFromModel builds exact curves from the pool's own model,
-// including the meters' own ~probe-level contribution being negligible.
-func syntheticCurvesFromModel(pool *serverless.Platform, cfg serverless.Config) [3]*meters.Curve {
-	model := pool.Model()
+// syntheticCurvesFromModel builds exact curves from the contention model
+// of a pool built from cfg, including the meters' own ~probe-level
+// contribution being negligible.
+func syntheticCurvesFromModel(cfg serverless.Config) [3]*meters.Curve {
+	model := contention.NewModel(cfg.Node.Capacity())
 	var out [3]*meters.Curve
 	for _, mt := range meters.All() {
 		grid := []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2}
@@ -133,7 +134,7 @@ func TestHeartbeatCalibrationConvergesToTruth(t *testing.T) {
 	s := sim.New(3)
 	cfg := serverless.DefaultConfig()
 	pool := serverless.New(s, cfg)
-	m := New(s, pool, syntheticCurvesFromModel(pool, cfg), DefaultConfig())
+	m := New(s, pool, syntheticCurvesFromModel(cfg), DefaultConfig())
 
 	rng := sim.NewRNG(7)
 	truth := func(e [3]float64) float64 {
@@ -180,7 +181,7 @@ func TestNoPCAKeepsInitialWeights(t *testing.T) {
 	pool := serverless.New(s, cfg)
 	mcfg := DefaultConfig()
 	mcfg.UsePCA = false // Amoeba-NoM
-	m := New(s, pool, syntheticCurvesFromModel(pool, cfg), mcfg)
+	m := New(s, pool, syntheticCurvesFromModel(cfg), mcfg)
 	for i := 0; i < 100; i++ {
 		m.Heartbeat("svc", [3]float64{0.3, 0.2, 0.1}, 1.4)
 	}
@@ -200,11 +201,11 @@ func TestHeartbeatWindowBounded(t *testing.T) {
 	mcfg := DefaultConfig()
 	mcfg.Window = 20
 	mcfg.MinSamples = 5
-	m := New(s, pool, syntheticCurvesFromModel(pool, cfg), mcfg)
+	m := New(s, pool, syntheticCurvesFromModel(cfg), mcfg)
 	for i := 0; i < 100; i++ {
 		m.Heartbeat("svc", [3]float64{0.1 * float64(i%5), 0, 0}, 1.1)
 	}
-	if got := m.SampleCount("svc"); got != 20 {
+	if got := m.services["svc"].samples.Len(); got != 20 {
 		t.Errorf("window holds %d samples, want 20", got)
 	}
 }
@@ -215,7 +216,7 @@ func TestZeroFeatureWindowKeepsW0(t *testing.T) {
 	s := sim.New(6)
 	cfg := serverless.DefaultConfig()
 	pool := serverless.New(s, cfg)
-	m := New(s, pool, syntheticCurvesFromModel(pool, cfg), DefaultConfig())
+	m := New(s, pool, syntheticCurvesFromModel(cfg), DefaultConfig())
 	for i := 0; i < 50; i++ {
 		m.Heartbeat("svc", [3]float64{}, 1.0)
 	}
@@ -229,7 +230,7 @@ func TestMeterOverheadTracked(t *testing.T) {
 	s := sim.New(7)
 	cfg := serverless.DefaultConfig()
 	pool := serverless.New(s, cfg)
-	m := New(s, pool, syntheticCurvesFromModel(pool, cfg), DefaultConfig())
+	m := New(s, pool, syntheticCurvesFromModel(cfg), DefaultConfig())
 	m.Start()
 	s.Run(200)
 	if m.MeterCPUSeconds() <= 0 {
@@ -248,7 +249,7 @@ func TestStartTwicePanics(t *testing.T) {
 	s := sim.New(8)
 	cfg := serverless.DefaultConfig()
 	pool := serverless.New(s, cfg)
-	m := New(s, pool, syntheticCurvesFromModel(pool, cfg), DefaultConfig())
+	m := New(s, pool, syntheticCurvesFromModel(cfg), DefaultConfig())
 	m.Start()
 	defer func() {
 		if recover() == nil {
@@ -265,7 +266,7 @@ func TestMonitorWithLiveBackground(t *testing.T) {
 	s := sim.New(9)
 	cfg := serverless.DefaultConfig()
 	pool := serverless.New(s, cfg)
-	m := New(s, pool, syntheticCurvesFromModel(pool, cfg), DefaultConfig())
+	m := New(s, pool, syntheticCurvesFromModel(cfg), DefaultConfig())
 	m.Start()
 
 	hog := workload.Float()
@@ -302,8 +303,8 @@ func TestZeroAllocHeartbeat(t *testing.T) {
 		beat()
 	}
 	before := m.WeightsFor("svc")
-	if !before.Learned || m.SampleCount("svc") != cfg.Window {
-		t.Fatalf("window of %d samples, weights %+v: want a full, calibrated window", m.SampleCount("svc"), before)
+	if !before.Learned || m.services["svc"].samples.Len() != cfg.Window {
+		t.Fatalf("window of %d samples, weights %+v: want a full, calibrated window", m.services["svc"].samples.Len(), before)
 	}
 	if avg := testing.AllocsPerRun(200, beat); avg != 0 {
 		t.Errorf("a heartbeat with its refit allocates %.2f objects, want 0", avg)
@@ -340,8 +341,8 @@ func TestZeroAllocHeartbeatObserved(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		cycle()
 	}
-	if !m.WeightsFor("svc").Learned || m.SampleCount("svc") != cfg.Window {
-		t.Fatalf("window of %d samples, weights %+v: want a full, calibrated window", m.SampleCount("svc"), m.WeightsFor("svc"))
+	if !m.WeightsFor("svc").Learned || m.services["svc"].samples.Len() != cfg.Window {
+		t.Fatalf("window of %d samples, weights %+v: want a full, calibrated window", m.services["svc"].samples.Len(), m.WeightsFor("svc"))
 	}
 	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
 		t.Errorf("an observed heartbeat with its refit and a refresh allocate %.2f objects, want 0", avg)

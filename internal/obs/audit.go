@@ -6,6 +6,22 @@ import (
 	"amoeba/internal/report"
 )
 
+// AuditLog is a sink keeping copies of every DecisionEvent and
+// SwitchSpan, the two kinds AuditTable and SwitchTable read, in emission
+// order. It keeps no other kind, so it holds every decision of a run
+// however many queries the run serves. The zero value is ready to use.
+type AuditLog struct{ events []Event }
+
+// Consume implements Sink.
+func (a *AuditLog) Consume(ev Event) {
+	if k := ev.EventKind(); k == KindDecision || k == KindSwitchSpan {
+		a.events = append(a.events, clone(ev))
+	}
+}
+
+// Events returns the kept events in emission order.
+func (a *AuditLog) Events() []Event { return a.events }
+
 // AuditTable renders the decision-audit trail from an event stream: one
 // row per DecisionEvent with the discriminant inputs (load, μ̂,
 // admissible load, pressure) and the verdict with its reason — the

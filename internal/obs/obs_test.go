@@ -197,6 +197,35 @@ func TestRingFilter(t *testing.T) {
 	}
 }
 
+// TestAuditLogKeepsDecisionsAndSwitches: the log keeps a copy of every
+// decision and switch span, however many other events pass, and an
+// emitter reusing its event struct does not change a kept copy.
+func TestAuditLogKeepsDecisionsAndSwitches(t *testing.T) {
+	var audits AuditLog
+	b := NewBus()
+	b.Attach(&audits)
+	d := &DecisionEvent{At: 10, Verdict: "stay-iaas"}
+	for i := 0; i < 1000; i++ {
+		b.Emit(&QueryComplete{At: 1})
+	}
+	b.Emit(d)
+	d.At, d.Verdict = 20, "switch-in" // the emitter reuses its struct
+	b.Emit(d)
+	b.Emit(&ColdStart{At: 21})
+	b.Emit(&SwitchSpan{At: 22, To: "serverless"})
+	got := audits.Events()
+	if len(got) != 3 {
+		t.Fatalf("kept %d events, want 3", len(got))
+	}
+	first, ok := got[0].(*DecisionEvent)
+	if !ok || first.At != 10 || first.Verdict != "stay-iaas" {
+		t.Errorf("first kept event %+v, want the decision at 10 as emitted", got[0])
+	}
+	if got[1].EventTime() != 20 || got[2].EventKind() != KindSwitchSpan {
+		t.Errorf("kept %v and %v, want the decision at 20, then the switch span", got[1], got[2])
+	}
+}
+
 func TestRingPanicsOnBadCapacity(t *testing.T) {
 	defer func() {
 		if recover() == nil {

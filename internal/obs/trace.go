@@ -335,11 +335,3 @@ func (t *Tracer) endSlow(at units.Seconds, h SpanHandle) {
 	s.service, s.backend = "", ""
 	t.free = append(t.free, h.slot)
 }
-
-// OpenSpans returns the number of spans currently open (diagnostic).
-func (t *Tracer) OpenSpans() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.slots) - len(t.free)
-}

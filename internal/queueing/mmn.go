@@ -102,27 +102,6 @@ func (q MMN) ErlangC() float64 {
 	return q.PiK(q.N) / (1 - rho)
 }
 
-// WaitCDF returns F_W(t) = P{W <= t}, the waiting-time distribution of
-// Eq. 4: 1 - π_N/(1-ρ) · e^{-Nμ(1-ρ)t}.
-func (q MMN) WaitCDF(t float64) float64 {
-	if t < 0 {
-		return 0
-	}
-	rho := q.Rho()
-	if rho >= 1 {
-		return 0
-	}
-	return 1 - q.ErlangC()*math.Exp(-float64(q.N)*q.Mu*(1-rho)*t)
-}
-
-// MeanWait returns E[W] = C(N, λ/μ) / (Nμ - λ).
-func (q MMN) MeanWait() float64 {
-	if !q.Stable() {
-		return math.Inf(1)
-	}
-	return q.ErlangC() / (float64(q.N)*q.Mu - q.Lambda)
-}
-
 // ResponseQuantile returns the r-quantile of the response time
 // T = W + S approximated as the r-quantile of W plus the mean service
 // time 1/μ — the decomposition the paper's Eq. 5 uses (T_D - 1/μ budget

@@ -143,13 +143,6 @@ func TestUsageIntegration(t *testing.T) {
 	if total.MemMB != 15360 {
 		t.Errorf("Mem integral = %v, want 15360", total.MemMB)
 	}
-	mean := u.MeanAt(20)
-	if mean.CPU != 3 {
-		t.Errorf("mean CPU = %v, want 3", mean.CPU)
-	}
-	if u.Peak().CPU != 4 {
-		t.Errorf("peak CPU = %v, want 4", u.Peak().CPU)
-	}
 }
 
 func TestUsageAdjust(t *testing.T) {
@@ -194,8 +187,8 @@ func sameBits(a, b Vector) bool {
 }
 
 // TestUsageAdjustMatchesOracle drives Adjust and adjustOracle through
-// the same random add/remove cycles and requires current, integral and
-// peak to agree bit for bit after every step. Demands are sums of
+// the same random add/remove cycles and requires current and integral
+// to agree bit for bit after every step. Demands are sums of
 // decimal fractions, the platforms' shape, so removing them in another
 // order than they were added leaves residue for the snap to catch.
 func TestUsageAdjustMatchesOracle(t *testing.T) {
@@ -231,10 +224,9 @@ func TestUsageAdjustMatchesOracle(t *testing.T) {
 			if adjustOracle(want, now, delta) {
 				snaps++
 			}
-			if !sameBits(got.current, want.current) || !sameBits(got.integral, want.integral) ||
-				!sameBits(got.peak, want.peak) {
-				t.Fatalf("run %d step %d: Adjust gives current %v integral %v peak %v, oracle %v %v %v",
-					run, step, got.current, got.integral, got.peak, want.current, want.integral, want.peak)
+			if !sameBits(got.current, want.current) || !sameBits(got.integral, want.integral) {
+				t.Fatalf("run %d step %d: Adjust gives current %v integral %v, oracle %v %v",
+					run, step, got.current, got.integral, want.current, want.integral)
 			}
 		}
 	}

@@ -7,33 +7,26 @@ import "fmt"
 // and Fig. 14 compare exactly these integrals, normalised to the pure
 // IaaS deployment.
 type Usage struct {
-	last      float64 // time of last update
-	current   Vector  // allocation since last update
-	integral  Vector  // accumulated resource-time
-	peak      Vector  // peak instantaneous allocation
-	started   bool
-	startTime float64
+	last     float64 // time of last update
+	current  Vector  // allocation since last update
+	integral Vector  // accumulated resource-time
 }
 
 // NewUsage returns an accumulator starting at time t with zero allocation.
 func NewUsage(t float64) *Usage {
-	return &Usage{last: t, startTime: t, started: true}
+	return &Usage{last: t}
 }
 
 // Record advances the integral to time t and sets the allocation that
 // holds from t onward. It panics if t moves backwards — the simulator
 // clock is monotone, so a regression means corrupted bookkeeping.
 func (u *Usage) Record(t float64, alloc Vector) {
-	if !u.started {
-		u.last, u.startTime, u.started = t, t, true
-	}
 	if t < u.last {
 		panic(fmt.Sprintf("resources: Usage.Record time went backwards: %v < %v", t, u.last))
 	}
 	dt := t - u.last
 	u.integral = u.integral.Add(u.current.Scale(dt))
 	u.current = alloc
-	u.peak = u.peak.Max(alloc)
 	u.last = t
 }
 
@@ -51,22 +44,9 @@ func (u *Usage) Adjust(t float64, delta Vector) {
 // Current returns the allocation in force now.
 func (u *Usage) Current() Vector { return u.current }
 
-// Peak returns the peak instantaneous allocation seen so far.
-func (u *Usage) Peak() Vector { return u.peak }
-
 // TotalAt finalises the integral at time t and returns resource-time
 // totals. The accumulator remains usable afterwards.
 func (u *Usage) TotalAt(t float64) Vector {
 	u.Record(t, u.current)
 	return u.integral
-}
-
-// MeanAt returns the time-averaged allocation over [start, t].
-func (u *Usage) MeanAt(t float64) Vector {
-	total := u.TotalAt(t)
-	span := t - u.startTime
-	if span <= 0 {
-		return Vector{}
-	}
-	return total.Scale(1 / span)
 }

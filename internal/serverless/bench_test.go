@@ -33,7 +33,7 @@ func BenchmarkInvokeBacklog(b *testing.B) {
 				s.Run(sim.Time(math.Inf(1)))
 			}
 			b.StopTimer()
-			if got := p.QueueLength(); got != depth {
+			if got := p.queued; got != depth {
 				b.Fatalf("backlog depth drifted to %d, want %d", got, depth)
 			}
 		})
@@ -63,8 +63,8 @@ func BenchmarkWarmReuse(b *testing.B) {
 		s.Run(s.Now() + 1)
 	}
 	b.StopTimer()
-	if p.ColdStarts() != width || p.Completed() != uint64(width*b.N) {
-		b.Fatalf("%d cold starts, %d completions for %d warm queries", p.ColdStarts(), p.Completed(), width*b.N)
+	if f := p.fns["float"]; p.nextID != width || f.inflight != 0 {
+		b.Fatalf("%d containers started, %d of %d warm queries unfinished", p.nextID, f.inflight, width*b.N)
 	}
 	b.ReportMetric(float64(s.Events()-fired)/float64(b.N), "events/op")
 	b.ReportMetric(float64(s.Cancelled()-cancelled)/float64(b.N), "cancels/op")

@@ -30,7 +30,9 @@ func TestConservationProperty(t *testing.T) {
 		p.Register(prof, func(metrics.QueryRecord) { completed++ }, WithNMax(nMax))
 
 		submitted := 0
-		gen := arrival.New(s, trace.Constant{QPS: qps}, func(sim.Time) {
+		// The load stops at the horizon, so a drain after it completes
+		// everything in flight.
+		gen := arrival.New(s, trace.Step{Before: qps, After: 0, At: horizon}, func(sim.Time) {
 			submitted++
 			p.Bind(prof.Name).Invoke()
 		})
@@ -44,17 +46,17 @@ func TestConservationProperty(t *testing.T) {
 			return false
 		}
 		// Container count within the cap; memory account matches.
-		if p.Containers(prof.Name) > nMax {
-			t.Logf("seed=%d: containers %d > nMax %d", seed, p.Containers(prof.Name), nMax)
+		containers := p.fns[prof.Name].containers
+		if containers > nMax {
+			t.Logf("seed=%d: containers %d > nMax %d", seed, containers, nMax)
 			return false
 		}
-		if p.MemAllocatedMB() != float64(p.Containers(prof.Name))*cfg.ContainerMemMB.Raw() {
+		if p.memMB != float64(containers)*cfg.ContainerMemMB.Raw() {
 			t.Logf("seed=%d: memory %v != containers %d × %v",
-				seed, p.MemAllocatedMB(), p.Containers(prof.Name), cfg.ContainerMemMB)
+				seed, p.memMB, containers, cfg.ContainerMemMB)
 			return false
 		}
 		// Drain: with arrivals stopped everything in flight completes.
-		gen.Stop()
 		s.Run(sim.Time(horizon + 300))
 		if p.Inflight(prof.Name) != 0 {
 			t.Logf("seed=%d: %d activations stuck after drain", seed, p.Inflight(prof.Name))
@@ -77,8 +79,9 @@ func TestLatencyDecompositionProperty(t *testing.T) {
 	s := sim.New(77)
 	p := New(s, DefaultConfig())
 	prof := workload.DD()
-	bad := 0
+	bad, completed := 0, 0
 	p.Register(prof, func(r metrics.QueryRecord) {
+		completed++
 		b := r.Breakdown
 		for _, v := range []float64{b.Queue, b.ColdStart, b.Processing, b.CodeLoad, b.Exec, b.Post} {
 			if v < 0 {
@@ -98,7 +101,7 @@ func TestLatencyDecompositionProperty(t *testing.T) {
 	if bad != 0 {
 		t.Fatalf("%d malformed breakdowns", bad)
 	}
-	if p.Completed() < 1000 {
-		t.Fatalf("only %d completions", p.Completed())
+	if completed < 1000 {
+		t.Fatalf("only %d completions", completed)
 	}
 }

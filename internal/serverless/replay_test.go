@@ -16,7 +16,7 @@ import (
 )
 
 // overloadReplayDigest pins the byte-exact outcome of runOverloadReplay:
-// every QueryRecord and every JSONL event (query, cold-start and span
+// every replayRecord and every JSONL event (query, cold-start and span
 // events) in emission order. It was captured on the platform that still
 // carried a bounded queue and a warm-pool floor, neither set here, so it
 // proves that deleting them changed nothing: the same activations are
@@ -24,6 +24,45 @@ import (
 // same span IDs. A drift here is a behaviour change of the platform,
 // never a refactoring detail.
 const overloadReplayDigest = "ca8fdc8865e9e38167f57ff30dcc9cb5626c0fcb044c24b2147fa8c3acfb4f1b"
+
+// replayRecord is what the goldens hash for each completion: the record
+// the callback receives, plus the service and arrival time of the
+// QueryComplete the platform lends to the bus just before the callback.
+type replayRecord struct {
+	Service   string
+	Backend   metrics.Backend
+	ArrivedAt float64
+	Breakdown metrics.Breakdown
+}
+
+func newReplayRecord(p *Platform, r metrics.QueryRecord) replayRecord {
+	return replayRecord{
+		Service:   p.done.Service,
+		Backend:   r.Backend,
+		ArrivedAt: float64(p.done.Arrived),
+		Breakdown: r.Breakdown,
+	}
+}
+
+// countExpiries wraps every registered function's reclaim so that a test
+// can tell evictions from expiries: the platform destroys a container
+// only when it expires, in ReleaseIdle, or by eviction.
+func countExpiries(p *Platform, n *int) {
+	for _, f := range p.registered {
+		expire := f.expire
+		f.expire = func() { *n++; expire() }
+	}
+}
+
+// evictions returns how many containers eviction destroyed so far, given
+// the expiries countExpiries saw and the containers ReleaseIdle returned.
+func evictions(p *Platform, expired, released int) int {
+	live := 0
+	for _, f := range p.registered {
+		live += f.containers
+	}
+	return p.nextID - live - expired - released
+}
 
 // replayStats are the scenario facts the golden run must exercise.
 type replayStats struct {
@@ -53,8 +92,9 @@ func runOverloadReplay(t *testing.T, h hash.Hash, setup func(*Platform)) replayS
 	}
 
 	var st replayStats
-	record := func(r metrics.QueryRecord) {
+	record := func(qr metrics.QueryRecord) {
 		jw.Flush() // the events emitted before this record precede it in h
+		r := newReplayRecord(p, qr)
 		fmt.Fprintf(h, "%+v\n", r)
 		if r.Breakdown.Queue > 0 {
 			switch r.Service {
@@ -73,6 +113,8 @@ func runOverloadReplay(t *testing.T, h hash.Hash, setup func(*Platform)) replayS
 	p.Register(dd, record, WithNMax(1))
 	p.Register(mm, record)
 	p.Register(fl, record)
+	expired := 0
+	countExpiries(p, &expired)
 
 	burst := func(name string, n int) func() {
 		return func() {
@@ -82,15 +124,12 @@ func runOverloadReplay(t *testing.T, h hash.Hash, setup func(*Platform)) replayS
 		}
 	}
 	s.At(1, burst("mm", 6))
-	ddFast := arrival.New(s, trace.Constant{QPS: 14}, func(sim.Time) { p.Bind("dd").Invoke() })
+	ddFast := arrival.New(s, trace.Step{Before: 14, After: 0, At: 25}, func(sim.Time) { p.Bind("dd").Invoke() })
 	s.At(5, ddFast.Start)
-	s.At(25, ddFast.Stop)
-	ddSlow := arrival.New(s, trace.Constant{QPS: 5}, func(sim.Time) { p.Bind("dd").Invoke() })
+	ddSlow := arrival.New(s, trace.Step{Before: 5, After: 0, At: 80}, func(sim.Time) { p.Bind("dd").Invoke() })
 	s.At(45, ddSlow.Start)
-	s.At(80, ddSlow.Stop)
-	flGen := arrival.New(s, trace.Constant{QPS: 1.5}, func(sim.Time) { p.Bind("fl").Invoke() })
+	flGen := arrival.New(s, trace.Step{Before: 1.5, After: 0, At: 95}, func(sim.Time) { p.Bind("fl").Invoke() })
 	flGen.Start()
-	s.At(95, flGen.Stop)
 	s.At(20, burst("mm", 10))
 	s.At(30, func() { st.prewarmed = p.Prewarm("fl", 2, nil) })
 	s.At(32, burst("mm", 8))
@@ -100,7 +139,7 @@ func runOverloadReplay(t *testing.T, h hash.Hash, setup func(*Platform)) replayS
 	s.At(60, func() { st.released += p.ReleaseIdle("fl") })
 	s.At(62, burst("fl", 6))
 	s.Every(0.5, func() {
-		if q := p.QueueLength(); q > st.maxQueue {
+		if q := p.queued; q > st.maxQueue {
 			st.maxQueue = q
 		}
 	})
@@ -109,7 +148,7 @@ func runOverloadReplay(t *testing.T, h hash.Hash, setup func(*Platform)) replayS
 	if err := jw.Err(); err != nil {
 		t.Fatalf("JSONL writer: %v", err)
 	}
-	st.evictions = p.Evictions()
+	st.evictions = evictions(p, expired, st.released)
 	return st
 }
 
@@ -152,7 +191,7 @@ func TestPumpScanBound(t *testing.T) {
 	runOverloadReplay(t, h, func(p *Platform) {
 		p.pumpProbe = func(attempts, placed, waiting int) {
 			pumps++
-			if p.QueueLength() >= 30 {
+			if p.queued >= 30 {
 				deep++
 			}
 			if attempts > placed+waiting {
@@ -217,8 +256,9 @@ func runTieReplay(t *testing.T, h hash.Hash) tieStats {
 	p, jw := newReplayPlatform(s, cfg, h)
 
 	var st tieStats
-	record := func(r metrics.QueryRecord) {
+	record := func(qr metrics.QueryRecord) {
 		jw.Flush() // the events emitted before this record precede it in h
+		r := newReplayRecord(p, qr)
 		fmt.Fprintf(h, "%+v\n", r)
 		st.records++
 		switch {
@@ -235,6 +275,8 @@ func runTieReplay(t *testing.T, h hash.Hash) tieStats {
 		prof.Name = name
 		p.Register(prof, record)
 	}
+	expired := 0
+	countExpiries(p, &expired)
 
 	s.At(62, func() { p.Bind("b").Invoke() }) // scheduled before b's container idles
 	for _, at := range []sim.Time{0, 3, 5} {
@@ -256,16 +298,16 @@ func runTieReplay(t *testing.T, h hash.Hash) tieStats {
 		p.Bind("f").Invoke()
 	})
 	for i, name := range []string{"a", "b", "c", "d", "f"} {
-		g := arrival.New(s, trace.Constant{QPS: 0.4 + 0.3*float64(i)}, func(sim.Time) { p.Bind(name).Invoke() })
+		g := arrival.New(s, trace.Step{Before: 0.4 + 0.3*float64(i), After: 0, At: 400},
+			func(sim.Time) { p.Bind(name).Invoke() })
 		s.At(130, g.Start)
-		s.At(400, g.Stop)
 	}
 	s.Run(600)
 
 	if err := jw.Err(); err != nil {
 		t.Fatalf("JSONL writer: %v", err)
 	}
-	st.evictions = p.Evictions()
+	st.evictions = evictions(p, expired, 0)
 	return st
 }
 

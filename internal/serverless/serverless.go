@@ -209,10 +209,6 @@ type Platform struct {
 	// shards couple only through the barrier (DESIGN.md §15).
 	sharedMode     bool
 	sharedPressure contention.Pressure
-	// counters
-	coldStarts int
-	evictions  int
-	completed  uint64
 }
 
 // New creates a platform on the given simulator. It panics if the
@@ -232,11 +228,6 @@ func New(s *sim.Simulator, cfg Config) *Platform {
 		coldSigma: coldSigma,
 	}
 }
-
-// Model exposes the platform's ground-truth contention model (experiments
-// and the profiler use it; the runtime controller must not — it only sees
-// meter readings).
-func (p *Platform) Model() *contention.Model { return p.model }
 
 // SetBus attaches the telemetry bus; the platform emits QueryComplete on
 // every finished activation and ColdStart on every container start. A
@@ -451,7 +442,6 @@ func (p *Platform) evictIdle(requester *function) bool {
 	if victim == nil {
 		return false
 	}
-	p.evictions++
 	p.destroy(victim)
 	return true
 }
@@ -574,7 +564,6 @@ func (p *Platform) startPrewarmOne(f *function, onWarm func()) bool {
 
 //amoeba:noalloc
 func (p *Platform) sampleColdStart() float64 {
-	p.coldStarts++
 	return math.Exp(p.coldMu + p.coldSigma*p.normals.Next())
 }
 
@@ -640,7 +629,6 @@ func (p *Platform) finishExec(c *container) {
 	p.demand = p.demand.Sub(c.demand)
 	f.usage.Adjust(float64(p.sim.Now()), c.demand.Scale(-1))
 	f.inflight--
-	p.completed++
 	p.tracer.End(units.Seconds(p.sim.Now()), c.execH)
 	c.execH = obs.SpanHandle{}
 	if p.bus.Active() {
@@ -665,9 +653,7 @@ func (p *Platform) finishExec(c *container) {
 	c.qt = obs.QueryTrace{}
 	if f.onComplete != nil {
 		f.onComplete(metrics.QueryRecord{
-			Service:   prof.Name,
 			Backend:   metrics.BackendServerless,
-			ArrivedAt: float64(c.arrived),
 			Breakdown: c.bd,
 		})
 	}
@@ -754,40 +740,14 @@ func (p *Platform) currentPressure() contention.Pressure {
 	return p.model.Pressure(p.demand)
 }
 
-// Pressure returns the current platform pressure — the ground truth the
-// contention meters estimate indirectly. In shared-pressure mode it is
-// the externally installed value.
-func (p *Platform) Pressure() contention.Pressure {
-	return p.currentPressure()
-}
-
 // DemandNow returns the aggregate running demand.
 func (p *Platform) DemandNow() resources.Vector { return p.demand }
-
-// QueueLength returns the number of waiting activations.
-func (p *Platform) QueueLength() int { return p.queued }
-
-// Containers returns the live container count for the named function.
-func (p *Platform) Containers(name string) int { return p.mustFn(name).containers }
-
-// IdleContainers returns the warm container count for the named function.
-func (p *Platform) IdleContainers(name string) int { return len(p.mustFn(name).idle) }
 
 // Inflight returns submitted-but-incomplete activations for the function.
 func (p *Platform) Inflight(name string) int { return p.mustFn(name).inflight }
 
 // NMax returns the container cap applied to the named function.
 func (p *Platform) NMax(name string) int { return p.mustFn(name).nMax }
-
-// ColdStarts returns the number of container starts so far (cold and
-// prewarm).
-func (p *Platform) ColdStarts() int { return p.coldStarts }
-
-// Evictions returns the number of idle-container evictions so far.
-func (p *Platform) Evictions() int { return p.evictions }
-
-// Completed returns the number of finished activations.
-func (p *Platform) Completed() uint64 { return p.completed }
 
 // UsageFor returns the function's accumulated resource-time integral up to
 // now: MemMB·s of container residency plus CPU/IO/net demand while
@@ -800,6 +760,3 @@ func (p *Platform) UsageFor(name string) resources.Vector {
 func (p *Platform) AllocFor(name string) resources.Vector {
 	return p.mustFn(name).usage.Current()
 }
-
-// MemAllocatedMB returns the pool's current container memory footprint.
-func (p *Platform) MemAllocatedMB() float64 { return p.memMB }

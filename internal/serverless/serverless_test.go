@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"amoeba/internal/arrival"
+	"amoeba/internal/contention"
 	"amoeba/internal/metrics"
 	"amoeba/internal/obs"
 	"amoeba/internal/sim"
@@ -59,8 +60,8 @@ func TestWarmReuseAvoidsColdStart(t *testing.T) {
 	if recs[1].Breakdown.Queue != 0 {
 		t.Errorf("second invocation queued %vs with an idle container", recs[1].Breakdown.Queue)
 	}
-	if p.ColdStarts() != 1 {
-		t.Errorf("cold starts = %d, want 1", p.ColdStarts())
+	if p.nextID != 1 {
+		t.Errorf("containers started = %d, want 1", p.nextID)
 	}
 }
 
@@ -69,15 +70,15 @@ func TestIdleTimeoutReclaims(t *testing.T) {
 	p.Register(workload.Float(), nil)
 	s.At(1, func() { p.Bind("float").Invoke() })
 	s.Run(30)
-	if p.Containers("float") != 1 {
-		t.Fatalf("containers = %d before timeout", p.Containers("float"))
+	if p.fns["float"].containers != 1 {
+		t.Fatalf("containers = %d before timeout", p.fns["float"].containers)
 	}
 	s.Run(200) // well past the 60s idle timeout
-	if p.Containers("float") != 0 {
-		t.Errorf("containers = %d after idle timeout, want 0", p.Containers("float"))
+	if p.fns["float"].containers != 0 {
+		t.Errorf("containers = %d after idle timeout, want 0", p.fns["float"].containers)
 	}
-	if p.MemAllocatedMB() != 0 {
-		t.Errorf("pool memory %vMB after reclaim, want 0", p.MemAllocatedMB())
+	if p.memMB != 0 {
+		t.Errorf("pool memory %vMB after reclaim, want 0", p.memMB)
 	}
 }
 
@@ -90,11 +91,11 @@ func TestReuseCancelsReclaim(t *testing.T) {
 		s.At(sim.Time(tt), func() { p.Bind("float").Invoke() })
 	}
 	s.Run(301)
-	if p.Containers("float") != 1 {
-		t.Errorf("containers = %d, want 1 continuously-reused container", p.Containers("float"))
+	if p.fns["float"].containers != 1 {
+		t.Errorf("containers = %d, want 1 continuously-reused container", p.fns["float"].containers)
 	}
-	if p.ColdStarts() != 1 {
-		t.Errorf("cold starts = %d, want 1", p.ColdStarts())
+	if p.nextID != 1 {
+		t.Errorf("containers started = %d, want 1", p.nextID)
 	}
 }
 
@@ -113,8 +114,8 @@ func TestPrewarmEliminatesColdStart(t *testing.T) {
 		if !ready {
 			t.Error("prewarm not ready after 29s")
 		}
-		if p.IdleContainers("float") != 3 {
-			t.Errorf("idle = %d after prewarm, want 3", p.IdleContainers("float"))
+		if len(p.fns["float"].idle) != 3 {
+			t.Errorf("idle = %d after prewarm, want 3", len(p.fns["float"].idle))
 		}
 		for i := 0; i < 3; i++ {
 			p.Bind("float").Invoke()
@@ -140,8 +141,8 @@ func TestPrewarmRespectsNMax(t *testing.T) {
 	if started != 2 {
 		t.Errorf("prewarm started %d, want nMax=2", started)
 	}
-	if p.Containers("float") != 2 {
-		t.Errorf("containers = %d", p.Containers("float"))
+	if p.fns["float"].containers != 2 {
+		t.Errorf("containers = %d", p.fns["float"].containers)
 	}
 }
 
@@ -155,8 +156,8 @@ func TestQueueWhenAtNMax(t *testing.T) {
 		p.Bind("float").Invoke()
 	})
 	s.At(5, func() {
-		if p.Containers("float") != 1 {
-			t.Errorf("containers = %d mid-burst, want 1 (nMax)", p.Containers("float"))
+		if p.fns["float"].containers != 1 {
+			t.Errorf("containers = %d mid-burst, want 1 (nMax)", p.fns["float"].containers)
 		}
 	})
 	s.Run(200)
@@ -254,11 +255,11 @@ func TestEvictionOfOtherFunctionsIdleContainers(t *testing.T) {
 	s.At(1, func() { p.Bind("a").Invoke() })  // two containers of a, both idle later
 	s.At(30, func() { p.Bind("b").Invoke() }) // must evict one idle a-container
 	s.Run(59)                                 // before idle timeout
-	if p.Evictions() != 1 {
-		t.Errorf("evictions = %d, want 1", p.Evictions())
+	if evictions(p, 0, 0) != 1 {
+		t.Errorf("evictions = %d, want 1", evictions(p, 0, 0))
 	}
-	if p.Containers("a") != 1 || p.Containers("b") != 1 {
-		t.Errorf("containers a=%d b=%d, want 1/1", p.Containers("a"), p.Containers("b"))
+	if p.fns["a"].containers != 1 || p.fns["b"].containers != 1 {
+		t.Errorf("containers a=%d b=%d, want 1/1", p.fns["a"].containers, p.fns["b"].containers)
 	}
 }
 
@@ -267,8 +268,8 @@ func TestMemoryAccounting(t *testing.T) {
 	p.Register(workload.Float(), nil)
 	s.At(1, func() { p.Bind("float").Invoke() })
 	s.At(10, func() {
-		if p.MemAllocatedMB() != 256 {
-			t.Errorf("pool mem = %v, want 256", p.MemAllocatedMB())
+		if p.memMB != 256 {
+			t.Errorf("pool mem = %v, want 256", p.memMB)
 		}
 		if p.AllocFor("float").MemMB != 256 {
 			t.Errorf("fn alloc = %v", p.AllocFor("float"))
@@ -307,8 +308,8 @@ func TestThroughputUnderSteadyLoad(t *testing.T) {
 	if math.Abs(float64(n)-want)/want > 0.05 {
 		t.Errorf("completed %d, want ~%v", n, want)
 	}
-	if p.QueueLength() > 10 {
-		t.Errorf("queue backlog %d at moderate load", p.QueueLength())
+	if p.queued > 10 {
+		t.Errorf("queue backlog %d at moderate load", p.queued)
 	}
 }
 
@@ -320,8 +321,8 @@ func TestReleaseIdle(t *testing.T) {
 		if released := p.ReleaseIdle("float"); released != 4 {
 			t.Errorf("released %d, want 4", released)
 		}
-		if p.Containers("float") != 0 {
-			t.Errorf("containers = %d after release", p.Containers("float"))
+		if p.fns["float"].containers != 0 {
+			t.Errorf("containers = %d after release", p.fns["float"].containers)
 		}
 	})
 	s.Run(40)
@@ -340,13 +341,39 @@ func TestPressureReflectsRunningBodies(t *testing.T) {
 	})
 	s.At(10, func() {
 		// 8 bodies × 1 core / 40 cores = 0.2 pressure.
-		if pr := p.Pressure(); math.Abs(pr.CPU-0.2) > 0.01 {
+		if pr := p.currentPressure(); math.Abs(pr.CPU-0.2) > 0.01 {
 			t.Errorf("CPU pressure = %v, want 0.2", pr.CPU)
 		}
 	})
 	s.Run(60)
-	if pr := p.Pressure(); pr.CPU != 0 {
+	if pr := p.currentPressure(); pr.CPU != 0 {
 		t.Errorf("pressure after completion = %v, want 0", pr.CPU)
+	}
+}
+
+// TestSharedPressureFreezesSlowdownInput pins the shared-pressure mode:
+// once installed, the platform applies the external pressure regardless
+// of its own demand, until the next install.
+func TestSharedPressureFreezesSlowdownInput(t *testing.T) {
+	s := sim.New(1)
+	p := New(s, DefaultConfig())
+	if got := p.currentPressure(); got != (contention.Pressure{}) {
+		t.Fatalf("idle platform pressure = %+v, want zero", got)
+	}
+	want := contention.Pressure{CPU: 0.25, IO: 0.5, Net: 0.125}
+	p.SetSharedPressure(want)
+	if got := p.currentPressure(); got != want {
+		t.Fatalf("shared pressure = %+v, want %+v", got, want)
+	}
+	// Self-derived demand no longer feeds the reading.
+	p.InjectDemand(DefaultConfig().Node.Capacity().Scale(0.5))
+	if got := p.currentPressure(); got != want {
+		t.Fatalf("pressure after demand injection = %+v, want frozen %+v", got, want)
+	}
+	next := contention.Pressure{CPU: 0.75}
+	p.SetSharedPressure(next)
+	if got := p.currentPressure(); got != next {
+		t.Fatalf("refreshed shared pressure = %+v, want %+v", got, next)
 	}
 }
 
@@ -397,7 +424,7 @@ func TestDeterministicReplay(t *testing.T) {
 
 // TestZeroAllocSampleColdStart asserts the cold-start sampler is pure
 // arithmetic at invocation time: the lognormal (mu, sigma) pair is fixed
-// at New, so each sample is counter bump plus RNG draw.
+// at New, so each sample is one RNG draw.
 //
 //amoeba:alloctest serverless.Platform.sampleColdStart
 func TestZeroAllocSampleColdStart(t *testing.T) {
@@ -438,8 +465,8 @@ func TestZeroAllocWarmCycle(t *testing.T) {
 		for i := 0; i < 64; i++ { // warm the slab, heap and free lists
 			cycle()
 		}
-		if p.ColdStarts() != warm || done != 64*warm {
-			t.Fatalf("warm=%d: warm-up saw %d cold starts, %d completions", warm, p.ColdStarts(), done)
+		if p.nextID != warm || done != 64*warm {
+			t.Fatalf("warm=%d: warm-up started %d containers, %d completions", warm, p.nextID, done)
 		}
 		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 			t.Errorf("warm=%d: %d warm Invoke→finish cycles allocate %.2f objects, want 0", warm, warm, allocs)
@@ -477,8 +504,8 @@ func TestZeroAllocWarmCycleObserved(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		cycle()
 	}
-	if p.ColdStarts() != 1 || done != warm {
-		t.Fatalf("warm-up saw %d cold starts, %d completions", p.ColdStarts(), done)
+	if p.nextID != 1 || done != warm {
+		t.Fatalf("warm-up started %d containers, %d completions", p.nextID, done)
 	}
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 		t.Errorf("observed warm Invoke→finish cycle allocates %.2f objects, want 0", allocs)
@@ -517,12 +544,12 @@ func TestEvictionVictimDeterministic(t *testing.T) {
 		})
 		s.At(10, func() { p.Bind("c").Invoke() })
 		s.Run(20)
-		if p.Evictions() != 1 {
-			t.Fatalf("evictions = %d, want 1", p.Evictions())
+		if evictions(p, 0, 0) != 1 {
+			t.Fatalf("evictions = %d, want 1", evictions(p, 0, 0))
 		}
-		if p.Containers(first) != 0 || p.Containers(second) != 1 {
+		if p.fns[first].containers != 0 || p.fns[second].containers != 1 {
 			t.Errorf("prewarmed %s first: containers %s=%d %s=%d, want the lowest id (%s's) evicted",
-				first, first, p.Containers(first), second, p.Containers(second), first)
+				first, first, p.fns[first].containers, second, p.fns[second].containers, first)
 		}
 	}
 }

@@ -75,7 +75,7 @@ func TestPendingBoundedUnderCancelChurn(t *testing.T) {
 	for i := 0; i < churn; i++ {
 		h := s.At(Time(100+float64(i%977)), fn)
 		h.Cancel()
-		if p := s.Pending(); p > maxPending {
+		if p := s.pending; p > maxPending {
 			maxPending = p
 		}
 	}
@@ -83,7 +83,7 @@ func TestPendingBoundedUnderCancelChurn(t *testing.T) {
 	// live half; with 4 live events the queue can never grow past ~2x
 	// the threshold.
 	if maxPending > 64 {
-		t.Errorf("Pending() peaked at %d under cancel churn, want bounded (<= 64)", maxPending)
+		t.Errorf("pending events peaked at %d under cancel churn, want bounded (<= 64)", maxPending)
 	}
 	if len(s.slab) > 128 {
 		t.Errorf("slab grew to %d slots under cancel churn, want bounded reuse", len(s.slab))

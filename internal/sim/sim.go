@@ -270,9 +270,6 @@ func (s *Simulator) Run(horizon Time) uint64 {
 	return fired
 }
 
-// Pending returns the number of queued (possibly cancelled) events.
-func (s *Simulator) Pending() int { return s.pending }
-
 // Every schedules fn at the given period, starting one period from now,
 // until the returned stop function is called. fn observes the simulator's
 // clock. The ticker owns a single event slot for its whole lifetime: each

@@ -115,13 +115,3 @@ func (s *Set) Validate() error {
 	}
 	return nil
 }
-
-// PredictLatencies returns L₁..L₃ at the given platform pressure and own
-// load (§IV-B Measurement step).
-func (s *Set) PredictLatencies(p [3]float64, load units.QPS) [3]units.Seconds {
-	var out [3]units.Seconds
-	for i, sf := range s.Surfaces {
-		out[i] = sf.At(p[i], load)
-	}
-	return out
-}

@@ -112,10 +112,9 @@ func TestSetValidateAndPredict(t *testing.T) {
 	if err := set.Validate(); err != nil {
 		t.Fatalf("valid set rejected: %v", err)
 	}
-	l := set.PredictLatencies([3]float64{0, 0, 0}, 1)
 	for i, want := range []float64{0.10, 0.20, 0.30} {
-		if math.Abs(l[i].Raw()-want) > 1e-12 {
-			t.Errorf("PredictLatencies[%d] = %v, want %v", i, l[i], want)
+		if got := set.Surfaces[i].At(0, 1); math.Abs(got.Raw()-want) > 1e-12 {
+			t.Errorf("surface %d At(0, 1) = %v, want %v", i, got, want)
 		}
 	}
 

@@ -76,14 +76,6 @@ func (s *Sampled) Rate(t float64) float64 {
 // exceed it).
 func (s *Sampled) Peak() float64 { return s.peak }
 
-// Len returns the number of samples.
-func (s *Sampled) Len() int { return len(s.times) }
-
-// Span returns the first and last sample times.
-func (s *Sampled) Span() (from, to float64) {
-	return s.times[0], s.times[len(s.times)-1]
-}
-
 // LoadCSV reads a two-column "time_seconds,qps" series (comments starting
 // with '#' and a non-numeric header line are skipped) into a Sampled
 // trace. This is the entry point for replaying production traces.

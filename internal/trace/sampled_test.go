@@ -24,7 +24,7 @@ func TestSampledInterpolation(t *testing.T) {
 	if s.Peak() != 100 {
 		t.Errorf("Peak = %v, want 100", s.Peak())
 	}
-	if from, to := s.Span(); from != 0 || to != 20 {
+	if from, to := s.times[0], s.times[len(s.times)-1]; from != 0 || to != 20 {
 		t.Errorf("Span = %v..%v", from, to)
 	}
 }
@@ -68,8 +68,8 @@ time_s,qps
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 4 {
-		t.Fatalf("parsed %d samples, want 4", s.Len())
+	if len(s.times) != 4 {
+		t.Fatalf("parsed %d samples, want 4", len(s.times))
 	}
 	if s.Rate(600) != 48.5 {
 		t.Errorf("Rate(600) = %v", s.Rate(600))

@@ -126,14 +126,6 @@ func Scale[T ~float64](x T, factor float64) T { return T(float64(x) * factor) }
 // the operand unit).
 func Ratio[T ~float64](num, den T) float64 { return float64(num) / float64(den) }
 
-// Min returns the smaller of two same-unit quantities.
-func Min[T ~float64](a, b T) T {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Max returns the larger of two same-unit quantities.
 func Max[T ~float64](a, b T) T {
 	if a > b {

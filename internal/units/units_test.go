@@ -54,9 +54,6 @@ func TestScaleRatioMinMax(t *testing.T) {
 	if got := Ratio(Seconds(1), Seconds(4)); got != 0.25 {
 		t.Fatalf("Ratio = %v, want 0.25", got)
 	}
-	if got := Min(Seconds(1), Seconds(2)); got != 1 {
-		t.Fatalf("Min = %v, want 1", got)
-	}
 	if got := Max(Seconds(1), Seconds(2)); got != 2 {
 		t.Fatalf("Max = %v, want 2", got)
 	}
