@@ -20,55 +20,47 @@ import (
 	"amoeba/internal/workload"
 )
 
+// The scaler's fixed, HPA-flavoured settings.
+const (
+	// period between evaluations, seconds.
+	period = 15
+	// targetUtil is the busy/slots ratio the scaler aims for.
+	targetUtil = 0.60
+	// utilAlpha smooths the sampled utilisation.
+	utilAlpha = 0.4
+	// scaleOutThreshold and scaleInThreshold bound the dead zone: act
+	// only when smoothed utilisation leaves [in, out].
+	scaleOutThreshold = 0.75
+	scaleInThreshold  = 0.35
+)
+
+// MinVMs is the smallest group the scaler keeps, and the size a service
+// starts at.
+const MinVMs = 1
+
 // Config tunes the autoscaler.
 type Config struct {
-	// Period between evaluations, seconds.
-	Period float64
-	// TargetUtil is the busy/slots ratio the scaler aims for.
-	TargetUtil float64
-	// UtilAlpha smooths the sampled utilisation.
-	UtilAlpha float64
-	// ScaleOutThreshold and ScaleInThreshold bound the dead zone: act
-	// only when smoothed utilisation leaves [in, out].
-	ScaleOutThreshold float64
-	ScaleInThreshold  float64
 	// Cooldown is the minimum time between scaling actions.
 	Cooldown float64
-	// MinVMs and MaxVMs clamp the group size.
-	MinVMs, MaxVMs int
+	// MaxVMs caps the group size.
+	MaxVMs int
 }
 
 // DefaultConfig returns an HPA-flavoured configuration.
 func DefaultConfig() Config {
 	return Config{
-		Period:            15,
-		TargetUtil:        0.60,
-		UtilAlpha:         0.4,
-		ScaleOutThreshold: 0.75,
-		ScaleInThreshold:  0.35,
-		Cooldown:          60,
-		MinVMs:            1,
-		MaxVMs:            64,
+		Cooldown: 60,
+		MaxVMs:   64,
 	}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Period <= 0 || c.Cooldown < 0 {
-		return fmt.Errorf("autoscale: non-positive period")
+	if c.Cooldown < 0 {
+		return fmt.Errorf("autoscale: negative cooldown %v", c.Cooldown)
 	}
-	if c.TargetUtil <= 0 || c.TargetUtil >= 1 {
-		return fmt.Errorf("autoscale: target utilisation %v out of (0,1)", c.TargetUtil)
-	}
-	if !(c.ScaleInThreshold < c.TargetUtil && c.TargetUtil < c.ScaleOutThreshold) {
-		return fmt.Errorf("autoscale: thresholds %v/%v do not bracket target %v",
-			c.ScaleInThreshold, c.ScaleOutThreshold, c.TargetUtil)
-	}
-	if c.UtilAlpha <= 0 || c.UtilAlpha > 1 {
-		return fmt.Errorf("autoscale: alpha %v out of (0,1]", c.UtilAlpha)
-	}
-	if c.MinVMs < 1 || c.MaxVMs < c.MinVMs {
-		return fmt.Errorf("autoscale: VM bounds %d..%d malformed", c.MinVMs, c.MaxVMs)
+	if c.MaxVMs < MinVMs {
+		return fmt.Errorf("autoscale: MaxVMs %d below MinVMs %d", c.MaxVMs, MinVMs)
 	}
 	return nil
 }
@@ -97,7 +89,7 @@ func New(s *sim.Simulator, vms *iaas.Platform, prof workload.Profile, cfg Config
 		vms:  vms,
 		prof: prof,
 		cfg:  cfg,
-		util: stats.NewEWMA(cfg.UtilAlpha),
+		util: stats.NewEWMA(utilAlpha),
 		last: -math.MaxFloat64 / 2,
 	}
 }
@@ -108,7 +100,7 @@ func (a *Autoscaler) Start() {
 		panic("autoscale: Start called twice")
 	}
 	a.started = true
-	a.sim.Every(a.cfg.Period, a.evaluate)
+	a.sim.Every(period, a.evaluate)
 }
 
 func (a *Autoscaler) evaluate() {
@@ -133,14 +125,14 @@ func (a *Autoscaler) evaluate() {
 	if a.scaling || now-a.last < a.cfg.Cooldown {
 		return
 	}
-	if u > a.cfg.ScaleInThreshold && u < a.cfg.ScaleOutThreshold {
+	if u > scaleInThreshold && u < scaleOutThreshold {
 		return // dead zone
 	}
 	// HPA-style multiplicative step: desired = current × u / target.
 	cur := a.vms.VMs(name)
-	desired := int(math.Ceil(float64(cur) * u / a.cfg.TargetUtil))
-	if desired < a.cfg.MinVMs {
-		desired = a.cfg.MinVMs
+	desired := int(math.Ceil(float64(cur) * u / targetUtil))
+	if desired < MinVMs {
+		desired = MinVMs
 	}
 	if desired > a.cfg.MaxVMs {
 		desired = a.cfg.MaxVMs
@@ -150,7 +142,7 @@ func (a *Autoscaler) evaluate() {
 	}
 	a.last = now
 	// The signal is stale the moment the group resizes.
-	a.util = stats.NewEWMA(a.cfg.UtilAlpha)
+	a.util = stats.NewEWMA(utilAlpha)
 	if desired > cur {
 		a.scaling = true
 		a.vms.Scale(name, desired, func() { a.scaling = false })

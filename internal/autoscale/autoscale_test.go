@@ -13,10 +13,10 @@ import (
 
 func rig(seed uint64, cfg Config) (*sim.Simulator, *iaas.Platform, *Autoscaler, *metrics.Collector) {
 	s := sim.New(seed)
-	vms := iaas.New(s, iaas.DefaultConfig())
+	vms := iaas.New(s)
 	prof := workload.Float()
 	coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
-	vms.DeployWithVMs(prof, cfg.MinVMs, coll.Observe)
+	vms.DeployWithVMs(prof, MinVMs, coll.Observe)
 	a := New(s, vms, prof, cfg)
 	a.Start()
 	return s, vms, a, coll
@@ -30,11 +30,11 @@ func TestScalesOutUnderLoad(t *testing.T) {
 	gen := arrival.New(s, trace.Constant{QPS: 40}, func(sim.Time) { vms.Bind("float").Invoke() })
 	gen.Start()
 	s.Run(600)
-	if vms.VMs("float") <= cfg.MinVMs {
+	if vms.VMs("float") <= MinVMs {
 		t.Fatalf("never scaled out: %d VMs, util %v", vms.VMs("float"), a.util.Value())
 	}
 	// Post-scale utilisation near target.
-	if u := a.util.Value(); u > cfg.ScaleOutThreshold+0.1 {
+	if u := a.util.Value(); u > scaleOutThreshold+0.1 {
 		t.Errorf("still overloaded after scaling: util %v", u)
 	}
 }
@@ -47,12 +47,12 @@ func TestScalesInWhenIdle(t *testing.T) {
 	gen.Start()
 	s.Run(600)
 	peakVMs := vms.VMs("float")
-	if peakVMs <= cfg.MinVMs {
+	if peakVMs <= MinVMs {
 		t.Fatalf("setup failed: never scaled out (%d VMs)", peakVMs)
 	}
 	s.Run(3600)
-	if got := vms.VMs("float"); got != cfg.MinVMs {
-		t.Errorf("idle group still at %d VMs, want MinVMs=%d", got, cfg.MinVMs)
+	if got := vms.VMs("float"); got != MinVMs {
+		t.Errorf("idle group still at %d VMs, want MinVMs=%d", got, MinVMs)
 	}
 }
 
@@ -107,27 +107,24 @@ func TestRampViolatesTightQoSBeforeCapacityArrives(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config invalid: %v", err)
+	}
 	bad := DefaultConfig()
-	bad.TargetUtil = 0.9
-	bad.ScaleOutThreshold = 0.8 // target above out-threshold
+	bad.Cooldown = -1
 	if bad.Validate() == nil {
-		t.Error("non-bracketing thresholds accepted")
+		t.Error("negative cooldown accepted")
 	}
 	bad = DefaultConfig()
-	bad.MinVMs = 0
+	bad.MaxVMs = MinVMs - 1
 	if bad.Validate() == nil {
-		t.Error("zero MinVMs accepted")
-	}
-	bad = DefaultConfig()
-	bad.Period = 0
-	if bad.Validate() == nil {
-		t.Error("zero period accepted")
+		t.Error("MaxVMs below MinVMs accepted")
 	}
 }
 
 func TestStartTwicePanics(t *testing.T) {
 	s := sim.New(6)
-	vms := iaas.New(s, iaas.DefaultConfig())
+	vms := iaas.New(s)
 	vms.DeployWithVMs(workload.Float(), 1, nil)
 	a := New(s, vms, workload.Float(), DefaultConfig())
 	a.Start()

@@ -139,23 +139,21 @@ type Config struct {
 	//
 	//amoeba:range (0,1.5]
 	SwitchOutMargin float64
-	// MaxPostSwitchPressure bounds the predicted platform pressure after
-	// a switch-in; above it the switch would endanger co-located services
-	// (§III's safety rule).
-	//
-	//amoeba:range (0,2]
-	MaxPostSwitchPressure float64
 }
 
 // DefaultConfig returns the evaluation configuration.
 func DefaultConfig() Config {
 	return Config{
-		LoadAlpha:             0.35,
-		SwitchInMargin:        0.80,
-		SwitchOutMargin:       0.95,
-		MaxPostSwitchPressure: 0.90,
+		LoadAlpha:       0.35,
+		SwitchInMargin:  0.80,
+		SwitchOutMargin: 0.95,
 	}
 }
+
+// maxPostSwitchPressure bounds the predicted platform pressure after a
+// switch-in; above it the switch would endanger co-located services
+// (§III's safety rule).
+const maxPostSwitchPressure = 0.90
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -165,9 +163,6 @@ func (c Config) Validate() error {
 	if c.SwitchInMargin <= 0 || c.SwitchInMargin >= c.SwitchOutMargin || c.SwitchOutMargin > 1.5 {
 		return fmt.Errorf("controller: margins in=%v out=%v malformed (need 0 < in < out)",
 			c.SwitchInMargin, c.SwitchOutMargin)
-	}
-	if c.MaxPostSwitchPressure <= 0 || c.MaxPostSwitchPressure > 2 {
-		return fmt.Errorf("controller: max pressure %v out of (0,2]", c.MaxPostSwitchPressure)
 	}
 	return nil
 }
@@ -294,7 +289,7 @@ func (c *Controller) Decide(now units.Seconds, mode metrics.Backend, w monitor.W
 		if c.loadEWMA <= bound {
 			unsafe, worst := -1, 0.0
 			for i, p := range postSwitchPressure {
-				if p > c.cfg.MaxPostSwitchPressure && p > worst {
+				if p > maxPostSwitchPressure && p > worst {
 					unsafe, worst = i, p
 				}
 			}
@@ -302,12 +297,12 @@ func (c *Controller) Decide(now units.Seconds, mode metrics.Backend, w monitor.W
 				d.Target = metrics.BackendServerless
 				d.Verdict = VerdictSwitchIn
 				d.Reason = fmt.Sprintf("load %.2f <= %.2f (%.0f%% of admissible %.2f), post-switch pressure within %.2f",
-					c.loadEWMA.Raw(), bound.Raw(), c.cfg.SwitchInMargin*100, adm.Raw(), c.cfg.MaxPostSwitchPressure)
+					c.loadEWMA.Raw(), bound.Raw(), c.cfg.SwitchInMargin*100, adm.Raw(), maxPostSwitchPressure)
 			} else {
 				d.Blocked = true
 				d.Verdict = VerdictBlocked
 				d.Reason = fmt.Sprintf("post-switch %s pressure %.2f exceeds safety bound %.2f",
-					resourceNames[unsafe], worst, c.cfg.MaxPostSwitchPressure)
+					resourceNames[unsafe], worst, maxPostSwitchPressure)
 			}
 		} else {
 			d.Verdict = VerdictStayIaaS

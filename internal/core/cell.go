@@ -85,7 +85,7 @@ func (c *cell) attach(bus *obs.Bus, tracer *obs.Tracer) {
 // addIaaS gives the cell its IaaS platform; tenant and daemon cells run
 // none.
 func (c *cell) addIaaS() {
-	c.vms = iaas.New(c.sim, iaas.DefaultConfig())
+	c.vms = iaas.New(c.sim)
 	c.vms.SetBus(c.bus)
 	c.vms.SetTracer(c.tracer)
 }
@@ -136,9 +136,8 @@ func (c *cell) addService(svc ServiceSpec) {
 
 	case VariantAutoscale:
 		m.coll = metrics.NewCollector(prof.Name, prof.QoSTarget)
-		asCfg := autoscale.DefaultConfig()
-		c.vms.DeployWithVMs(prof, asCfg.MinVMs, m.coll.Observe)
-		autoscale.New(c.sim, c.vms, prof, asCfg).Start()
+		c.vms.DeployWithVMs(prof, autoscale.MinVMs, m.coll.Observe)
+		autoscale.New(c.sim, c.vms, prof, autoscale.DefaultConfig()).Start()
 		inv := c.vms.Bind(prof.Name)
 		onArrival = func(sim.Time) { inv.Invoke() }
 

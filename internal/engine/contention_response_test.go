@@ -67,7 +67,7 @@ func TestSafetyVetoBlocksSwitchIn(t *testing.T) {
 	s := sim.New(12)
 	slCfg := serverless.DefaultConfig()
 	pool := serverless.New(s, slCfg)
-	vms := iaas.New(s, iaas.DefaultConfig())
+	vms := iaas.New(s)
 	mon := monitor.New(s, pool, modelCurves(slCfg), monitor.DefaultConfig())
 	mon.Start()
 

@@ -43,20 +43,9 @@ type Config struct {
 	// Prewarm enables the container prewarm module; disabling it
 	// reproduces Amoeba-NoP (§VII-D).
 	Prewarm bool
-	// PrewarmHeadroom adds containers beyond Eq. 7's n "for burst
-	// invocations" (§V-A).
-	PrewarmHeadroom int
-	// DrainPoll is the polling period while draining a backend.
-	DrainPoll units.Seconds
 	// MinDwell is the minimum time between consecutive switches —
 	// hysteresis against mode flapping when the load sits near λ(μ_n).
 	MinDwell units.Seconds
-	// WarmupPeriods is how many sample periods must pass before the first
-	// switch decision: the monitor's meter EWMA and the load estimate
-	// need a few samples to converge, and an early decision on a stale
-	// pressure estimate can walk into a saturated pool (the paper's step
-	// 1 keeps IaaS while data is collected).
-	WarmupPeriods int
 	// Capacity is the serverless node capacity, used to predict the
 	// pressure this service would add after a switch-in.
 	Capacity resources.Vector
@@ -66,22 +55,34 @@ type Config struct {
 // serverless node capacity.
 func DefaultConfig(capacity resources.Vector) Config {
 	return Config{
-		SamplePeriod:    10,
-		ShadowFraction:  0.05,
-		ShadowMaxQPS:    1.0,
-		Prewarm:         true,
-		PrewarmHeadroom: 1,
-		DrainPoll:       0.5,
-		MinDwell:        120,
-		WarmupPeriods:   3,
-		Capacity:        capacity,
+		SamplePeriod:   10,
+		ShadowFraction: 0.05,
+		ShadowMaxQPS:   1.0,
+		Prewarm:        true,
+		MinDwell:       120,
+		Capacity:       capacity,
 	}
 }
 
+// The switch protocol's fixed settings.
+const (
+	// prewarmHeadroom adds containers beyond Eq. 7's n "for burst
+	// invocations" (§V-A).
+	prewarmHeadroom = 1
+	// drainPoll is the polling period while draining a backend.
+	drainPoll units.Seconds = 0.5
+	// warmupPeriods is how many sample periods must pass before the
+	// first switch decision: the monitor's meter EWMA and the load
+	// estimate need a few samples to converge, and an early decision on
+	// a stale pressure estimate can walk into a saturated pool (the
+	// paper's step 1 keeps IaaS while data is collected).
+	warmupPeriods = 3
+)
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.SamplePeriod <= 0 || c.DrainPoll <= 0 {
-		return fmt.Errorf("engine: non-positive periods")
+	if c.SamplePeriod <= 0 {
+		return fmt.Errorf("engine: non-positive sample period")
 	}
 	if c.ShadowFraction < 0 || c.ShadowFraction > 0.5 {
 		return fmt.Errorf("engine: shadow fraction %v out of [0, 0.5]", c.ShadowFraction)
@@ -89,14 +90,8 @@ func (c Config) Validate() error {
 	if c.ShadowMaxQPS < 0 {
 		return fmt.Errorf("engine: negative shadow cap")
 	}
-	if c.PrewarmHeadroom < 0 {
-		return fmt.Errorf("engine: negative prewarm headroom")
-	}
 	if c.MinDwell < 0 {
 		return fmt.Errorf("engine: negative min dwell")
-	}
-	if c.WarmupPeriods < 0 {
-		return fmt.Errorf("engine: negative warmup")
 	}
 	if c.Capacity.CPU <= 0 {
 		return fmt.Errorf("engine: missing node capacity")
@@ -294,7 +289,7 @@ func (e *Engine) tick() {
 	})
 
 	e.ticks++
-	if e.ticks <= e.cfg.WarmupPeriods {
+	if e.ticks <= warmupPeriods {
 		return // estimates not trustworthy yet; stay on IaaS (step 1)
 	}
 	if e.switching {
@@ -450,7 +445,7 @@ func (e *Engine) startSwitch(target metrics.Backend, load units.QPS, dTrace obs.
 			e.vms.Stop(e.prof.Name, onStopped)
 		}
 		if e.cfg.Prewarm {
-			n := queueing.PrewarmCount(load, units.Seconds(e.prof.QoSTarget)) + e.cfg.PrewarmHeadroom
+			n := queueing.PrewarmCount(load, units.Seconds(e.prof.QoSTarget)) + prewarmHeadroom
 			started := e.pool.Prewarm(e.prof.Name, n, flip)
 			if sp != nil {
 				sp.Prewarmed = started
@@ -513,7 +508,7 @@ func (e *Engine) drainServerless(sp *obs.SwitchSpan, drainH obs.SpanHandle) {
 			e.closeSpan(sp, false)
 			return
 		}
-		e.sim.After(e.cfg.DrainPoll.Raw(), poll)
+		e.sim.After(drainPoll.Raw(), poll)
 	}
 	poll()
 }

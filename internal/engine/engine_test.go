@@ -89,7 +89,7 @@ func wireRig(t *testing.T, seed uint64, mutate func(*Config), start bool) *rig {
 	s := sim.New(seed)
 	slCfg := serverless.DefaultConfig()
 	pool := serverless.New(s, slCfg)
-	vms := iaas.New(s, iaas.DefaultConfig())
+	vms := iaas.New(s)
 	mon := monitor.New(s, pool, flatCurves(), monitor.DefaultConfig())
 	if start {
 		mon.Start()
@@ -280,6 +280,16 @@ func TestConfigValidation(t *testing.T) {
 	bad.SamplePeriod = 0
 	if bad.Validate() == nil {
 		t.Error("zero sample period accepted")
+	}
+	bad = good
+	bad.ShadowMaxQPS = -1
+	if bad.Validate() == nil {
+		t.Error("negative shadow cap accepted")
+	}
+	bad = good
+	bad.MinDwell = -1
+	if bad.Validate() == nil {
+		t.Error("negative min dwell accepted")
 	}
 	bad = good
 	bad.Capacity.CPU = 0

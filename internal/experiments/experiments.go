@@ -7,8 +7,10 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"amoeba/internal/core"
+	"amoeba/internal/sim"
 	"amoeba/internal/trace"
 	"amoeba/internal/units"
 	"amoeba/internal/workload"
@@ -41,13 +43,24 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors: a day length or day count
+// that is not positive and finite, a trough fraction outside (0,1), and
+// a horizon past core.MaxDuration, which every run would reject.
 func (c Config) Validate() error {
-	if c.DayLength <= 0 || c.Days <= 0 {
-		return fmt.Errorf("experiments: non-positive horizon")
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"day length", c.DayLength.Raw()}, {"days", c.Days}} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("experiments: %s %v is not positive and finite", f.name, f.v)
+		}
 	}
-	if c.TroughFraction <= 0 || c.TroughFraction >= 1 {
-		return fmt.Errorf("experiments: trough fraction %v out of (0,1)", c.TroughFraction)
+	if t := c.TroughFraction.Raw(); !(t > 0 && t < 1) {
+		return fmt.Errorf("experiments: trough fraction %v out of (0,1)", t)
+	}
+	if h := c.horizon(); h > core.MaxDuration {
+		return fmt.Errorf("experiments: horizon %v s (days %v, day length %v s) exceeds the %v s cap",
+			h.Raw(), c.Days, c.DayLength.Raw(), core.MaxDuration.Raw())
 	}
 	return nil
 }
@@ -62,7 +75,7 @@ func (c Config) horizon() units.Seconds {
 
 // diurnalFor builds the benchmark's day-shaped trace.
 func (c Config) diurnalFor(prof workload.Profile) trace.Trace {
-	return trace.NewDiurnal(prof.PeakQPS, prof.PeakQPS*c.TroughFraction.Raw(), c.DayLength.Raw(), c.Seed^hash(prof.Name))
+	return trace.NewDiurnal(prof.PeakQPS, prof.PeakQPS*c.TroughFraction.Raw(), c.DayLength.Raw(), c.Seed^sim.HashName(prof.Name))
 }
 
 // scenario builds the standard single-benchmark scenario of §VII-A: the
@@ -73,17 +86,8 @@ func (c Config) scenario(prof workload.Profile, v core.Variant) core.Scenario {
 		Services:   []core.ServiceSpec{{Profile: prof, Trace: c.diurnalFor(prof)}},
 		Background: core.BackgroundTenants(c.DayLength, c.Seed+7),
 		Duration:   c.horizon(),
-		Seed:       c.Seed ^ hash(prof.Name) ^ uint64(v)<<13,
+		Seed:       c.Seed ^ sim.HashName(prof.Name) ^ uint64(v)<<13,
 	}
-}
-
-func hash(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // benchmarks returns the evaluation suite, trimmed in quick mode.

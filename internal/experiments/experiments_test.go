@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"amoeba/internal/core"
+	"amoeba/internal/units"
 	"amoeba/internal/workload"
 )
 
@@ -293,15 +296,38 @@ func TestSuiteMemoisation(t *testing.T) {
 	}
 }
 
+// TestConfigValidate pins the configs Validate rejects: each one the
+// scenario validation would reject in every run.
 func TestConfigValidate(t *testing.T) {
-	bad := DefaultConfig()
-	bad.DayLength = 0
-	if bad.Validate() == nil {
-		t.Error("zero day length accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config invalid: %v", err)
 	}
-	bad = DefaultConfig()
-	bad.TroughFraction = 1.0
-	if bad.Validate() == nil {
-		t.Error("trough fraction 1 accepted")
+	cases := []struct {
+		name, field string
+		edit        func(*Config)
+	}{
+		{"zero day length", "day length", func(c *Config) { c.DayLength = 0 }},
+		{"NaN day length", "day length", func(c *Config) { c.DayLength = units.Seconds(nan) }},
+		{"infinite day length", "day length", func(c *Config) { c.DayLength = units.Seconds(inf) }},
+		{"zero days", "days", func(c *Config) { c.Days = 0 }},
+		{"NaN days", "days", func(c *Config) { c.Days = nan }},
+		{"infinite days", "days", func(c *Config) { c.Days = inf }},
+		{"trough fraction 1", "trough fraction", func(c *Config) { c.TroughFraction = 1 }},
+		{"NaN trough fraction", "trough fraction", func(c *Config) { c.TroughFraction = units.Fraction(nan) }},
+		{"a million days", "days", func(c *Config) { c.Days = 1e6 }},
+		{"quick day past the cap", "day length", func(c *Config) { c.Quick, c.DayLength = true, core.MaxDuration*2 }},
+	}
+	for _, tc := range cases {
+		c := DefaultConfig()
+		tc.edit(&c)
+		err := c.Validate()
+		if err == nil {
+			t.Errorf("%s accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name the %s", tc.name, err, tc.field)
+		}
 	}
 }

@@ -43,8 +43,8 @@ func Fig02(cfg Config) *Fig02Result {
 }
 
 func fig02One(cfg Config, prof workload.Profile) Fig02Row {
-	s := sim.New(cfg.Seed ^ hash(prof.Name))
-	vms := iaas.New(s, iaas.DefaultConfig())
+	s := sim.New(cfg.Seed ^ sim.HashName(prof.Name))
+	vms := iaas.New(s)
 	coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
 	vms.Deploy(prof, coll.Observe)
 

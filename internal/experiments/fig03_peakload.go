@@ -8,7 +8,6 @@ import (
 	"amoeba/internal/serverless"
 	"amoeba/internal/sim"
 	"amoeba/internal/trace"
-	"amoeba/internal/units"
 	"amoeba/internal/workload"
 )
 
@@ -44,15 +43,15 @@ func Fig03(cfg Config) *Fig03Result {
 func fig03One(cfg Config, prof workload.Profile) Fig03Row {
 	// Equalise resources: the serverless side gets exactly as many
 	// containers as the IaaS side has worker slots.
-	slots := iaas.ProvisionSlots(prof, units.Fraction(0.95), 1.0)
+	slots := iaas.ProvisionSlots(prof)
 	dur := 240.0
 	if cfg.Quick {
 		dur = 120
 	}
 
 	iaasOK := func(qps float64) bool {
-		s := sim.New(cfg.Seed ^ hash(prof.Name+"/iaas"))
-		vms := iaas.New(s, iaas.DefaultConfig())
+		s := sim.New(cfg.Seed ^ sim.HashName(prof.Name+"/iaas"))
+		vms := iaas.New(s)
 		coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
 		vms.Deploy(prof, coll.Observe)
 		inv := vms.Bind(prof.Name)
@@ -62,7 +61,7 @@ func fig03One(cfg Config, prof workload.Profile) Fig03Row {
 		return coll.Count() > 0 && coll.QoSMet()
 	}
 	svlessOK := func(qps float64) bool {
-		s := sim.New(cfg.Seed ^ hash(prof.Name+"/svless"))
+		s := sim.New(cfg.Seed ^ sim.HashName(prof.Name+"/svless"))
 		pool := serverless.New(s, serverless.DefaultConfig())
 		coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
 		pool.Register(prof, coll.Observe, serverless.WithNMax(slots))

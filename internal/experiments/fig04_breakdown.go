@@ -42,7 +42,7 @@ func Fig04(cfg Config) *Fig04Result {
 }
 
 func fig04One(cfg Config, prof workload.Profile) Fig04Row {
-	s := sim.New(cfg.Seed ^ hash(prof.Name+"/fig4"))
+	s := sim.New(cfg.Seed ^ sim.HashName(prof.Name+"/fig4"))
 	pool := serverless.New(s, serverless.DefaultConfig())
 	coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
 	pool.Register(prof, func(r metrics.QueryRecord) {

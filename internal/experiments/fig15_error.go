@@ -66,7 +66,7 @@ func Fig15(s *Suite) *Fig15Result {
 func fig15One(s *Suite, prof workload.Profile) Fig15Row {
 	slCfg := serverless.DefaultConfig()
 	set := core.SurfaceSet(prof, slCfg)
-	nMax := nMaxFor(slCfg)
+	nMax := slCfg.NMax()
 	pred, err := controller.NewPredictor(prof, set, nMax, units.Fraction(0.95))
 	if err != nil {
 		//amoeba:allow panic suite config was validated by NewSuite
@@ -102,11 +102,6 @@ func fig15One(s *Suite, prof workload.Profile) Fig15Row {
 	return row
 }
 
-// nMaxFor mirrors the pool's per-tenant cap for the default config.
-func nMaxFor(cfg serverless.Config) int {
-	return int(math.Min(1/cfg.Delta.Raw(), cfg.Node.MemMB*(1-cfg.MemReserve.Raw())/cfg.ContainerMemMB.Raw()))
-}
-
 // fig15RealSwitchPoint enumerates λ_real: the largest constant QPS whose
 // end-to-end p95 stays within the QoS target on the serverless platform
 // under the given ambient pressure.
@@ -119,7 +114,7 @@ func fig15RealSwitchPoint(cfg Config, prof workload.Profile, slCfg serverless.Co
 	}
 	cap := slCfg.Node.Capacity()
 	ok := func(qps float64) bool {
-		s := sim.New(cfg.Seed ^ hash(prof.Name+"/fig15"))
+		s := sim.New(cfg.Seed ^ sim.HashName(prof.Name+"/fig15"))
 		pool := serverless.New(s, slCfg)
 		coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
 		pool.Register(prof, coll.Observe, serverless.WithNMax(nMax))

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 
-	"amoeba/internal/cluster"
 	"amoeba/internal/fifo"
 	"amoeba/internal/metrics"
 	"amoeba/internal/obs"
@@ -25,51 +24,16 @@ import (
 	"amoeba/internal/workload"
 )
 
-// Config tunes the platform.
-type Config struct {
-	Node cluster.Node
-
-	// BootDelay is the VM boot time paid before a switched-in service can
+// The platform's fixed settings.
+const (
+	// bootDelay is the VM boot time paid before a switched-in service can
 	// take traffic (§V-B's engine boots VMs before routing).
-	BootDelay float64
-
-	// RPCOverhead is the constant per-query cost of the Nameko RPC path.
-	RPCOverhead float64
-
-	// QoSQuantile is the latency quantile provisioning targets (0.95).
-	QoSQuantile units.Fraction
-
-	// Headroom multiplies the provisioned core count for safety margin.
-	Headroom float64
-}
-
-// DefaultConfig returns the evaluation configuration.
-func DefaultConfig() Config {
-	return Config{
-		Node:        cluster.DefaultNode("iaas"),
-		BootDelay:   30,
-		RPCOverhead: 0.004,
-		QoSQuantile: 0.95,
-		Headroom:    1.0,
-	}
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if err := c.Node.Validate(); err != nil {
-		return err
-	}
-	if c.BootDelay < 0 || c.RPCOverhead < 0 {
-		return fmt.Errorf("iaas: negative delay in config")
-	}
-	if c.QoSQuantile <= 0 || c.QoSQuantile >= 1 {
-		return fmt.Errorf("iaas: QoS quantile %v out of (0,1)", c.QoSQuantile)
-	}
-	if c.Headroom < 1 {
-		return fmt.Errorf("iaas: headroom %v below 1", c.Headroom)
-	}
-	return nil
-}
+	bootDelay = 30
+	// rpcOverhead is the constant per-query cost of the Nameko RPC path.
+	rpcOverhead = 0.004
+	// qosQuantile is the latency quantile provisioning targets.
+	qosQuantile units.Fraction = 0.95
+)
 
 // backendName labels the platform's spans and events.
 var backendName = metrics.BackendIaaS.String()
@@ -118,7 +82,6 @@ type service struct {
 // Platform hosts per-service VM groups.
 type Platform struct {
 	sim      *sim.Simulator
-	cfg      Config
 	normals  *sim.Stream // the body times' standard normals (DESIGN.md §22)
 	bus      *obs.Bus
 	tracer   *obs.Tracer
@@ -129,15 +92,10 @@ type Platform struct {
 	done obs.QueryComplete
 }
 
-// New creates an IaaS platform on the simulator. It panics if the
-// config fails validation.
-func New(s *sim.Simulator, cfg Config) *Platform {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+// New creates an IaaS platform on the simulator.
+func New(s *sim.Simulator) *Platform {
 	return &Platform{
 		sim:      s,
-		cfg:      cfg,
 		normals:  sim.NewStream(s.RNG().Split(), sim.StdNormals),
 		services: make(map[string]*service),
 	}
@@ -154,20 +112,16 @@ func (p *Platform) SetBus(b *obs.Bus) { p.bus = b }
 func (p *Platform) SetTracer(t *obs.Tracer) { p.tracer = t }
 
 // ProvisionSlots returns the "just-enough" worker count for a profile: the
-// minimum slots keeping the QoS-quantile response of an M/M/k at peak
-// load within target, then headroom.
-func ProvisionSlots(profile workload.Profile, quantile units.Fraction, headroom float64) int {
+// minimum slots, at least one, keeping the QoS-quantile response of an
+// M/M/k at peak load within target.
+func ProvisionSlots(profile workload.Profile) int {
 	// Worker service rate: one query's body plus the processing overhead.
 	mu := units.ServiceRate(1 / (profile.ExecTime + profile.Overheads.Processing))
 	slots, err := queueing.MinContainers(units.QPS(profile.PeakQPS), mu,
-		units.Seconds(profile.QoSTarget), quantile, 100000)
+		units.Seconds(profile.QoSTarget), qosQuantile, 100000)
 	if err != nil {
 		//amoeba:allow panic the search cap is a positive literal above
 		panic(err)
-	}
-	slots = int(math.Ceil(float64(slots) * headroom))
-	if slots < 1 {
-		slots = 1
 	}
 	return slots
 }
@@ -177,7 +131,7 @@ func ProvisionSlots(profile workload.Profile, quantile units.Fraction, headroom 
 // maintainers stand services up before taking traffic). onComplete
 // receives every finished query (may be nil).
 func (p *Platform) Deploy(profile workload.Profile, onComplete func(metrics.QueryRecord)) {
-	slots := ProvisionSlots(profile, p.cfg.QoSQuantile, p.cfg.Headroom)
+	slots := ProvisionSlots(profile)
 	vms := (slots + profile.VMCores - 1) / profile.VMCores
 	p.DeployWithVMs(profile, vms, onComplete)
 }
@@ -281,7 +235,7 @@ func (p *Platform) startQuery(svc *service, q pending) {
 	body := math.Exp(svc.execMu + svc.execSigma*p.normals.Next())
 	r.bd = metrics.Breakdown{
 		Queue:      float64(p.sim.Now() - q.arrived),
-		Processing: p.cfg.RPCOverhead,
+		Processing: rpcOverhead,
 		Exec:       body,
 	}
 	nowS := units.Seconds(p.sim.Now())
@@ -359,7 +313,8 @@ func (p *Platform) finishQuery(r *execution) {
 // Scale resizes a running service's VM group to the given count (an
 // elastic-IaaS primitive for autoscaling baselines). Scale-out allocates
 // the new VMs immediately — booting VMs hold their reservation — and
-// brings their worker slots online after BootDelay; onReady fires then.
+// brings their worker slots online after the boot delay; onReady fires
+// then.
 // Scale-in takes effect immediately: the allocation and slot count drop,
 // and queries already running on removed workers finish undisturbed.
 // It panics if the target count is below one or the service is stopped.
@@ -375,7 +330,7 @@ func (p *Platform) Scale(name string, vms int, onReady func()) {
 	svc.vms = vms
 	p.allocate(svc)
 	if vms > prev {
-		p.sim.After(p.cfg.BootDelay, func() {
+		p.sim.After(bootDelay, func() {
 			svc.slots = svc.vms * svc.profile.VMCores
 			// Newly online workers drain any backlog.
 			for svc.queue.Len() > 0 && svc.busy < svc.slots {
@@ -422,8 +377,8 @@ func (p *Platform) Stop(name string, onStopped func()) {
 }
 
 // Start boots the service's VM group; queries may be routed after
-// onReady fires (BootDelay later). Starting a running service is a no-op
-// that still reports readiness.
+// onReady fires, the boot delay later. Starting a running service is a
+// no-op that still reports readiness.
 func (p *Platform) Start(name string, onReady func()) {
 	svc := p.mustSvc(name)
 	if svc.running {
@@ -435,7 +390,7 @@ func (p *Platform) Start(name string, onReady func()) {
 	// Resources are allocated from boot, not from readiness: booting VMs
 	// already occupy their reservation.
 	p.allocate(svc)
-	p.sim.After(p.cfg.BootDelay, func() {
+	p.sim.After(bootDelay, func() {
 		svc.running = true
 		if onReady != nil {
 			onReady()

@@ -16,12 +16,12 @@ import (
 
 func newPlatform(seed uint64) (*sim.Simulator, *Platform) {
 	s := sim.New(seed)
-	return s, New(s, DefaultConfig())
+	return s, New(s)
 }
 
 func TestProvisionSlotsSatisfiesQoSAnalytically(t *testing.T) {
 	for _, prof := range workload.All() {
-		slots := ProvisionSlots(prof, 0.95, 1.0)
+		slots := ProvisionSlots(prof)
 		mu := 1 / (prof.ExecTime + prof.Overheads.Processing)
 		q := queueing.MMN{Lambda: prof.PeakQPS, Mu: mu, N: slots}
 		if !q.Stable() {

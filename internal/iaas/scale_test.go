@@ -10,7 +10,7 @@ import (
 
 func TestScaleOutPaysBootDelayThenAddsSlots(t *testing.T) {
 	s := sim.New(1)
-	p := New(s, DefaultConfig())
+	p := New(s)
 	prof := workload.Float()
 	p.DeployWithVMs(prof, 1, nil)
 	if p.Slots(prof.Name) != prof.VMCores {
@@ -42,7 +42,7 @@ func TestScaleOutPaysBootDelayThenAddsSlots(t *testing.T) {
 
 func TestScaleInImmediateAndInFlightFinish(t *testing.T) {
 	s := sim.New(2)
-	p := New(s, DefaultConfig())
+	p := New(s)
 	prof := workload.Float()
 	prof.ExecTime = 5 // long queries so they outlive the scale-in
 	prof.QoSTarget = 20
@@ -73,7 +73,7 @@ func TestScaleInImmediateAndInFlightFinish(t *testing.T) {
 
 func TestScaleOutDrainsBacklog(t *testing.T) {
 	s := sim.New(3)
-	p := New(s, DefaultConfig())
+	p := New(s)
 	prof := workload.Float()
 	prof.ExecTime = 2
 	prof.QoSTarget = 60
@@ -98,7 +98,7 @@ func TestScaleOutDrainsBacklog(t *testing.T) {
 
 func TestScaleValidation(t *testing.T) {
 	s := sim.New(4)
-	p := New(s, DefaultConfig())
+	p := New(s)
 	prof := workload.Float()
 	p.DeployWithVMs(prof, 2, nil)
 	for name, fn := range map[string]func(){
@@ -127,7 +127,7 @@ func TestScaleValidation(t *testing.T) {
 
 func TestDeployWithVMsValidation(t *testing.T) {
 	s := sim.New(5)
-	p := New(s, DefaultConfig())
+	p := New(s)
 	defer func() {
 		if recover() == nil {
 			t.Error("zero-VM deploy did not panic")

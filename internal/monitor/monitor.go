@@ -72,8 +72,6 @@ func (w Weights) Predict(e [3]float64) float64 {
 
 // Config tunes the monitor.
 type Config struct {
-	// MeterQPS is the probing rate per meter (paper: 1 QPS).
-	MeterQPS units.QPS
 	// SamplePeriod is how often the monitor refreshes its pressure
 	// estimate from the meters' latencies, a fixed 10 s, and the epoch at
 	// which core.RunSharded's shards exchange pressure. The heartbeat and
@@ -87,35 +85,36 @@ type Config struct {
 	MinSamples int
 	// UsePCA enables weight calibration; false reproduces Amoeba-NoM.
 	UsePCA bool
-	// MeterEWMAAlpha smooths meter latencies between periods.
-	MeterEWMAAlpha units.Fraction
 }
 
 // DefaultConfig returns the evaluation configuration.
 func DefaultConfig() Config {
 	return Config{
-		MeterQPS:       1,
-		SamplePeriod:   10,
-		Window:         240,
-		MinSamples:     12,
-		UsePCA:         true,
-		MeterEWMAAlpha: 0.12,
+		SamplePeriod: 10,
+		Window:       240,
+		MinSamples:   12,
+		UsePCA:       true,
 	}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.MeterQPS <= 0 || c.SamplePeriod <= 0 {
-		return fmt.Errorf("monitor: non-positive rates/periods")
+	if c.SamplePeriod <= 0 {
+		return fmt.Errorf("monitor: non-positive sample period")
 	}
 	if c.Window < c.MinSamples || c.MinSamples < 4 {
 		return fmt.Errorf("monitor: window %d / min samples %d malformed", c.Window, c.MinSamples)
 	}
-	if c.MeterEWMAAlpha <= 0 || c.MeterEWMAAlpha > 1 {
-		return fmt.Errorf("monitor: EWMA alpha %v out of (0,1]", c.MeterEWMAAlpha)
-	}
 	return nil
 }
+
+// The meters' fixed settings.
+const (
+	// meterQPS is the probing rate per meter (§VII-E: 1 QPS).
+	meterQPS units.QPS = 1
+	// meterEWMAAlpha smooths meter latencies between periods.
+	meterEWMAAlpha units.Fraction = 0.12
+)
 
 // sampleWindow is one service's heartbeat samples: degradation
 // features and the observed slowdown − 1, in a ring of Config.Window.
@@ -173,7 +172,7 @@ func New(s *sim.Simulator, pool *serverless.Platform, curves [3]*meters.Curve, c
 		services: make(map[string]*sampleWindow),
 	}
 	for i := range m.meterLat {
-		m.meterLat[i] = stats.NewEWMA(cfg.MeterEWMAAlpha.Raw())
+		m.meterLat[i] = stats.NewEWMA(meterEWMAAlpha.Raw())
 	}
 	for _, mt := range meters.All() {
 		mt := mt
@@ -207,7 +206,7 @@ func NewReplica(s *sim.Simulator, cfg Config) *Monitor {
 		services: make(map[string]*sampleWindow),
 	}
 	for i := range m.meterLat {
-		m.meterLat[i] = stats.NewEWMA(cfg.MeterEWMAAlpha.Raw())
+		m.meterLat[i] = stats.NewEWMA(meterEWMAAlpha.Raw())
 	}
 	return m
 }
@@ -249,7 +248,7 @@ func (m *Monitor) Start() {
 		panic("monitor: Start called twice")
 	}
 	m.started = true
-	period := m.cfg.MeterQPS.Period()
+	period := meterQPS.Period()
 	for _, mt := range meters.All() {
 		name := mt.Profile.Name
 		// Keep one container warm per meter so probes measure contention,

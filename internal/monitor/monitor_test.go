@@ -44,9 +44,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := good
-	bad.MeterQPS = 0
+	bad.SamplePeriod = 0
 	if bad.Validate() == nil {
-		t.Error("zero meter QPS accepted")
+		t.Error("zero sample period accepted")
 	}
 	bad = good
 	bad.MinSamples = 2

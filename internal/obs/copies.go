@@ -3,7 +3,7 @@ package obs
 // copies holds events by value, one slice per kind. It is the one place
 // events are copied: an emitter lends its event to the sinks only until
 // Consume returns, so a sink that keeps an event keeps a copy made by
-// keep (JSONLWriter's batches and Buffer) or by clone (Ring).
+// keep (Buffer, which JSONLWriter's batches are too) or by clone (Ring).
 type copies struct {
 	queries    []QueryComplete
 	colds      []ColdStart

@@ -58,28 +58,23 @@ type JSONLWriter struct {
 	enc encoder
 	err error
 	n   int
-	// cur is the batch Consume fills, nil while none is held; free holds
-	// the batches ready to fill. full carries filled batches to the
-	// encoder goroutine in emission order; it is nil while no goroutine
-	// runs, and done is closed when the goroutine exits.
-	cur  *batch
-	free chan *batch
-	full chan *batch
+	// Each batch is a Buffer of consecutive events, whose slices grow
+	// while it is first filled and are reused after. cur is the batch
+	// Consume fills, nil while none is held; free holds the batches
+	// ready to fill. full carries filled batches to the encoder
+	// goroutine in emission order; it is nil while no goroutine runs,
+	// and done is closed when the goroutine exits.
+	cur  *Buffer
+	free chan *Buffer
+	full chan *Buffer
 	done chan struct{}
-}
-
-// batch is a run of consecutive events, copied by value. Its slices
-// grow while it is first filled and are reused after.
-type batch struct {
-	events []Event // emission order; each points into copies
-	copies copies
 }
 
 // NewJSONLWriter wraps w. The caller owns buffering and closing.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	j := &JSONLWriter{w: w, free: make(chan *batch, batchCount)}
+	j := &JSONLWriter{w: w, free: make(chan *Buffer, batchCount)}
 	for i := 0; i < batchCount; i++ {
-		j.free <- new(batch)
+		j.free <- NewBuffer()
 	}
 	return j
 }
@@ -96,22 +91,18 @@ func (j *JSONLWriter) Consume(ev Event) {
 		b = <-j.free
 		j.cur = b
 	}
-	b.put(ev)
+	b.Consume(ev)
 	if len(b.events) == batchLen {
 		j.cur = nil
 		j.handOff(b)
 	}
 }
 
-// put appends a copy of ev. It is kept out of Consume's noalloc body
-// because the appends grow the batch's slices on its first fill.
-func (b *batch) put(ev Event) { b.events = append(b.events, b.copies.keep(ev)) }
-
 // handOff queues b for the encoder goroutine, starting one if none
 // runs. full holds every batch there is, so the send never blocks.
-func (j *JSONLWriter) handOff(b *batch) {
+func (j *JSONLWriter) handOff(b *Buffer) {
 	if j.full == nil {
-		full, free, done := make(chan *batch, batchCount), j.free, make(chan struct{})
+		full, free, done := make(chan *Buffer, batchCount), j.free, make(chan struct{})
 		j.full, j.done = full, done
 		go func() {
 			defer close(done)
@@ -126,7 +117,7 @@ func (j *JSONLWriter) handOff(b *batch) {
 
 // write encodes b's events in order, one Write per line, until the
 // first error, and empties b for reuse.
-func (j *JSONLWriter) write(b *batch) {
+func (j *JSONLWriter) write(b *Buffer) {
 	for _, ev := range b.events {
 		if j.err != nil {
 			break
@@ -141,9 +132,7 @@ func (j *JSONLWriter) write(b *batch) {
 		}
 		j.n++
 	}
-	clear(b.events)
-	b.events = b.events[:0]
-	b.copies.reset()
+	b.Reset()
 }
 
 // Flush hands the partial batch to the encoder goroutine, waits for the
@@ -177,7 +166,8 @@ func (j *JSONLWriter) Err() error { return j.Flush() }
 // and drains them at every epoch barrier, merging the per-namespace
 // sequences into the output stream in canonical order; the buffer
 // therefore only ever holds one epoch's worth of events, and the next
-// epoch reuses the memory of the last.
+// epoch reuses the memory of the last. A JSONLWriter's batches are
+// Buffers too.
 type Buffer struct {
 	events []Event // emission order; each points into copies
 	copies copies

@@ -169,7 +169,7 @@ func BuildSurface(prof workload.Profile, idx int, cfg serverless.Config,
 	cells := len(pressures) * len(loads)
 	parallelFor(cells, runtime.GOMAXPROCS(0), func(k int) {
 		i, j := k/len(loads), k%len(loads)
-		seed := baseSeed ^ (uint64(idx+7) << 40) ^ uint64(k)<<8 ^ hashName(prof.Name)
+		seed := baseSeed ^ (uint64(idx+7) << 40) ^ uint64(k)<<8 ^ sim.HashName(prof.Name)
 		lat[i][j] = measureCell(prof, idx, pressures[i], loads[j], cfg, seed, true)
 	})
 	// Isotonic smoothing along the pressure axis: physics says more
@@ -259,13 +259,4 @@ func parallelFor(n, workers int, body func(i int)) {
 	}
 	close(next)
 	wg.Wait()
-}
-
-func hashName(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -22,8 +22,7 @@ func TestConservationProperty(t *testing.T) {
 		horizon := 20 + float64(horizonRaw%60)
 
 		s := sim.New(seed)
-		cfg := DefaultConfig()
-		p := New(s, cfg)
+		p := New(s, DefaultConfig())
 
 		prof := workload.Float()
 		completed := 0
@@ -51,9 +50,9 @@ func TestConservationProperty(t *testing.T) {
 			t.Logf("seed=%d: containers %d > nMax %d", seed, containers, nMax)
 			return false
 		}
-		if p.memMB != float64(containers)*cfg.ContainerMemMB.Raw() {
+		if p.memMB != float64(containers)*workload.ContainerMemMB {
 			t.Logf("seed=%d: memory %v != containers %d × %v",
-				seed, p.memMB, containers, cfg.ContainerMemMB)
+				seed, p.memMB, containers, workload.ContainerMemMB)
 			return false
 		}
 		// Drain: with arrivals stopped everything in flight completes.

@@ -36,8 +36,9 @@ import (
 )
 
 // Config tunes the platform: the node, the cold-start and idle-reclaim
-// timings, and the per-tenant and memory bounds of §IV-A and Table II.
-// Nothing caps the activation queue.
+// timings, and the memory kept back from containers. Every container
+// holds workload.ContainerMemMB (Table II), and nothing caps the
+// activation queue.
 type Config struct {
 	Node cluster.Node
 
@@ -46,19 +47,8 @@ type Config struct {
 	ColdStartMean units.Seconds
 	ColdStartCV   float64
 
-	// CodeLoadColdFactor multiplies a function's hot code-load time on
-	// the cold path (pulling the image vs touching the cache).
-	CodeLoadColdFactor float64
-
 	// IdleTimeout is how long a warm container lingers before reclaim.
 	IdleTimeout units.Seconds
-
-	// Delta is the per-tenant share bound; n_max = min(1/Delta, M0/M1)
-	// (§IV-A).
-	Delta units.Fraction
-
-	// ContainerMemMB is the fixed container size (Table II: 256 MB).
-	ContainerMemMB units.MegaBytes
 
 	// MemReserve is the fraction of node memory kept for the platform
 	// itself; containers may use the rest.
@@ -68,16 +58,23 @@ type Config struct {
 // DefaultConfig returns the Table II / §V configuration.
 func DefaultConfig() Config {
 	return Config{
-		Node:               cluster.DefaultNode("serverless"),
-		ColdStartMean:      1.2,
-		ColdStartCV:        0.25,
-		CodeLoadColdFactor: 8,
-		IdleTimeout:        60,
-		Delta:              0.10,
-		ContainerMemMB:     workload.ContainerMemMB,
-		MemReserve:         0.10,
+		Node:          cluster.DefaultNode("serverless"),
+		ColdStartMean: 1.2,
+		ColdStartCV:   0.25,
+		IdleTimeout:   60,
+		MemReserve:    0.10,
 	}
 }
+
+// The pool's fixed settings.
+const (
+	// delta is the per-tenant share bound δ of §IV-A: one function may
+	// hold at most this fraction of the pool.
+	delta units.Fraction = 0.10
+	// codeLoadColdFactor multiplies a function's hot code-load time on
+	// the cold path (pulling the image vs touching the cache).
+	codeLoadColdFactor = 8
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -90,40 +87,43 @@ func (c Config) Validate() error {
 	if c.IdleTimeout <= 0 {
 		return fmt.Errorf("serverless: non-positive idle timeout")
 	}
-	if c.Delta <= 0 || c.Delta > 1 {
-		return fmt.Errorf("serverless: delta %v out of (0,1]", c.Delta)
-	}
-	if c.ContainerMemMB <= 0 {
-		return fmt.Errorf("serverless: non-positive container memory")
-	}
 	if c.MemReserve < 0 || c.MemReserve >= 1 {
 		return fmt.Errorf("serverless: mem reserve %v out of [0,1)", c.MemReserve)
 	}
 	return nil
 }
 
+// NMax returns the per-tenant container cap n_max = min(1/δ, M₀/M₁) of
+// §IV-A, where M₀ is the node memory left after the reserve and M₁ the
+// container size.
+func (c Config) NMax() int {
+	n, err := queueing.MaxContainers(delta, c.usableMemMB(), workload.ContainerMemMB)
+	if err != nil {
+		//amoeba:allow panic δ and the container size are valid constants
+		panic(err)
+	}
+	return n
+}
+
+// usableMemMB is the node memory containers may hold.
+func (c Config) usableMemMB() units.MegaBytes {
+	return units.Scale(units.MegaBytes(c.Node.MemMB), 1-c.MemReserve.Raw())
+}
+
 // backendName labels the platform's spans and events.
 var backendName = metrics.BackendServerless.String()
 
-type containerState int
-
-const (
-	stateColdStarting containerState = iota
-	statePrewarming
-	stateIdle
-	stateBusy
-	stateDead
-)
-
+// container is one live container of a function. It is cold-starting
+// until its start callback fires, then alternates between running one
+// activation and waiting on its function's idle list. The pool destroys
+// only idle containers (DESIGN.md §20).
 type container struct {
 	id     int
 	fn     *function
-	state  containerState
 	idleAt sim.Time
-	stamp  sim.Stamp   // reserved at idleAt: the tie-break of its reclaim
-	bound  *activation // query waiting for this cold start
+	stamp  sim.Stamp // reserved at idleAt: the tie-break of its reclaim
 
-	// Per-activation scratch, valid while state == stateBusy. The finish
+	// Per-activation scratch, valid while an activation runs. The finish
 	// callback is built once per container so the warm execute path
 	// schedules kernel events without allocating closures.
 	arrived sim.Time
@@ -131,7 +131,6 @@ type container struct {
 	demand  resources.Vector
 	qt      obs.QueryTrace // trace context of the running activation
 	execH   obs.SpanHandle // open exec phase span
-	coldH   obs.SpanHandle // open cold-start phase span (cold path only)
 	finish  func()         // completes the running activation
 }
 
@@ -158,7 +157,7 @@ type function struct {
 	idle       []*container
 	deadline   sim.EventHandle
 	expire     func() // fires the deadline; built once at Register
-	containers int    // live containers (any state)
+	containers int    // live containers: cold-starting, busy or idle
 	usage      *resources.Usage
 	inflight   int
 
@@ -264,16 +263,12 @@ func (p *Platform) Register(profile workload.Profile, onComplete func(metrics.Qu
 	if _, dup := p.fns[profile.Name]; dup {
 		panic(fmt.Sprintf("serverless: duplicate function %q", profile.Name))
 	}
-	nMax, err := queueing.MaxContainers(p.cfg.Delta, p.usableMemMB(), p.cfg.ContainerMemMB)
-	if err != nil {
-		panic(err)
-	}
 	execMu, execSigma := sim.LognormalParams(profile.ExecTime, profile.ExecCV)
 	f := &function{
 		profile:    profile,
 		execMu:     execMu,
 		execSigma:  execSigma,
-		nMax:       nMax,
+		nMax:       p.cfg.NMax(),
 		onComplete: onComplete,
 		usage:      resources.NewUsage(float64(p.sim.Now())),
 	}
@@ -284,10 +279,6 @@ func (p *Platform) Register(profile workload.Profile, onComplete func(metrics.Qu
 	f.expire = func() { p.expire(f) }
 	p.fns[profile.Name] = f
 	p.registered = append(p.registered, f)
-}
-
-func (p *Platform) usableMemMB() units.MegaBytes {
-	return units.Scale(units.MegaBytes(p.cfg.Node.MemMB), 1-p.cfg.MemReserve.Raw())
 }
 
 // mustFn looks up a registered function. It panics on an unknown name:
@@ -373,54 +364,46 @@ func (p *Platform) place(act *activation) bool {
 		p.execute(c, act, 0)
 		return true
 	}
-	if f.containers >= f.nMax {
+	// 2. Cold start a new container for the activation, which waits
+	// for it.
+	if !p.room(f) {
 		return false
 	}
-	// 2. Cold start a new container if memory allows, evicting another
-	// function's longest-idle container when the pool is full.
-	if !p.memAvailable() && !p.evictIdle(f) {
-		return false
-	}
-	if !p.memAvailable() {
-		return false
-	}
-	c := p.newContainer(f, stateColdStarting)
-	c.bound = act
+	c := p.newContainer(f)
 	// The queue phase ends at binding; the cold-start phase covers the
 	// bound wait for the container.
 	nowS := units.Seconds(p.sim.Now())
 	p.tracer.End(nowS, act.queueH)
 	act.queueH = obs.SpanHandle{}
-	c.coldH = p.tracer.Begin(nowS, act.qt.Trace, act.qt.Span, 0,
+	coldH := p.tracer.Begin(nowS, act.qt.Trace, act.qt.Span, 0,
 		obs.PhaseColdStart, f.profile.Name, backendName)
 	delay := p.sampleColdStart()
 	p.sim.After(delay, func() {
-		p.tracer.End(units.Seconds(p.sim.Now()), c.coldH)
-		c.coldH = obs.SpanHandle{}
-		if c.state == stateDead {
-			return
-		}
+		p.tracer.End(units.Seconds(p.sim.Now()), coldH)
 		if p.bus.Active() {
 			p.bus.Emit(&obs.ColdStart{
 				At:      units.Seconds(p.sim.Now()),
-				Service: c.fn.profile.Name,
+				Service: f.profile.Name,
 				Delay:   units.Seconds(delay),
 			})
 		}
-		bound := c.bound
-		c.bound = nil
-		if bound == nil {
-			p.makeIdle(c)
-			p.pump()
-			return
-		}
-		p.execute(c, bound, delay)
+		p.execute(c, act, delay)
 	})
 	return true
 }
 
+// room reports whether f may start one more container: f holds fewer
+// than n_max, and the pool has memory for one, after evicting another
+// function's longest-idle container if it had none.
+func (p *Platform) room(f *function) bool {
+	if f.containers >= f.nMax {
+		return false
+	}
+	return p.memAvailable() || (p.evictIdle(f) && p.memAvailable())
+}
+
 func (p *Platform) memAvailable() bool {
-	return units.MegaBytes(p.memMB)+p.cfg.ContainerMemMB <= p.usableMemMB()
+	return units.MegaBytes(p.memMB)+workload.ContainerMemMB <= p.cfg.usableMemMB()
 }
 
 // evictIdle destroys the longest-idle warm container belonging to any
@@ -428,53 +411,43 @@ func (p *Platform) memAvailable() bool {
 // whether one was found.
 func (p *Platform) evictIdle(requester *function) bool {
 	var victim *container
+	var vf *function
+	vi := 0
 	for _, f := range p.registered {
 		if f == requester {
 			continue
 		}
-		for _, c := range f.idle {
+		for i, c := range f.idle {
 			if victim == nil || c.idleAt < victim.idleAt ||
 				(c.idleAt == victim.idleAt && c.id < victim.id) {
-				victim = c
+				victim, vf, vi = c, f, i
 			}
 		}
 	}
 	if victim == nil {
 		return false
 	}
-	p.destroy(victim)
+	p.destroy(vf, vi)
 	return true
 }
 
-func (p *Platform) newContainer(f *function, st containerState) *container {
+func (p *Platform) newContainer(f *function) *container {
 	p.nextID++
-	c := &container{id: p.nextID, fn: f, state: st}
+	c := &container{id: p.nextID, fn: f}
 	c.finish = func() { p.finishExec(c) }
 	f.containers++
-	p.memMB += p.cfg.ContainerMemMB.Raw()
-	f.usage.Adjust(float64(p.sim.Now()), resources.Vector{MemMB: p.cfg.ContainerMemMB.Raw()})
+	p.memMB += workload.ContainerMemMB
+	f.usage.Adjust(float64(p.sim.Now()), resources.Vector{MemMB: workload.ContainerMemMB})
 	return c
 }
 
-func (p *Platform) destroy(c *container) {
-	if c.state == stateDead {
-		return
-	}
-	if c.state == stateIdle {
-		// Search from the most recently idled end: ReleaseIdle destroys
-		// the tail, which then costs O(1).
-		f := c.fn
-		for i := len(f.idle) - 1; i >= 0; i-- {
-			if f.idle[i] == c {
-				p.removeIdle(f, i)
-				break
-			}
-		}
-	}
-	c.state = stateDead
-	c.fn.containers--
-	p.memMB -= p.cfg.ContainerMemMB.Raw()
-	c.fn.usage.Adjust(float64(p.sim.Now()), resources.Vector{MemMB: -p.cfg.ContainerMemMB.Raw()})
+// destroy reclaims f.idle[i], the only kind of container the pool
+// destroys.
+func (p *Platform) destroy(f *function, i int) {
+	p.removeIdle(f, i)
+	f.containers--
+	p.memMB -= workload.ContainerMemMB
+	f.usage.Adjust(float64(p.sim.Now()), resources.Vector{MemMB: -workload.ContainerMemMB})
 }
 
 // makeIdle appends c to its function's idle list. The stamp it reserves
@@ -483,7 +456,6 @@ func (p *Platform) destroy(c *container) {
 // key whenever the deadline reaches c.
 func (p *Platform) makeIdle(c *container) {
 	f := c.fn
-	c.state = stateIdle
 	c.idleAt = p.sim.Now()
 	c.stamp = p.sim.Reserve()
 	f.idle = append(f.idle, c)
@@ -520,23 +492,17 @@ func (p *Platform) armDeadline(f *function) {
 // passed, and it is reclaimed.
 func (p *Platform) expire(f *function) {
 	f.deadline = sim.EventHandle{} // fired: nothing left to cancel
-	p.destroy(f.idle[0])
+	p.destroy(f, 0)
 }
 
 // startPrewarmOne launches one prewarming container; reports whether it
 // could be started (nMax and memory permitting). onWarm fires when the
-// container becomes idle (or dies first).
+// container becomes idle.
 func (p *Platform) startPrewarmOne(f *function, onWarm func()) bool {
-	if f.containers >= f.nMax {
+	if !p.room(f) {
 		return false
 	}
-	if !p.memAvailable() && !p.evictIdle(f) {
-		return false
-	}
-	if !p.memAvailable() {
-		return false
-	}
-	c := p.newContainer(f, statePrewarming)
+	c := p.newContainer(f)
 	// A prewarm cold start is its own (root-less) trace, causally linked
 	// to the switch span that ordered the warming, if one is in progress.
 	coldH := p.tracer.Begin(units.Seconds(p.sim.Now()), p.tracer.StartTrace(), 0,
@@ -545,18 +511,16 @@ func (p *Platform) startPrewarmOne(f *function, onWarm func()) bool {
 	delay := p.sampleColdStart()
 	p.sim.After(delay, func() {
 		p.tracer.End(units.Seconds(p.sim.Now()), coldH)
-		if c.state != stateDead {
-			if p.bus.Active() {
-				p.bus.Emit(&obs.ColdStart{
-					At:      units.Seconds(p.sim.Now()),
-					Service: f.profile.Name,
-					Delay:   units.Seconds(delay),
-					Prewarm: true,
-				})
-			}
-			p.makeIdle(c)
-			p.pump()
+		if p.bus.Active() {
+			p.bus.Emit(&obs.ColdStart{
+				At:      units.Seconds(p.sim.Now()),
+				Service: f.profile.Name,
+				Delay:   units.Seconds(delay),
+				Prewarm: true,
+			})
 		}
+		p.makeIdle(c)
+		p.pump()
 		onWarm()
 	})
 	return true
@@ -576,7 +540,6 @@ func (p *Platform) sampleColdStart() float64 {
 func (p *Platform) execute(c *container, act *activation, coldDelay float64) {
 	f := c.fn
 	prof := &f.profile
-	c.state = stateBusy
 
 	now := p.sim.Now()
 	c.arrived = act.arrived
@@ -591,7 +554,7 @@ func (p *Platform) execute(c *container, act *activation, coldDelay float64) {
 
 	codeLoad := prof.Overheads.CodeLoadHot
 	if coldDelay > 0 {
-		codeLoad *= p.cfg.CodeLoadColdFactor
+		codeLoad *= codeLoadColdFactor
 	}
 
 	// Function body: solo-run time scaled by the slowdown under the
@@ -696,7 +659,7 @@ func (p *Platform) ReleaseIdle(name string) int {
 	f := p.mustFn(name)
 	n := len(f.idle)
 	for len(f.idle) > 0 {
-		p.destroy(f.idle[len(f.idle)-1])
+		p.destroy(f, len(f.idle)-1)
 	}
 	return n
 }

@@ -19,6 +19,40 @@ func newPlatform(seed uint64) (*sim.Simulator, *Platform) {
 	return s, New(s, DefaultConfig())
 }
 
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config invalid: %v", err)
+	}
+	for name, edit := range map[string]func(*Config){
+		"node without memory":  func(c *Config) { c.Node.MemMB = 0 },
+		"zero cold start":      func(c *Config) { c.ColdStartMean = 0 },
+		"negative cold CV":     func(c *Config) { c.ColdStartCV = -0.1 },
+		"zero idle timeout":    func(c *Config) { c.IdleTimeout = 0 },
+		"reserve of all":       func(c *Config) { c.MemReserve = 1 },
+		"negative mem reserve": func(c *Config) { c.MemReserve = -0.1 },
+	} {
+		bad := DefaultConfig()
+		edit(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestNMaxTakesTheTighterBound checks n_max = min(1/δ, M₀/M₁): the share
+// bound on the default node, the memory bound on a small one.
+func TestNMaxTakesTheTighterBound(t *testing.T) {
+	if got := DefaultConfig().NMax(); got != 10 {
+		t.Errorf("default n_max = %d, want 1/δ = 10", got)
+	}
+	small := DefaultConfig()
+	small.Node.MemMB = 600
+	small.MemReserve = 0
+	if got := small.NMax(); got != 2 {
+		t.Errorf("600 MB node n_max = %d, want 600/256 rounded down = 2", got)
+	}
+}
+
 func TestFirstInvocationColdStarts(t *testing.T) {
 	s, p := newPlatform(1)
 	var recs []metrics.QueryRecord

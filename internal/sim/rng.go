@@ -26,6 +26,20 @@ func (r *RNG) Split() *RNG {
 	return &RNG{state: r.Uint64() ^ 0x9e3779b97f4a7c15}
 }
 
+// HashName maps a name to 64 bits that callers mix into seeds, so each
+// benchmark of an experiment draws its own streams. It is FNV-1a with the
+// offset basis' last digit dropped: 1469598103934665603, not
+// 14695981039346656037. hash/fnv's standard basis would give every name
+// another value and so reseed every figure.
+func HashName(s string) uint64 {
+	var h uint64 = 1469598103934665603
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

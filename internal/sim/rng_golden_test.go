@@ -84,3 +84,16 @@ func TestIntnUniform(t *testing.T) {
 		t.Fatalf("chi-square = %v over 32.909 (counts %v)", chi2, counts)
 	}
 }
+
+// TestGoldenHashName pins the seed hash every experiment mixes into its
+// seeds. hash/fnv's FNV-1a hashes "dd" to 0x08915407b53bac15.
+func TestGoldenHashName(t *testing.T) {
+	for name, want := range map[string]uint64{
+		"":   1469598103934665603,
+		"dd": 0x9bbd4700c66a1153,
+	} {
+		if got := HashName(name); got != want {
+			t.Errorf("HashName(%q) = %#016x, want %#016x", name, got, want)
+		}
+	}
+}
